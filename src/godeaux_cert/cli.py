@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__, diophantine, picard_lattice, quintic_family, rr_engine
 from . import pdo_algebra
+from .exact_arith import is_prime
 from .report import CheckEntry, VerificationReport, check
 
 DEFAULT_PRIMES = (11, 31, 41)
@@ -365,6 +366,9 @@ def load_config(args: argparse.Namespace) -> dict:
         for key in ("primes", "coefficients", "trials", "seed"):
             if key in raw:
                 cfg[key] = raw[key]
+        for key in ("primes", "coefficients"):
+            if key in raw and not isinstance(raw[key], list):
+                raise ValueError(f"config key {key!r} must be a JSON list")
         if "pdo_budget" in raw:
             cfg["pdo_budget"].update(raw["pdo_budget"])
     if args.primes:
@@ -380,9 +384,13 @@ def load_config(args: argparse.Namespace) -> dict:
     if len(cfg["coefficients"]) != 12:
         raise ValueError("coefficient vector must have 12 entries")
     for q in cfg["primes"]:
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
         if q % 5 != 1:
             raise ValueError(f"prime {q} is not 1 mod 5; no order-5 symmetry exists")
     cfg["trials"] = int(cfg["trials"])
+    if cfg["trials"] < 1:
+        raise ValueError(f"trials must be at least 1, got {cfg['trials']}")
     cfg["seed"] = int(cfg["seed"])
     cfg["pdo_budget"] = {
         "T": int(cfg["pdo_budget"]["T"]),
@@ -439,7 +447,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run(args.command, cfg)
+    try:
+        report = run(args.command, cfg)
+    except pdo_algebra.PrecisionError as exc:
+        T = cfg["pdo_budget"]["T"]
+        print(f"error: pdo_budget.T = {T} is too small: {exc}", file=sys.stderr)
+        return 2
     for e in report.entries:
         mark = {"pass": "PASS", "fail": "FAIL", "undecidable": "UNDECIDED"}[e.status]
         line = f"[{mark}] {e.check_id}: {e.reference}"

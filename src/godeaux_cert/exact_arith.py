@@ -1,9 +1,11 @@
 """Exact arithmetic substrate.
 
-Prime fields containing fifth roots of unity, sparse multivariate
-polynomials over a pluggable coefficient domain, and enumeration of
-projective space over a prime field.  All values are immutable and all
-operations are pure functions.
+Primality, fifth roots of unity, projective-space enumeration over a prime
+field, and exact integer and rational linear algebra.  The prime-field
+checks themselves run on plain ints mod q.  The object layer here (FieldElement, SparsePolynomial,
+ProjectivePoint) is a second, independent representation of F_q and its
+polynomials, kept as the oracle the tests compare those checks against.
+All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -121,14 +123,6 @@ class FieldElement:
         return f"{self.value} (mod {self.modulus})"
 
 
-def field_zero(q: int) -> FieldElement:
-    return FieldElement(0, q)
-
-
-def field_one(q: int) -> FieldElement:
-    return FieldElement(1, q)
-
-
 def primitive_fifth_root(q: int) -> FieldElement:
     """Smallest g in F_q* with g^5 = 1 and g != 1.
 
@@ -148,8 +142,9 @@ class SparsePolynomial:
 
     The coefficient domain is pluggable: ints, Fractions, or FieldElements,
     anything supporting +, *, unary truth test, and equality.  Terms are
-    kept with no zero coefficients; iteration order for serialization is
-    lexicographic on the exponent tuples.
+    kept with no zero coefficients.  No check path evaluates these: the
+    tests evaluate them at FieldElement points as an independent oracle
+    for the plain-int mod-q checks.
     """
 
     __slots__ = ("terms", "num_vars")
@@ -169,69 +164,14 @@ class SparsePolynomial:
         self.terms = clean
         self.num_vars = num_vars
 
-    @classmethod
-    def zero(cls, num_vars: int) -> "SparsePolynomial":
-        return cls({}, num_vars)
-
-    @classmethod
-    def from_terms(cls, pairs, num_vars: int) -> "SparsePolynomial":
-        acc: dict = {}
-        for exps, coeff in pairs:
-            exps = tuple(exps)
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
-            else:
-                acc[exps] = coeff
-        return cls(acc, num_vars)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("arity mismatch")
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
-            else:
-                acc[exps] = coeff
-        return SparsePolynomial(acc, self.num_vars)
-
-    def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial({e: -c for e, c in self.terms.items()}, self.num_vars)
-
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("arity mismatch")
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return SparsePolynomial(acc, self.num_vars)
-
-    def scale(self, coeff) -> "SparsePolynomial":
-        return SparsePolynomial({e: coeff * c for e, c in self.terms.items()}, self.num_vars)
 
     def eval(self, point: Sequence) -> object:
         if len(point) != self.num_vars:
@@ -259,23 +199,6 @@ class SparsePolynomial:
             key = exps[:var_index] + (e - 1,) + exps[var_index + 1 :]
             acc[key] = coeff * e
         return SparsePolynomial(acc, self.num_vars)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "SparsePolynomial(0)"
-        bits = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(f"z{i+1}^{e}" for i, e in enumerate(exps) if e)
-            bits.append(f"{coeff!r}*{mono}" if mono else f"{coeff!r}")
-        return "SparsePolynomial(" + " + ".join(bits) + ")"
-
-
-def poly_eval(p: SparsePolynomial, point: Sequence) -> object:
-    return p.eval(point)
-
-
-def poly_partial(p: SparsePolynomial, var_index: int) -> SparsePolynomial:
-    return p.partial(var_index)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,7 @@ def theorem_counts() -> dict:
 
 def lattice_checks() -> List[CheckEntry]:
     roots = e8_roots()
+    root_set = set(roots)
     entries = [
         check("lattice.root_count", "rank-8 even lattice root count", 240, len(roots), "stated"),
         check(
@@ -207,7 +208,7 @@ def lattice_checks() -> List[CheckEntry]:
             "lattice.negation_closure",
             "roots closed under negation",
             True,
-            all((-r) in set(roots) for r in roots),
+            all((-r) in root_set for r in roots),
             "trivial",
         ),
     ]

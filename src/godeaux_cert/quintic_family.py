@@ -9,7 +9,7 @@ rational linear algebra.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -86,17 +86,21 @@ class GroupElement:
         return all(w == 0 for w in self.weights)
 
 
-def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[FieldElement, ...]:
+def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[int, ...]:
     if len(a) != 12:
         raise ValueError(f"need 12 coefficients, got {len(a)}")
-    coeffs = tuple(FieldElement(int(x), q) for x in a)
+    coeffs = tuple(int(x) % q for x in a)
     if not any(coeffs):
         raise ValueError("all coefficients vanish mod the chosen prime")
     return coeffs
 
 
 def build_quintic(a: Sequence[int], q: int) -> SparsePolynomial:
-    """The member sum(a_i * z^{n_i}) of the family over F_q."""
+    """The member sum(a_i * z^{n_i}) of the family over F_q.
+
+    Coefficients are ints in [0, q); evaluating at FieldElement points
+    reduces mod q, which is how the tests use this view as an oracle.
+    """
     _require_prime(q)
     coeffs = _reduce_coeffs(a, q)
     return SparsePolynomial(
@@ -121,8 +125,8 @@ def invariance_check(a: Sequence[int], g: GroupElement, q: int) -> bool:
     return len(scalars) == 1
 
 
-def fixed_points(g: GroupElement, q: int) -> Tuple[ProjectivePoint, ...]:
-    """Fixed points of g on P^3(F_q): the 4 coordinate points.
+def fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Fixed points of g on P^3(F_q): the 4 coordinate points, as unit tuples.
 
     Only elements with pairwise distinct weights are accepted; a repeated
     weight fixes a positive-dimensional locus and falls outside the free
@@ -133,13 +137,7 @@ def fixed_points(g: GroupElement, q: int) -> Tuple[ProjectivePoint, ...]:
         raise ValueError("identity fixes everything")
     if len(set(g.weights)) != 4:
         raise ValueError(f"weights {g.weights} are not pairwise distinct")
-    pts = []
-    for i in range(4):
-        coords = tuple(
-            FieldElement(1 if j == i else 0, q) for j in range(4)
-        )
-        pts.append(ProjectivePoint(coords))
-    return tuple(pts)
+    return tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4))
 
 
 def free_action_check(a: Sequence[int], q: int) -> bool:
@@ -148,12 +146,14 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
     Two independent routes: evaluate at the four coordinate points, and
     test the pure-power coefficients a1*a8*a9*a10 != 0.  They must agree.
     """
-    f = build_quintic(a, q)
+    points = fixed_points(GroupElement.generator(), q)
+    terms = _int_terms(a, q)
     by_eval = all(
-        bool(f.eval(p.coords)) for p in fixed_points(GroupElement.generator(), q)
+        sum(c * math.prod(x ** e for x, e in zip(pt, exps)) for c, exps in terms) % q
+        for pt in points
     )
     coeffs = _reduce_coeffs(a, q)
-    by_coeff = all(bool(coeffs[i]) for i in PURE_POWER_INDICES)
+    by_coeff = all(coeffs[i] for i in PURE_POWER_INDICES)
     if by_eval != by_coeff:
         raise AssertionError("evaluation route and coefficient criterion disagree")
     return by_eval
@@ -161,7 +161,7 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
 
 def _int_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int, int]]]:
     coeffs = _reduce_coeffs(a, q)
-    return [(c.value, exps) for exps, c in zip(_MONOMIAL_ORDER, coeffs) if c]
+    return [(c, exps) for exps, c in zip(_MONOMIAL_ORDER, coeffs) if c]
 
 
 def _singular_point_exists(
@@ -295,14 +295,13 @@ def brute_force_invariant_hyperplanes(g: GroupElement, q: int) -> int:
     return count
 
 
-def brute_force_fixed_points(g: GroupElement, q: int) -> Tuple[ProjectivePoint, ...]:
+def brute_force_fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, ...], ...]:
     """Oracle for fixed_points: scan every point of P^3(F_q)."""
     eps = primitive_fifth_root(q)
     out = []
     for raw in iter_projective_coords(q, 3):
         c = tuple(FieldElement(v, q) for v in raw)
-        p = ProjectivePoint(c)
         moved = ProjectivePoint(tuple(eps ** w * x for w, x in zip(g.weights, c)))
-        if moved == p:
-            out.append(p)
+        if moved == ProjectivePoint(c):
+            out.append(raw)
     return tuple(out)

@@ -55,6 +55,29 @@ def test_bad_prime_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["surface", "--primes", "21"], None),
+        (["surface"], {"primes": "11"}),
+        (["surface"], {"coefficients": "1"}),
+        (["pdo", "--trials", "0"], None),
+        (["pdo", "--trials", "-3"], None),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 2}}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 6}}),
+    ],
+)
+def test_malformed_input_exits_two(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = args + ["--config", str(path)]
+    # main() is called in-process: an uncaught exception (the traceback a
+    # user would see) fails the test before the exit code is compared
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

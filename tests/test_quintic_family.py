@@ -1,7 +1,7 @@
 """Invariant quintic family: monomials, symmetry, freeness, smoothness."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from godeaux_cert.exact_arith import (
     FieldElement,
@@ -84,15 +84,12 @@ def test_group_element_powers():
 
 
 def test_fixed_points_are_coordinate_points():
-    pts = qf.fixed_points(qf.GroupElement.generator(), 11)
-    assert len(pts) == 4
-    coords = [[c.value for c in p.coords] for p in pts]
-    assert coords == [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
+    assert qf.fixed_points(qf.GroupElement.generator(), 11) == (
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+    )
 
 
 def test_fixed_points_match_brute_force():
@@ -125,6 +122,18 @@ def test_free_action_fails_without_pure_power():
 def test_free_action_routes_agree(a):
     # free_action_check raises AssertionError internally on disagreement
     qf.free_action_check(a, 31)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((11, 31)), st.lists(st.integers(0, 30), min_size=12, max_size=12))
+def test_free_action_matches_field_element_route(q, a):
+    assume(any(v % q for v in a))
+    f = qf.build_quintic(a, q)
+    points = [
+        tuple(FieldElement(v, q) for v in pt)
+        for pt in qf.fixed_points(qf.GroupElement.generator(), q)
+    ]
+    assert qf.free_action_check(a, q) == all(f.eval(p) for p in points)
 
 
 def test_smoothness_fermat_multi_prime():
