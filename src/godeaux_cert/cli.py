@@ -350,6 +350,19 @@ def _parse_int_list(text: str, expect: Optional[int] = None) -> tuple:
     return vals
 
 
+def _json_int(name: str, val) -> int:
+    """val itself when it is a JSON integer; a bool does not count."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(val)}")
+    return val
+
+
+def _reject_unknown(where: str, got: dict, known: dict) -> None:
+    unknown = sorted(set(got) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 def load_config(args: argparse.Namespace) -> dict:
     cfg = {
         "primes": DEFAULT_PRIMES,
@@ -363,14 +376,16 @@ def load_config(args: argparse.Namespace) -> dict:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        for key in ("primes", "coefficients", "trials", "seed"):
-            if key in raw:
-                cfg[key] = raw[key]
+        _reject_unknown("config", raw, cfg)
         for key in ("primes", "coefficients"):
             if key in raw and not isinstance(raw[key], list):
                 raise ValueError(f"config key {key!r} must be a JSON list")
-        if "pdo_budget" in raw:
-            cfg["pdo_budget"].update(raw["pdo_budget"])
+        budget = raw.pop("pdo_budget", {})
+        if not isinstance(budget, dict):
+            raise ValueError("config key 'pdo_budget' must be a JSON object")
+        _reject_unknown("pdo_budget", budget, cfg["pdo_budget"])
+        cfg["pdo_budget"].update(budget)
+        cfg.update(raw)
     if args.primes:
         cfg["primes"] = _parse_int_list(args.primes)
     if args.coeffs:
@@ -379,8 +394,8 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["trials"] = args.trials
     if args.seed is not None:
         cfg["seed"] = args.seed
-    cfg["primes"] = tuple(int(q) for q in cfg["primes"])
-    cfg["coefficients"] = tuple(int(v) for v in cfg["coefficients"])
+    cfg["primes"] = tuple(_json_int("prime", q) for q in cfg["primes"])
+    cfg["coefficients"] = tuple(_json_int("coefficient", v) for v in cfg["coefficients"])
     if len(cfg["coefficients"]) != 12:
         raise ValueError("coefficient vector must have 12 entries")
     for q in cfg["primes"]:
@@ -388,14 +403,12 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{q} is not prime")
         if q % 5 != 1:
             raise ValueError(f"prime {q} is not 1 mod 5; no order-5 symmetry exists")
-    cfg["trials"] = int(cfg["trials"])
+    cfg["trials"] = _json_int("trials", cfg["trials"])
     if cfg["trials"] < 1:
         raise ValueError(f"trials must be at least 1, got {cfg['trials']}")
-    cfg["seed"] = int(cfg["seed"])
-    cfg["pdo_budget"] = {
-        "T": int(cfg["pdo_budget"]["T"]),
-        "d_bound": int(cfg["pdo_budget"]["d_bound"]),
-    }
+    cfg["seed"] = _json_int("seed", cfg["seed"])
+    for key, val in cfg["pdo_budget"].items():
+        _json_int(f"pdo_budget.{key}", val)
     return cfg
 
 

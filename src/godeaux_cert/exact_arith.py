@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence, Tuple
-
-# Primes q = 1 (mod 5), so F_q* contains an element of order 5.
-DEFAULT_PRIMES = (11, 31, 41, 61, 71, 101)
+from typing import Iterator, List, Mapping, Sequence, Tuple
 
 
 def is_prime(n: int) -> bool:
@@ -243,24 +239,36 @@ def projective_count(q: int, dim: int) -> int:
     return (q ** (dim + 1) - 1) // (q - 1)
 
 
-def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
+def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[int, int, List[List[int]]]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (rank, sign of the row permutation, echelon rows).  Columns
+    without a pivot are skipped; every division is exact because each
+    stored entry is a minor of the pivot columns.
+    """
+    a = [list(row) for row in rows]
+    ncols = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        for row in a[rank + 1 :]:
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * top[col] - row[col] * top[j]) // prev
+            row[col] = 0
+        prev = top[col]
         rank += 1
-    return rank
+    return rank, sign, a
+
+
+def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination."""
+    return _echelon(rows)[0]
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -268,18 +276,5 @@ def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, sign, a = _echelon(matrix)
+    return sign * a[n - 1][n - 1] if rank == n else 0

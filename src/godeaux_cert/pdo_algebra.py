@@ -5,9 +5,9 @@ two explicit budgets: x_precision T (coefficients are only trusted below
 total x-degree T) and d_bound (the maximal stored derivative degree).
 Multiplication is the exact Leibniz product followed by a conservative
 precision debit, so every emitted term is reliable.  On top of the ring
-live four order functions, the symbol calculus, the growth condition
-A1(m), quasi-ellipticity and normalization predicates, linear changes of
-variables, and the residue-module action.
+live two order functions (bold_ord and ord_gamma), the symbol calculus,
+the growth condition A1(m), quasi-ellipticity and normalization
+predicates, linear changes of variables, and the residue-module action.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import math
 import re
 from fractions import Fraction
 from random import Random
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .report import CheckEntry, check
 
 Key = Tuple[int, int, int, int]
+Form = Dict[Tuple[int, int], Fraction]  # two-symbol polynomial by exponent pair
 
 NEG_INF = float("-inf")
 
@@ -57,11 +58,11 @@ class TruncatedOperator:
             if i1 + i2 >= x_precision:
                 continue  # beyond the trusted x-degree window
             clean[(i1, i2, k1, k2)] = val
-        max_d = max((k1 + k2 for (_, _, k1, k2) in clean), default=0)
+        top_d = max((k1 + k2 for (_, _, k1, k2) in clean), default=0)
         if d_bound is None:
-            d_bound = max_d
-        elif max_d > d_bound:
-            raise ValueError(f"derivative degree {max_d} exceeds d_bound {d_bound}")
+            d_bound = top_d
+        elif top_d > d_bound:
+            raise ValueError(f"derivative degree {top_d} exceeds d_bound {d_bound}")
         self.coeffs = clean
         self.x_precision = x_precision
         self.d_bound = d_bound
@@ -75,10 +76,8 @@ class TruncatedOperator:
         return cls({(0, 0, 0, 0): Fraction(1)}, x_precision)
 
     @classmethod
-    def monomial(
-        cls, key: Key, x_precision: int, coeff=1, d_bound: Optional[int] = None
-    ) -> "TruncatedOperator":
-        return cls({key: Fraction(coeff)}, x_precision, d_bound)
+    def monomial(cls, key: Key, x_precision: int) -> "TruncatedOperator":
+        return cls({key: Fraction(1)}, x_precision)
 
     @property
     def is_zero(self) -> bool:
@@ -160,30 +159,6 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
     return TruncatedOperator(acc, t_res, P.d_bound + Q.d_bound)
 
 
-def ord_m(P: TruncatedOperator, d_part: Optional[Tuple[int, int]] = None):
-    """Minimal total x-degree of a (coefficient of a) nonzero term.
-
-    With d_part = (k1, k2), restricts to the coefficient of that derivative
-    monomial.  Returns math.inf when nothing is stored (zero to precision).
-    """
-    degs = [
-        i1 + i2
-        for (i1, i2, k1, k2) in P.coeffs
-        if d_part is None or (k1, k2) == d_part
-    ]
-    return min(degs) if degs else math.inf
-
-
-def ord_m_profile(P: TruncatedOperator) -> Dict[Tuple[int, int], int]:
-    out: Dict[Tuple[int, int], int] = {}
-    for (i1, i2, k1, k2) in P.coeffs:
-        key = (k1, k2)
-        d = i1 + i2
-        if key not in out or d < out[key]:
-            out[key] = d
-    return out
-
-
 def bold_ord(P: TruncatedOperator):
     """sup over terms of (derivative degree - x-degree); -inf for zero.
 
@@ -223,10 +198,6 @@ def symbol(P: TruncatedOperator) -> TruncatedOperator:
     return homogeneous_component(P, -d)
 
 
-def is_homogeneous(P: TruncatedOperator) -> bool:
-    return symbol(P) == P
-
-
 def ord_gamma(P: TruncatedOperator) -> Tuple[int, int]:
     """(k, l): l the top d2-degree, k the d1-order of its coefficient."""
     if P.is_zero:
@@ -234,10 +205,6 @@ def ord_gamma(P: TruncatedOperator) -> Tuple[int, int]:
     l = max(k2 for (_, _, _, k2) in P.coeffs)
     k = max(k1 for (_, _, k1, k2) in P.coeffs if k2 == l)
     return (k, l)
-
-
-def ord_2(P: TruncatedOperator) -> int:
-    return ord_gamma(P)[1]
 
 
 def ht_2(P: TruncatedOperator) -> TruncatedOperator:
@@ -270,14 +237,6 @@ def a1_check(P: TruncatedOperator, m: int) -> bool:
     return all(
         i1 + i2 >= k1 + k2 - m for (i1, i2, k1, k2) in P.coeffs
     )
-
-
-def minimal_a1_level(P: TruncatedOperator) -> int:
-    """Least m >= 0 with a1_check(P, m); 0 for the zero operator."""
-    worst = max(
-        (k1 + k2 - i1 - i2 for (i1, i2, k1, k2) in P.coeffs), default=0
-    )
-    return max(worst, 0)
 
 
 def is_quasi_elliptic_pair(P: TruncatedOperator, Q: TruncatedOperator) -> bool:
@@ -319,24 +278,14 @@ def is_normalized_pair(P: TruncatedOperator, Q: TruncatedOperator) -> bool:
     return q_top == {(0, 0, 1, l): Fraction(1)}
 
 
-def _expand_linear_power(coeff_pairs, n: int) -> Dict[Tuple[int, ...], Fraction]:
-    """n-th power of a commuting linear combination of basis symbols.
-
-    coeff_pairs maps basis index -> Fraction; result maps exponent tuples
-    (one slot per basis index) to coefficients, by repeated multiplication.
-    """
-    slots = len(coeff_pairs)
-    acc: Dict[Tuple[int, ...], Fraction] = {(0,) * slots: Fraction(1)}
-    for _ in range(n):
-        nxt: Dict[Tuple[int, ...], Fraction] = {}
-        for exps, v in acc.items():
-            for idx, c in enumerate(coeff_pairs):
-                if c == 0:
-                    continue
-                key = exps[:idx] + (exps[idx] + 1,) + exps[idx + 1 :]
-                nxt[key] = nxt.get(key, Fraction(0)) + v * c
-        acc = nxt
-    return acc
+def _convolve(f: Form, g: Form) -> Form:
+    """Product of two commuting polynomials in two symbols."""
+    out: Form = {}
+    for (a1, a2), u in f.items():
+        for (b1, b2), v in g.items():
+            key = (a1 + b1, a2 + b2)
+            out[key] = out.get(key, 0) + u * v
+    return out
 
 
 def change_variables(
@@ -352,30 +301,28 @@ def change_variables(
     a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
     if a == 0 or e == 0:
         raise ValueError("diagonal parameters a and e must be nonzero")
-    x1_img = (1 / e, -c / (a * e))  # coefficients on (x1, x2)
-    x2_img = (Fraction(0), 1 / a)
-    d1_img = (e, Fraction(0), d)  # coefficients on (d1, d2, 1)
-    d2_img = (c, a, b)
+    # generator images as forms on (x1, x2) and on (d1, d2); (0, 0) is the constant
+    x1_img, x2_img, d1_img, d2_img = (
+        {k: v for k, v in img.items() if v}
+        for img in (
+            {(1, 0): 1 / e, (0, 1): -c / (a * e)},
+            {(0, 1): 1 / a},
+            {(1, 0): e, (0, 0): d},
+            {(1, 0): c, (0, 1): a, (0, 0): b},
+        )
+    )
     acc: Dict[Key, Fraction] = {}
     for (i1, i2, k1, k2), coeff in P.coeffs.items():
-        x_part = _expand_linear_power(x1_img, i1)
-        x_part2 = _expand_linear_power(x2_img, i2)
-        xs: Dict[Tuple[int, int], Fraction] = {}
-        for (a1, a2), v1 in x_part.items():
-            for (b1, b2), v2 in x_part2.items():
-                key = (a1 + b1, a2 + b2)
-                xs[key] = xs.get(key, Fraction(0)) + v1 * v2
-        d_part = _expand_linear_power(d1_img, k1)
-        d_part2 = _expand_linear_power(d2_img, k2)
-        ds: Dict[Tuple[int, int], Fraction] = {}
-        for (a1, a2, _), v1 in d_part.items():
-            for (b1, b2, _), v2 in d_part2.items():
-                key = (a1 + b1, a2 + b2)
-                ds[key] = ds.get(key, Fraction(0)) + v1 * v2
+        xs: Form = {(0, 0): coeff}
+        for img in (x1_img,) * i1 + (x2_img,) * i2:
+            xs = _convolve(xs, img)
+        ds: Form = {(0, 0): Fraction(1)}
+        for img in (d1_img,) * k1 + (d2_img,) * k2:
+            ds = _convolve(ds, img)
         for (xi1, xi2), xv in xs.items():
             for (dk1, dk2), dv in ds.items():
                 key = (xi1, xi2, dk1, dk2)
-                acc[key] = acc.get(key, Fraction(0)) + coeff * xv * dv
+                acc[key] = acc.get(key, Fraction(0)) + xv * dv
     return TruncatedOperator(acc, P.x_precision, P.d_bound)
 
 
@@ -402,11 +349,6 @@ def spectral_module_action(
         for (i1, i2, k1, k2), v in prod.coeffs.items()
         if i1 == 0 and i2 == 0
     }
-
-
-def rank_gcd(orders: Iterable[int]) -> int:
-    """GCD of a finite list of generator orders; 0 for an empty list."""
-    return math.gcd(*list(orders))
 
 
 _FACTOR_RE = re.compile(r"(x1|x2|d1|d2)(?:\^(\d+))?")
@@ -474,23 +416,17 @@ def parse_operator(
     return TruncatedOperator(acc, x_precision, d_bound)
 
 
-def random_operator(
-    rng: Random,
-    x_precision: int,
-    max_terms: int = 4,
-    max_x: int = 2,
-    max_d: int = 2,
-) -> TruncatedOperator:
-    """Random nonzero operator with small term-wise degree caps."""
+def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
+    """Random nonzero operator: 1-4 terms, x-degree and d-degree at most 2."""
     coeffs: Dict[Key, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        i1 = rng.randint(0, max_x)
-        i2 = rng.randint(0, max_x - i1)
-        k1 = rng.randint(0, max_d)
-        k2 = rng.randint(0, max_d - k1)
+    for _ in range(rng.randint(1, 4)):
+        i1 = rng.randint(0, 2)
+        i2 = rng.randint(0, 2 - i1)
+        k1 = rng.randint(0, 2)
+        k2 = rng.randint(0, 2 - k1)
         num = rng.choice([n for n in range(-3, 4) if n])
         coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
-    op = TruncatedOperator(coeffs, x_precision, max_d)
+    op = TruncatedOperator(coeffs, x_precision, 2)
     if op.is_zero:
         return TruncatedOperator.one(x_precision)
     return op

@@ -2,8 +2,10 @@
 
 Riemann-Roch and adjunction at the Euler-characteristic level, the
 Noether identity, invariants of free quotients, and the Hilbert-polynomial
-conditions that single out rank-one spectral sheaves.  Everything is exact
-integer (or Fraction) arithmetic; no individual h^i is ever computed.
+conditions that single out rank-one spectral sheaves.  The Hilbert and
+growth checks are taken on the Godeaux surface, which is smooth, so the
+Cartier multiplier is d = 1.  Everything is exact integer (or Fraction)
+arithmetic; no individual h^i is ever computed.
 """
 
 from __future__ import annotations
@@ -74,51 +76,43 @@ def noether_euler(chi: int, K2: int) -> int:
     return 12 * chi - K2
 
 
-def quotient_invariants(
-    cover: SurfaceInvariants, deg: int, q: int = 0, pg: int = 0
-) -> SurfaceInvariants:
+def quotient_invariants(cover: SurfaceInvariants, deg: int) -> SurfaceInvariants:
     """Invariants of the quotient by a free action of a group of order deg.
 
     chi, K^2 and e all divide by deg for a free action; non-divisibility is
-    rejected as evidence the action was not free.
+    rejected as evidence the action was not free.  The quotient is taken
+    with q = p_g = 0, as for the Godeaux quotient of the quintic.
     """
     if deg < 1:
         raise ValueError("deg must be positive")
     for name, val in (("chi", cover.chi), ("K2", cover.K2), ("e", cover.e)):
         if val % deg != 0:
             raise ValueError(f"{name} = {val} not divisible by deg = {deg}")
-    return SurfaceInvariants(cover.chi // deg, cover.K2 // deg, cover.e // deg, q=q, pg=pg)
+    return SurfaceInvariants(cover.chi // deg, cover.K2 // deg, cover.e // deg)
 
 
 def prespectral_hilbert_check(
-    D: NumericalDivisor,
-    C: NumericalDivisor,
-    d_dot_c: int,
-    n_max: int,
-    surface: SurfaceInvariants = GODEAUX,
-    d: int = 1,
+    D: NumericalDivisor, C: NumericalDivisor, d_dot_c: int, n_max: int
 ) -> bool:
-    """Hilbert condition chi(O(D + (nd+1)C)) = (nd+1)(nd+2)/2 for n = 0..n_max.
+    """Hilbert condition chi(O(D + (n+1)C)) = (n+1)(n+2)/2 for n = 0..n_max.
 
-    The sheaf is modeled numerically as O(D + C) twisted by multiples of C;
-    d is the Cartier multiplier, exercised at d = 1 on a smooth surface.
+    The sheaf is modeled numerically as O(D + C) twisted by multiples of C
+    on the Godeaux surface; it is smooth, so the Cartier multiplier is d = 1.
     """
     for n in range(n_max + 1):
-        mult = n * d + 1
+        mult = n + 1
         sq = D.self_int + 2 * mult * d_dot_c + mult * mult * C.self_int
         dk = D.dot_K + mult * C.dot_K
         if (sq - dk) % 2 != 0:
             return False
-        chi = surface.chi + (sq - dk) // 2
-        if chi != (n * d + 1) * (n * d + 2) // 2:
+        chi = GODEAUX.chi + (sq - dk) // 2
+        if chi != (n + 1) * (n + 2) // 2:
             return False
     return True
 
 
-def growth_check(
-    C: NumericalDivisor, m_max: int, surface: SurfaceInvariants = GODEAUX
-) -> bool:
-    """The section-space dimensions grow like m^2/2.
+def growth_check(C: NumericalDivisor, m_max: int) -> bool:
+    """The section-space dimensions on the Godeaux surface grow like m^2/2.
 
     chi(O(mC)) is an exact quadratic in m; fit it through three points,
     confirm the fit reproduces every value up to m_max, and require the
@@ -128,7 +122,7 @@ def growth_check(
         raise ValueError("need m_max >= 3 to pin a quadratic")
 
     def chi_m(m: int) -> int:
-        return chi_divisor(surface, NumericalDivisor(m * m * C.self_int, m * C.dot_K))
+        return chi_divisor(GODEAUX, NumericalDivisor(m * m * C.self_int, m * C.dot_K))
 
     y1, y2, y3 = (Fraction(chi_m(m)) for m in (1, 2, 3))
     # Newton's forward differences at m = 1, 2, 3.

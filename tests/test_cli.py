@@ -1,6 +1,7 @@
 """CLI: exit codes, config handling, determinism of JSON reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,18 @@ def test_bad_prime_exits_two(capsys):
         (["pdo", "--trials", "-3"], None),
         (["pdo", "--trials", "3"], {"pdo_budget": {"T": 2}}),
         (["pdo", "--trials", "3"], {"pdo_budget": {"T": 6}}),
+        (["pdo"], {"trials": None}),
+        (["pdo"], {"trials": True}),
+        (["pdo"], {"trials": 2.7}),
+        (["pdo", "--trials", "3"], {"seed": None}),
+        (["pdo", "--trials", "3"], {"pdo_budget": 5}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"t": 16}}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 16.0}}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": "6"}}),
+        (["surface"], {"primes": [[11]]}),
+        (["surface"], {"primes": [11.5]}),
+        (["surface"], {"prime": [31]}),
+        (["surface"], {"coefficients": [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, False]}),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -126,3 +139,19 @@ def test_json_report_has_provenance_tags(tmp_path):
     by_id = {e["check_id"]: e for e in payload["entries"]}
     assert by_id["counts.excellent_bound"]["provenance"] == "model-derived"
     assert by_id["counts.excellent_bound"]["actual"] == 840
+
+
+GOLDEN = Path(__file__).with_name("golden_all_seed42_trials40_q11.json")
+
+
+def test_report_bytes_match_golden(tmp_path):
+    """The full report of a small `all` run is byte-identical to the recorded one.
+
+    The recorded file is the output of
+    `godeaux-cert all --no-timestamp --seed 42 --trials 40 --primes 11 --json PATH`;
+    a change that alters any check, value or key order must re-record it.
+    """
+    out = tmp_path / "all.json"
+    args = ["all", "--no-timestamp", "--seed", "42", "--trials", "40", "--primes", "11"]
+    assert run_cli(args + ["--json", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN.read_bytes()

@@ -134,6 +134,48 @@ def test_rational_matrix_rank():
     assert rational_matrix_rank([[0, 0], [0, 0]]) == 0
 
 
+def _fraction_rank(m):
+    """Gauss-Jordan rank over Q with Fraction entries: the oracle for the echelon route."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for r in range(len(a)):
+            f = a[r][col]
+            if r != rank and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """m x n integer matrices, often rank-deficient: a product (m x k)(k x n)."""
+    m, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    A = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    B = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+
+
+@given(
+    st.one_of(
+        _low_rank_matrices(),
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=6
+            )
+        ),
+    )
+)
+def test_rational_matrix_rank_matches_fraction_elimination(m):
+    assert rational_matrix_rank(m) == _fraction_rank(m)
+
+
 def _fraction_det(m):
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]

@@ -1,6 +1,5 @@
 """Truncated operator ring: product, orders, symbols, substitutions."""
 
-import math
 from fractions import Fraction
 from random import Random
 
@@ -60,20 +59,6 @@ def test_precision_exhaustion():
         pa.op_mul(P, P)
 
 
-def test_ord_m():
-    P = op("x1 + x2^3")
-    assert pa.ord_m(P) == 1
-    assert pa.ord_m(pa.TruncatedOperator.one(T)) == 0
-    assert pa.ord_m(op("x1^2 x2 d1")) == 3
-    assert pa.ord_m(pa.TruncatedOperator.zero(T)) == math.inf
-    assert pa.ord_m(op("x1 d1 + x2^2 d2"), d_part=(0, 1)) == 2
-
-
-def test_ord_m_profile():
-    P = op("x1 d1 + x1^2 d1 + d2")
-    assert pa.ord_m_profile(P) == {(1, 0): 1, (0, 1): 0}
-
-
 def test_bold_ord_examples():
     assert pa.bold_ord(op("d1")) == 1
     assert pa.bold_ord(op("x1 d1")) == 0
@@ -93,8 +78,6 @@ def test_symbol_examples():
     assert pa.symbol(op("d2^2 + x1 d1")) == op("d2^2")
     homog = op("x1 d1 + x2 d2")
     assert pa.symbol(homog) == homog
-    assert pa.is_homogeneous(homog)
-    assert not pa.is_homogeneous(op("d2^2 + x1 d1"))
 
 
 def test_component_reassembly():
@@ -111,7 +94,7 @@ def test_component_reassembly():
 def test_gamma_order_and_highest_term():
     assert pa.ord_gamma(op("d1 d2^3")) == (1, 3)
     assert pa.ord_gamma(op("d2^4")) == (0, 4)
-    assert pa.ord_2(op("d1 d2^3 + d2^4")) == 4
+    assert pa.ord_gamma(op("d1 d2^3 + d2^4")) == (0, 4)
     assert pa.ht_2(op("d1 d2^2 + x1 d2")) == op("d1")
     assert pa.is_monic(op("d1 d2"))
     assert pa.is_monic(op("d2^3"))
@@ -124,7 +107,6 @@ def test_a1_check():
     assert pa.a1_check(op("x1^2 d1 d2"), 0)
     assert not pa.a1_check(op("d1 d2"), 1)
     assert pa.a1_check(op("d1 d2"), 2)
-    assert pa.minimal_a1_level(op("d1 d2 + x1^3")) == 2
 
 
 def test_pair_predicates():
@@ -184,6 +166,33 @@ def test_generic_change_commutators():
                 else pa.TruncatedOperator.zero(com.x_precision)
             )
             assert com == want
+
+
+def test_change_variables_matches_generator_products():
+    """Oracle: the image of x1^i1 x2^i2 d1^k1 d2^k2 is the product of generator images.
+
+    A ring map is fixed by the generators, so each term's image is rebuilt
+    with op_mul from the four generator images alone.
+    """
+    T40 = 40
+    rng = Random(2017)
+    keys = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    gens = [pa.TruncatedOperator.monomial(k, T40) for k in keys]
+    for _ in range(200):
+        P = pa.random_operator(rng, T40)
+        a, e = (Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for _ in "ae")
+        b, c, d = (Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in "bcd")
+        imgs = [pa.change_variables(g, a, b, c, d, e) for g in gens]
+        want = pa.TruncatedOperator.zero(T40)
+        for exps, coeff in P.coeffs.items():
+            term = pa.TruncatedOperator.one(T40)
+            for img, n in zip(imgs, exps):
+                for _ in range(n):
+                    term = pa.op_mul(term, img)
+            want = want + term.scale(coeff)
+        got = pa.change_variables(P, a, b, c, d, e)
+        t = min(got.x_precision, want.x_precision)
+        assert got.truncate(t) == want.truncate(t)
 
 
 def test_normalized_shape_not_preserved_by_shear():
@@ -252,12 +261,6 @@ def test_parse_rejects_garbage():
         pa.parse_operator("x3", T)
     with pytest.raises(ValueError):
         pa.parse_operator("d1 -", T)
-
-
-def test_rank_gcd():
-    assert pa.rank_gcd([4, 6]) == 2
-    assert pa.rank_gcd([3]) == 3
-    assert pa.rank_gcd([]) == 0
 
 
 def test_property_suite_small_run_is_green():
