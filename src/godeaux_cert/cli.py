@@ -398,6 +398,9 @@ def load_config(args: argparse.Namespace) -> dict:
     cfg["coefficients"] = tuple(_json_int("coefficient", v) for v in cfg["coefficients"])
     if len(cfg["coefficients"]) != 12:
         raise ValueError("coefficient vector must have 12 entries")
+    repeated = sorted({q for q in cfg["primes"] if cfg["primes"].count(q) > 1})
+    if repeated:
+        raise ValueError(f"repeated prime(s): {', '.join(map(str, repeated))}")
     for q in cfg["primes"]:
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
@@ -409,6 +412,9 @@ def load_config(args: argparse.Namespace) -> dict:
     cfg["seed"] = _json_int("seed", cfg["seed"])
     for key, val in cfg["pdo_budget"].items():
         _json_int(f"pdo_budget.{key}", val)
+    d_bound = cfg["pdo_budget"]["d_bound"]
+    if d_bound < 0:
+        raise ValueError(f"pdo_budget.d_bound must be non-negative, got {d_bound}")
     return cfg
 
 

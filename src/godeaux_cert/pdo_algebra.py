@@ -4,7 +4,10 @@ Operators are finite rational combinations of x1^i1 x2^i2 d1^k1 d2^k2 with
 two explicit budgets: x_precision T (coefficients are only trusted below
 total x-degree T) and d_bound (the maximal stored derivative degree).
 Multiplication is the exact Leibniz product followed by a conservative
-precision debit, so every emitted term is reliable.  On top of the ring
+precision debit, so every emitted term is reliable.  Products and linear
+substitutions run fraction-free: each input is scaled to integer numerators
+over one common denominator, the work is done on plain ints, and a Fraction
+is built only for each stored coefficient of the result.  On top of the ring
 live two order functions (bold_ord and ord_gamma), the symbol calculus,
 the growth condition A1(m), quasi-ellipticity and normalization
 predicates, linear changes of variables, and the residue-module action.
@@ -12,6 +15,7 @@ predicates, linear changes of variables, and the residue-module action.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -21,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .report import CheckEntry, check
 
 Key = Tuple[int, int, int, int]
-Form = Dict[Tuple[int, int], Fraction]  # two-symbol polynomial by exponent pair
+Form = Dict[Tuple[int, int], int]  # two-symbol polynomial by exponent pair, integer numerators
 
 NEG_INF = float("-inf")
 
@@ -68,6 +72,21 @@ class TruncatedOperator:
         self.d_bound = d_bound
 
     @classmethod
+    def _trusted(
+        cls, coeffs: Dict[Key, Fraction], x_precision: int, d_bound: int
+    ) -> "TruncatedOperator":
+        """Wrap coeffs without coercion or validation.
+
+        Only for maps that hold by construction: nonzero Fraction values,
+        x-degree below x_precision >= 1, derivative degree at most d_bound.
+        """
+        op = object.__new__(cls)
+        op.coeffs = coeffs
+        op.x_precision = x_precision
+        op.d_bound = d_bound
+        return op
+
+    @classmethod
     def zero(cls, x_precision: int, d_bound: int = 0) -> "TruncatedOperator":
         return cls({}, x_precision, d_bound)
 
@@ -85,7 +104,9 @@ class TruncatedOperator:
 
     def truncate(self, x_precision: int) -> "TruncatedOperator":
         """Forget everything at or above the given x-degree."""
-        return TruncatedOperator(
+        if x_precision < 1:
+            raise ValueError("x_precision must be at least 1")
+        return TruncatedOperator._trusted(
             {k: v for k, v in self.coeffs.items() if k[0] + k[1] < x_precision},
             min(self.x_precision, x_precision),
             self.d_bound,
@@ -100,10 +121,11 @@ class TruncatedOperator:
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         acc = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return TruncatedOperator(
-            acc,
-            min(self.x_precision, other.x_precision),
+            acc[k] = acc[k] + v if k in acc else v
+        t = min(self.x_precision, other.x_precision)
+        return TruncatedOperator._trusted(
+            {k: v for k, v in acc.items() if v and k[0] + k[1] < t},
+            t,
             max(self.d_bound, other.d_bound),
         )
 
@@ -129,12 +151,29 @@ class TruncatedOperator:
         )
 
 
+# one entry per (derivative degree, x-degree) pair met, so as small as the operators
+@functools.lru_cache(maxsize=None)
+def _leibniz_weights(k: int, j: int) -> Tuple[Tuple[int, int], ...]:
+    """(m, comb(k, m) * perm(j, m)) for m = 0 .. min(k, j).
+
+    These are the weights of d^k x^j = sum over m of w_m x^(j-m) d^(k-m).
+    """
+    return tuple((m, math.comb(k, m) * math.perm(j, m)) for m in range(min(k, j) + 1))
+
+
+def _integer_form(form: Mapping) -> Tuple[dict, int]:
+    """(same keys with integer numerators, their common denominator) of a Fraction map."""
+    den = math.lcm(*(v.denominator for v in form.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in form.items()}, den
+
+
 def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
     """Leibniz product with a conservative precision debit.
 
     Each derivative of the left factor may consume one reliable x-degree of
     the right factor's coefficients, so the result is trusted only below
-    min(T_P, T_Q) - d_P.  The declared derivative bound adds.
+    min(T_P, T_Q) - d_P.  The declared derivative bound adds.  Terms at or
+    beyond that x-degree are never formed.
     """
     t_res = min(P.x_precision, Q.x_precision) - P.d_bound
     if t_res < 1:
@@ -142,21 +181,28 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
             f"budget exhausted: min precision {min(P.x_precision, Q.x_precision)} "
             f"minus left derivative bound {P.d_bound} leaves {t_res}"
         )
-    acc: Dict[Key, Fraction] = {}
-    for (i1, i2, k1, k2), a in P.coeffs.items():
-        for (j1, j2, l1, l2), b in Q.coeffs.items():
-            for m1 in range(min(k1, j1) + 1):
-                c1 = math.comb(k1, m1) * math.perm(j1, m1)
-                for m2 in range(min(k2, j2) + 1):
-                    c = c1 * math.comb(k2, m2) * math.perm(j2, m2)
-                    key = (
-                        i1 + j1 - m1,
-                        i2 + j2 - m2,
-                        k1 - m1 + l1,
-                        k2 - m2 + l2,
-                    )
-                    acc[key] = acc.get(key, Fraction(0)) + a * b * c
-    return TruncatedOperator(acc, t_res, P.d_bound + Q.d_bound)
+    p_ints, dp = _integer_form(P.coeffs)
+    q_ints, dq = _integer_form(Q.coeffs)
+    acc: Dict[Key, int] = {}
+    for (i1, i2, k1, k2), a in p_ints.items():
+        for (j1, j2, l1, l2), b in q_ints.items():
+            ab = a * b
+            # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
+            over = i1 + i2 + j1 + j2 - t_res
+            w2 = _leibniz_weights(k2, j2)
+            for m1, c1 in _leibniz_weights(k1, j1):
+                abc = ab * c1
+                for m2, c2 in w2:
+                    if m1 + m2 <= over:
+                        continue
+                    key = (i1 + j1 - m1, i2 + j2 - m2, k1 - m1 + l1, k2 - m2 + l2)
+                    acc[key] = acc.get(key, 0) + abc * c2
+    den = dp * dq
+    return TruncatedOperator._trusted(
+        {k: Fraction(n, den) for k, n in acc.items() if n},
+        t_res,
+        P.d_bound + Q.d_bound,
+    )
 
 
 def bold_ord(P: TruncatedOperator):
@@ -179,7 +225,7 @@ def bold_ord(P: TruncatedOperator):
 
 def homogeneous_component(P: TruncatedOperator, m: int) -> TruncatedOperator:
     """Terms with (x-degree) - (derivative degree) equal to m."""
-    return TruncatedOperator(
+    return TruncatedOperator._trusted(
         {
             k: v
             for k, v in P.coeffs.items()
@@ -288,6 +334,14 @@ def _convolve(f: Form, g: Form) -> Form:
     return out
 
 
+def _powers(form: Form, n: int) -> List[Form]:
+    """[form^0, form^1, ..., form^n] by repeated convolution."""
+    out: List[Form] = [{(0, 0): 1}]
+    for _ in range(n):
+        out.append(_convolve(out[-1], form))
+    return out
+
+
 def change_variables(
     P: TruncatedOperator, a, b, c, d, e
 ) -> TruncatedOperator:
@@ -301,29 +355,42 @@ def change_variables(
     a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
     if a == 0 or e == 0:
         raise ValueError("diagonal parameters a and e must be nonzero")
-    # generator images as forms on (x1, x2) and on (d1, d2); (0, 0) is the constant
-    x1_img, x2_img, d1_img, d2_img = (
-        {k: v for k, v in img.items() if v}
+    # images of x1, x2 (forms on x1, x2) and of d1, d2 (forms on d1, d2) as
+    # integer numerators over a denominator; (0, 0) is the constant
+    images = [
+        _integer_form({k: v for k, v in img.items() if v})
         for img in (
             {(1, 0): 1 / e, (0, 1): -c / (a * e)},
             {(0, 1): 1 / a},
             {(1, 0): e, (0, 0): d},
             {(1, 0): c, (0, 1): a, (0, 0): b},
         )
-    )
-    acc: Dict[Key, Fraction] = {}
-    for (i1, i2, k1, k2), coeff in P.coeffs.items():
-        xs: Form = {(0, 0): coeff}
-        for img in (x1_img,) * i1 + (x2_img,) * i2:
-            xs = _convolve(xs, img)
-        ds: Form = {(0, 0): Fraction(1)}
-        for img in (d1_img,) * k1 + (d2_img,) * k2:
-            ds = _convolve(ds, img)
-        for (xi1, xi2), xv in xs.items():
+    ]
+    powers = [
+        _powers(form, max((key[slot] for key in P.coeffs), default=0))
+        for slot, (form, _) in enumerate(images)
+    ]
+    terms = []
+    for key, coeff in P.coeffs.items():
+        den = coeff.denominator
+        for (_, img_den), n in zip(images, key):
+            den *= img_den**n
+        terms.append((key, coeff.numerator, den))
+    common = math.lcm(*(den for _, _, den in terms))
+    acc: Dict[Key, int] = {}
+    for (i1, i2, k1, k2), num, den in terms:
+        scale = num * (common // den)
+        ds = _convolve(powers[2][k1], powers[3][k2])
+        for (xi1, xi2), xv in _convolve(powers[0][i1], powers[1][i2]).items():
+            sx = scale * xv
             for (dk1, dk2), dv in ds.items():
                 key = (xi1, xi2, dk1, dk2)
-                acc[key] = acc.get(key, Fraction(0)) + xv * dv
-    return TruncatedOperator(acc, P.x_precision, P.d_bound)
+                acc[key] = acc.get(key, 0) + sx * dv
+    return TruncatedOperator._trusted(
+        {k: Fraction(n, common) for k, n in acc.items() if n},
+        P.x_precision,
+        P.d_bound,
+    )
 
 
 def special_change(P: TruncatedOperator, b, c, d) -> TruncatedOperator:

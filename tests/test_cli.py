@@ -78,6 +78,9 @@ def test_bad_prime_exits_two(capsys):
         (["surface"], {"primes": [11.5]}),
         (["surface"], {"prime": [31]}),
         (["surface"], {"coefficients": [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, False]}),
+        (["surface", "--primes", "11,11"], None),
+        (["surface"], {"primes": [31, 11, 31]}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": -5}}),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -141,17 +144,33 @@ def test_json_report_has_provenance_tags(tmp_path):
     assert by_id["counts.excellent_bound"]["actual"] == 840
 
 
-GOLDEN = Path(__file__).with_name("golden_all_seed42_trials40_q11.json")
+GOLDEN_RUNS = (
+    (
+        "golden_all_seed42_trials40_q11.json",
+        ["all", "--seed", "42", "--trials", "40", "--primes", "11"],
+        None,
+    ),
+    (
+        "golden_pdo_seed7_trials200_T16.json",
+        ["pdo", "--seed", "7", "--trials", "200"],
+        {"pdo_budget": {"T": 16}},
+    ),
+)
 
 
 def test_report_bytes_match_golden(tmp_path):
-    """The full report of a small `all` run is byte-identical to the recorded one.
+    """Full reports of small runs are byte-identical to the recorded ones.
 
-    The recorded file is the output of
-    `godeaux-cert all --no-timestamp --seed 42 --trials 40 --primes 11 --json PATH`;
-    a change that alters any check, value or key order must re-record it.
+    Each recorded file is the output of `godeaux-cert ARGS --no-timestamp
+    --json PATH`, with `--config` pointing at the listed config when there is
+    one; a change that alters any check, value or key order must re-record it.
     """
-    out = tmp_path / "all.json"
-    args = ["all", "--no-timestamp", "--seed", "42", "--trials", "40", "--primes", "11"]
-    assert run_cli(args + ["--json", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    for name, args, config in GOLDEN_RUNS:
+        args = args + ["--no-timestamp"]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        out = tmp_path / name
+        assert run_cli(args + ["--json", str(out)]) == 0
+        assert out.read_bytes() == Path(__file__).with_name(name).read_bytes(), name

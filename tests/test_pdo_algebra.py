@@ -1,5 +1,6 @@
 """Truncated operator ring: product, orders, symbols, substitutions."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -193,6 +194,123 @@ def test_change_variables_matches_generator_products():
         got = pa.change_variables(P, a, b, c, d, e)
         t = min(got.x_precision, want.x_precision)
         assert got.truncate(t) == want.truncate(t)
+
+
+def _fraction_op_mul(P, Q):
+    """Oracle: the Leibniz product term by term in Fraction arithmetic."""
+    t_res = min(P.x_precision, Q.x_precision) - P.d_bound
+    if t_res < 1:
+        raise pa.PrecisionError(f"budget exhausted: {t_res}")
+    acc = {}
+    for (i1, i2, k1, k2), a in P.coeffs.items():
+        for (j1, j2, l1, l2), b in Q.coeffs.items():
+            for m1 in range(min(k1, j1) + 1):
+                c1 = math.comb(k1, m1) * math.perm(j1, m1)
+                for m2 in range(min(k2, j2) + 1):
+                    c = c1 * math.comb(k2, m2) * math.perm(j2, m2)
+                    key = (i1 + j1 - m1, i2 + j2 - m2, k1 - m1 + l1, k2 - m2 + l2)
+                    acc[key] = acc.get(key, Fraction(0)) + a * b * c
+    return pa.TruncatedOperator(acc, t_res, P.d_bound + Q.d_bound)
+
+
+def _fraction_change_variables(P, a, b, c, d, e):
+    """Oracle: substitute each generator factor by factor in Fraction arithmetic."""
+    a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
+    x1_img = {(1, 0): 1 / e, (0, 1): -c / (a * e)}
+    x2_img = {(0, 1): 1 / a}
+    d1_img = {(1, 0): e, (0, 0): d}
+    d2_img = {(1, 0): c, (0, 1): a, (0, 0): b}
+
+    def times(f, g):
+        out = {}
+        for (a1, a2), u in f.items():
+            for (b1, b2), v in g.items():
+                out[(a1 + b1, a2 + b2)] = out.get((a1 + b1, a2 + b2), 0) + u * v
+        return out
+
+    acc = {}
+    for (i1, i2, k1, k2), coeff in P.coeffs.items():
+        xs = {(0, 0): coeff}
+        for img in (x1_img,) * i1 + (x2_img,) * i2:
+            xs = times(xs, img)
+        ds = {(0, 0): Fraction(1)}
+        for img in (d1_img,) * k1 + (d2_img,) * k2:
+            ds = times(ds, img)
+        for (xi1, xi2), xv in xs.items():
+            for (dk1, dk2), dv in ds.items():
+                key = (xi1, xi2, dk1, dk2)
+                acc[key] = acc.get(key, Fraction(0)) + xv * dv
+    return pa.TruncatedOperator(acc, P.x_precision, P.d_bound)
+
+
+@st.composite
+def _operators(draw):
+    """Operators with mixed denominators, T in 2..20 and d_bound in 0..6.
+
+    Exponents reach x-degree up to 2T, so the constructor drops some terms.
+    """
+    T = draw(st.integers(2, 20))
+    d_bound = draw(st.integers(0, 6))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 6))):
+        k1 = draw(st.integers(0, d_bound))
+        k2 = draw(st.integers(0, d_bound - k1))
+        key = (draw(st.integers(0, T)), draw(st.integers(0, T)), k1, k2)
+        coeffs[key] = draw(st.fractions(-9, 9, max_denominator=12))
+    return pa.TruncatedOperator(coeffs, T, d_bound)
+
+
+def _assert_trusted_invariants(R):
+    """What the public constructor would have enforced on a result."""
+    assert all(isinstance(v, Fraction) and v != 0 for v in R.coeffs.values())
+    assert all(i1 + i2 < R.x_precision for (i1, i2, _, _) in R.coeffs)
+    assert max((k1 + k2 for (_, _, k1, k2) in R.coeffs), default=0) <= R.d_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operators(), _operators())
+def test_op_mul_matches_fraction_oracle(P, Q):
+    try:
+        want = _fraction_op_mul(P, Q)
+    except pa.PrecisionError:
+        with pytest.raises(pa.PrecisionError):
+            pa.op_mul(P, Q)
+        return
+    got = pa.op_mul(P, Q)
+    assert got.coeffs == want.coeffs
+    # same key order too: dict-valued report entries print in this order
+    assert list(got.coeffs) == list(want.coeffs)
+    assert (got.x_precision, got.d_bound) == (want.x_precision, want.d_bound)
+    _assert_trusted_invariants(got)
+
+
+_params = st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operators(), _params.filter(bool), _params, _params, _params, _params.filter(bool))
+def test_change_variables_matches_fraction_oracle(P, a, b, c, d, e):
+    got = pa.change_variables(P, a, b, c, d, e)
+    want = _fraction_change_variables(P, a, b, c, d, e)
+    assert got.coeffs == want.coeffs
+    assert (got.x_precision, got.d_bound) == (want.x_precision, want.d_bound)
+    _assert_trusted_invariants(got)
+
+
+def test_trusted_builds_keep_invariants():
+    """truncate, + and homogeneous_component drop what the constructor would."""
+    P = op("x1 d1 + 1/2 x2^3 + d2")
+    Q = op("-x1 d1 + x1^2")
+    S = P + Q
+    assert S == op("1/2 x2^3 + d2 + x1^2")
+    _assert_trusted_invariants(S)
+    short = op("x1 d1", 3) + op("x2^3 d2 + x1^4", 12)
+    assert short == op("x1 d1", 3) and short.x_precision == 3
+    cut = P.truncate(3)
+    assert cut == op("x1 d1 + d2") and cut.x_precision == 3
+    assert pa.homogeneous_component(P, 0) == op("x1 d1")
+    with pytest.raises(ValueError):
+        P.truncate(0)
 
 
 def test_normalized_shape_not_preserved_by_shear():
