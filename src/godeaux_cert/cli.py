@@ -398,6 +398,8 @@ def load_config(args: argparse.Namespace) -> dict:
     cfg["coefficients"] = tuple(_json_int("coefficient", v) for v in cfg["coefficients"])
     if len(cfg["coefficients"]) != 12:
         raise ValueError("coefficient vector must have 12 entries")
+    if not cfg["primes"]:
+        raise ValueError("at least one prime is needed")
     repeated = sorted({q for q in cfg["primes"] if cfg["primes"].count(q) > 1})
     if repeated:
         raise ValueError(f"repeated prime(s): {', '.join(map(str, repeated))}")

@@ -4,12 +4,14 @@ Operators are finite rational combinations of x1^i1 x2^i2 d1^k1 d2^k2 with
 two explicit budgets: x_precision T (coefficients are only trusted below
 total x-degree T) and d_bound (the maximal stored derivative degree).
 Multiplication is the exact Leibniz product followed by a conservative
-precision debit, so every emitted term is reliable.  Products and linear
-substitutions run fraction-free: each input is scaled to integer numerators
-over one common denominator, the work is done on plain ints, and a Fraction
-is built only for each stored coefficient of the result.  On top of the ring
-live two order functions (bold_ord and ord_gamma), the symbol calculus,
-the growth condition A1(m), quasi-ellipticity and normalization
+precision debit, so every emitted term is reliable.  An operator stores
+integer numerators over one positive denominator, reduced so that their gcd
+is 1; that form is canonical, so equality compares it directly, and every
+kernel works on plain ints.  Fraction appears only at the boundary: the
+public constructor and parse_operator take Fraction coefficients, and the
+coeffs view, to_string and spectral_module_action give them back.  On top
+of the ring live two order functions (bold_ord and ord_gamma), the symbol
+calculus, the growth condition A1(m), quasi-ellipticity and normalization
 predicates, linear changes of variables, and the residue-module action.
 """
 
@@ -18,9 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .report import CheckEntry, check
 
@@ -38,10 +41,34 @@ class UndecidableOrderError(ArithmeticError):
     """Terms beyond the truncation frontier could change the answer."""
 
 
-class TruncatedOperator:
-    """Immutable operator with coefficient map, x-precision and d-bound."""
+class _FractionView(Mapping):
+    """Read-only Fraction view of integer numerators over one denominator."""
 
-    __slots__ = ("coeffs", "x_precision", "d_bound")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: Dict[Key, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, key: Key) -> Fraction:
+        return Fraction(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+
+class TruncatedOperator:
+    """Immutable operator: integer numerators over one denominator, x-precision, d-bound.
+
+    num maps each key to a nonzero integer and den > 0 with
+    gcd(den, *num.values()) == 1, so (num, den) is canonical: equal
+    operators have equal (num, den).  coeffs is the Fraction view of it.
+    """
+
+    __slots__ = ("num", "den", "x_precision", "d_bound")
 
     def __init__(
         self,
@@ -67,21 +94,28 @@ class TruncatedOperator:
             d_bound = top_d
         elif top_d > d_bound:
             raise ValueError(f"derivative degree {top_d} exceeds d_bound {d_bound}")
-        self.coeffs = clean
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        self.num, self.den = _integer_form(clean)
         self.x_precision = x_precision
         self.d_bound = d_bound
 
     @classmethod
     def _trusted(
-        cls, coeffs: Dict[Key, Fraction], x_precision: int, d_bound: int
+        cls, num: Dict[Key, int], den: int, x_precision: int, d_bound: int
     ) -> "TruncatedOperator":
-        """Wrap coeffs without coercion or validation.
+        """Wrap num / den, divided by their gcd, without any other check.
 
-        Only for maps that hold by construction: nonzero Fraction values,
-        x-degree below x_precision >= 1, derivative degree at most d_bound.
+        Only for maps that hold by construction: nonzero integer numerators,
+        den > 0, x-degree below x_precision >= 1, derivative degree at most
+        d_bound.
         """
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: n // g for k, n in num.items()}
+            den //= g
         op = object.__new__(cls)
-        op.coeffs = coeffs
+        op.num = num
+        op.den = den
         op.x_precision = x_precision
         op.d_bound = d_bound
         return op
@@ -99,32 +133,46 @@ class TruncatedOperator:
         return cls({key: Fraction(1)}, x_precision)
 
     @property
+    def coeffs(self) -> Mapping[Key, Fraction]:
+        return _FractionView(self.num, self.den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def truncate(self, x_precision: int) -> "TruncatedOperator":
         """Forget everything at or above the given x-degree."""
         if x_precision < 1:
             raise ValueError("x_precision must be at least 1")
+        if x_precision >= self.x_precision:
+            return self  # every stored term is already below it
         return TruncatedOperator._trusted(
-            {k: v for k, v in self.coeffs.items() if k[0] + k[1] < x_precision},
+            {k: n for k, n in self.num.items() if k[0] + k[1] < x_precision},
+            self.den,
             min(self.x_precision, x_precision),
             self.d_bound,
         )
 
     def scale(self, c) -> "TruncatedOperator":
         c = Fraction(c)
-        return TruncatedOperator(
-            {k: c * v for k, v in self.coeffs.items()}, self.x_precision, self.d_bound
+        cn = c.numerator
+        return TruncatedOperator._trusted(
+            {k: cn * n for k, n in self.num.items()} if cn else {},
+            self.den * c.denominator,
+            self.x_precision,
+            self.d_bound,
         )
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc[k] + v if k in acc else v
+        den = math.lcm(self.den, other.den)
+        fs, fo = den // self.den, den // other.den
+        acc = {k: n * fs for k, n in self.num.items()}
+        for k, n in other.num.items():
+            acc[k] = acc.get(k, 0) + n * fo
         t = min(self.x_precision, other.x_precision)
         return TruncatedOperator._trusted(
-            {k: v for k, v in acc.items() if v and k[0] + k[1] < t},
+            {k: n for k, n in acc.items() if n and k[0] + k[1] < t},
+            den,
             t,
             max(self.d_bound, other.d_bound),
         )
@@ -139,10 +187,10 @@ class TruncatedOperator:
         # budgets are bookkeeping, not values: equality compares terms only
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __repr__(self) -> str:
         return (
@@ -181,11 +229,9 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
             f"budget exhausted: min precision {min(P.x_precision, Q.x_precision)} "
             f"minus left derivative bound {P.d_bound} leaves {t_res}"
         )
-    p_ints, dp = _integer_form(P.coeffs)
-    q_ints, dq = _integer_form(Q.coeffs)
     acc: Dict[Key, int] = {}
-    for (i1, i2, k1, k2), a in p_ints.items():
-        for (j1, j2, l1, l2), b in q_ints.items():
+    for (i1, i2, k1, k2), a in P.num.items():
+        for (j1, j2, l1, l2), b in Q.num.items():
             ab = a * b
             # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
             over = i1 + i2 + j1 + j2 - t_res
@@ -197,9 +243,9 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
                         continue
                     key = (i1 + j1 - m1, i2 + j2 - m2, k1 - m1 + l1, k2 - m2 + l2)
                     acc[key] = acc.get(key, 0) + abc * c2
-    den = dp * dq
     return TruncatedOperator._trusted(
-        {k: Fraction(n, den) for k, n in acc.items() if n},
+        {k: n for k, n in acc.items() if n},
+        P.den * Q.den,
         t_res,
         P.d_bound + Q.d_bound,
     )
@@ -212,9 +258,9 @@ def bold_ord(P: TruncatedOperator):
     so it can contribute at most d_bound - T.  If every stored term sits
     strictly below that frontier the supremum is undecidable at this budget.
     """
-    if not P.coeffs:
+    if not P.num:
         return NEG_INF
-    sup = max(k1 + k2 - i1 - i2 for (i1, i2, k1, k2) in P.coeffs)
+    sup = max(k1 + k2 - i1 - i2 for (i1, i2, k1, k2) in P.num)
     if sup < P.d_bound - P.x_precision:
         raise UndecidableOrderError(
             f"stored supremum {sup} is below the truncation frontier "
@@ -227,10 +273,11 @@ def homogeneous_component(P: TruncatedOperator, m: int) -> TruncatedOperator:
     """Terms with (x-degree) - (derivative degree) equal to m."""
     return TruncatedOperator._trusted(
         {
-            k: v
-            for k, v in P.coeffs.items()
+            k: n
+            for k, n in P.num.items()
             if (k[0] + k[1]) - (k[2] + k[3]) == m
         },
+        P.den,
         P.x_precision,
         P.d_bound,
     )
@@ -240,7 +287,7 @@ def symbol(P: TruncatedOperator) -> TruncatedOperator:
     """The homogeneous component of P at grade -ord(P)."""
     d = bold_ord(P)
     if d == NEG_INF:
-        return TruncatedOperator.zero(P.x_precision, P.d_bound)
+        return TruncatedOperator._trusted({}, 1, P.x_precision, P.d_bound)
     return homogeneous_component(P, -d)
 
 
@@ -248,20 +295,21 @@ def ord_gamma(P: TruncatedOperator) -> Tuple[int, int]:
     """(k, l): l the top d2-degree, k the d1-order of its coefficient."""
     if P.is_zero:
         raise ValueError("zero operator has no graded order")
-    l = max(k2 for (_, _, _, k2) in P.coeffs)
-    k = max(k1 for (_, _, k1, k2) in P.coeffs if k2 == l)
+    l = max(k2 for (_, _, _, k2) in P.num)
+    k = max(k1 for (_, _, k1, k2) in P.num if k2 == l)
     return (k, l)
 
 
 def ht_2(P: TruncatedOperator) -> TruncatedOperator:
     """The coefficient of the top d2-power, with that power stripped off."""
     _, l = ord_gamma(P)
-    return TruncatedOperator(
+    return TruncatedOperator._trusted(
         {
-            (i1, i2, k1, 0): v
-            for (i1, i2, k1, k2), v in P.coeffs.items()
+            (i1, i2, k1, 0): n
+            for (i1, i2, k1, k2), n in P.num.items()
             if k2 == l
         },
+        P.den,
         P.x_precision,
         P.d_bound,
     )
@@ -273,15 +321,15 @@ def is_monic(P: TruncatedOperator) -> bool:
         return False
     k, l = ord_gamma(P)
     top = {
-        key: v for key, v in P.coeffs.items() if key[3] == l and key[2] == k
+        key: n for key, n in P.num.items() if key[3] == l and key[2] == k
     }
-    return top == {(0, 0, k, l): Fraction(1)}
+    return top == {(0, 0, k, l): P.den}
 
 
 def a1_check(P: TruncatedOperator, m: int) -> bool:
     """Growth condition: every stored term has x-degree >= d-degree - m."""
     return all(
-        i1 + i2 >= k1 + k2 - m for (i1, i2, k1, k2) in P.coeffs
+        i1 + i2 >= k1 + k2 - m for (i1, i2, k1, k2) in P.num
     )
 
 
@@ -311,17 +359,17 @@ def is_normalized_pair(P: TruncatedOperator, Q: TruncatedOperator) -> bool:
     """P = d2^k + (terms of d2-degree <= k-2), Q = d1 d2^l + lower d2-terms."""
     if P.is_zero or Q.is_zero:
         return False
-    k = max(k2 for (_, _, _, k2) in P.coeffs)
+    k = max(k2 for (_, _, _, k2) in P.num)
     if k < 1:
         return False
-    p_top = {key: v for key, v in P.coeffs.items() if key[3] == k}
-    if p_top != {(0, 0, 0, k): Fraction(1)}:
+    p_top = {key: n for key, n in P.num.items() if key[3] == k}
+    if p_top != {(0, 0, 0, k): P.den}:
         return False
-    if any(key[3] == k - 1 for key in P.coeffs):
+    if any(key[3] == k - 1 for key in P.num):
         return False
-    l = max(k2 for (_, _, _, k2) in Q.coeffs)
-    q_top = {key: v for key, v in Q.coeffs.items() if key[3] == l}
-    return q_top == {(0, 0, 1, l): Fraction(1)}
+    l = max(k2 for (_, _, _, k2) in Q.num)
+    q_top = {key: n for key, n in Q.num.items() if key[3] == l}
+    return q_top == {(0, 0, 1, l): Q.den}
 
 
 def _convolve(f: Form, g: Form) -> Form:
@@ -342,6 +390,28 @@ def _powers(form: Form, n: int) -> List[Form]:
     return out
 
 
+# a property check applies one substitution to several operators in a row
+@functools.lru_cache(maxsize=16)
+def _substitution_images(a, b, c, d, e) -> Tuple[Tuple[Form, int], ...]:
+    """Images of x1, x2 (forms on x1, x2) and of d1, d2 (forms on d1, d2).
+
+    Each is (integer numerators, denominator); the key (0, 0) is the
+    constant.  The forms are shared between calls and must not be mutated.
+    """
+    a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
+    if a == 0 or e == 0:
+        raise ValueError("diagonal parameters a and e must be nonzero")
+    return tuple(
+        _integer_form({k: v for k, v in img.items() if v})
+        for img in (
+            {(1, 0): 1 / e, (0, 1): -c / (a * e)},
+            {(0, 1): 1 / a},
+            {(1, 0): e, (0, 0): d},
+            {(1, 0): c, (0, 1): a, (0, 0): b},
+        )
+    )
+
+
 def change_variables(
     P: TruncatedOperator, a, b, c, d, e
 ) -> TruncatedOperator:
@@ -352,30 +422,17 @@ def change_variables(
     substitution is exact: x-images are linear in x, derivative images are
     constant-coefficient, so no precision is spent.
     """
-    a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
-    if a == 0 or e == 0:
-        raise ValueError("diagonal parameters a and e must be nonzero")
-    # images of x1, x2 (forms on x1, x2) and of d1, d2 (forms on d1, d2) as
-    # integer numerators over a denominator; (0, 0) is the constant
-    images = [
-        _integer_form({k: v for k, v in img.items() if v})
-        for img in (
-            {(1, 0): 1 / e, (0, 1): -c / (a * e)},
-            {(0, 1): 1 / a},
-            {(1, 0): e, (0, 0): d},
-            {(1, 0): c, (0, 1): a, (0, 0): b},
-        )
-    ]
+    images = _substitution_images(a, b, c, d, e)
     powers = [
-        _powers(form, max((key[slot] for key in P.coeffs), default=0))
+        _powers(form, max((key[slot] for key in P.num), default=0))
         for slot, (form, _) in enumerate(images)
     ]
     terms = []
-    for key, coeff in P.coeffs.items():
-        den = coeff.denominator
+    for key, num in P.num.items():
+        den = P.den
         for (_, img_den), n in zip(images, key):
             den *= img_den**n
-        terms.append((key, coeff.numerator, den))
+        terms.append((key, num, den))
     common = math.lcm(*(den for _, _, den in terms))
     acc: Dict[Key, int] = {}
     for (i1, i2, k1, k2), num, den in terms:
@@ -387,7 +444,8 @@ def change_variables(
                 key = (xi1, xi2, dk1, dk2)
                 acc[key] = acc.get(key, 0) + sx * dv
     return TruncatedOperator._trusted(
-        {k: Fraction(n, common) for k, n in acc.items() if n},
+        {k: n for k, n in acc.items() if n},
+        common,
         P.x_precision,
         P.d_bound,
     )
@@ -409,11 +467,11 @@ def spectral_module_action(
     p1, p2 = monomial
     if p1 < 0 or p2 < 0:
         raise ValueError("monomial exponents must be non-negative")
-    cls = TruncatedOperator.monomial((0, 0, p1, p2), P.x_precision)
+    cls = TruncatedOperator._trusted({(0, 0, p1, p2): 1}, 1, P.x_precision, p1 + p2)
     prod = op_mul(cls, P)
     return {
-        (k1, k2): v
-        for (i1, i2, k1, k2), v in prod.coeffs.items()
+        (k1, k2): Fraction(n, prod.den)
+        for (i1, i2, k1, k2), n in prod.num.items()
         if i1 == 0 and i2 == 0
     }
 
@@ -483,17 +541,37 @@ def parse_operator(
     return TruncatedOperator(acc, x_precision, d_bound)
 
 
+# random coefficients draw from these, as rng.choice over the same sequence
+_NONZERO_3 = (-3, -2, -1, 1, 2, 3)
+_NONZERO_2 = (-2, -1, 1, 2)
+
+
+def _from_pairs(
+    pairs: Dict[Key, Tuple[int, int]], x_precision: int, d_bound: int
+) -> TruncatedOperator:
+    """Operator from (nonzero numerator, positive denominator) pairs.
+
+    Keys at or beyond x-degree x_precision are dropped, as the public
+    constructor would; derivative degrees must already be within d_bound.
+    """
+    pairs = {k: nd for k, nd in pairs.items() if k[0] + k[1] < x_precision}
+    den = math.lcm(*(d for _, d in pairs.values()))
+    return TruncatedOperator._trusted(
+        {k: n * (den // d) for k, (n, d) in pairs.items()}, den, x_precision, d_bound
+    )
+
+
 def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
     """Random nonzero operator: 1-4 terms, x-degree and d-degree at most 2."""
-    coeffs: Dict[Key, Fraction] = {}
+    pairs: Dict[Key, Tuple[int, int]] = {}
     for _ in range(rng.randint(1, 4)):
         i1 = rng.randint(0, 2)
         i2 = rng.randint(0, 2 - i1)
         k1 = rng.randint(0, 2)
         k2 = rng.randint(0, 2 - k1)
-        num = rng.choice([n for n in range(-3, 4) if n])
-        coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
-    op = TruncatedOperator(coeffs, x_precision, 2)
+        num = rng.choice(_NONZERO_3)
+        pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
+    op = _from_pairs(pairs, x_precision, 2)
     if op.is_zero:
         return TruncatedOperator.one(x_precision)
     return op
@@ -501,16 +579,16 @@ def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
 
 def _random_a1_operator(rng: Random, x_precision: int, m: int) -> TruncatedOperator:
     """Random operator satisfying the growth condition at level m."""
-    coeffs: Dict[Key, Fraction] = {}
+    pairs: Dict[Key, Tuple[int, int]] = {}
     for _ in range(rng.randint(1, 4)):
         k1 = rng.randint(0, 2)
         k2 = rng.randint(0, 2 - k1)
         lo = max(k1 + k2 - m, 0)
         i1 = rng.randint(lo, lo + 2)
         i2 = rng.randint(0, 2)
-        num = rng.choice([n for n in range(-3, 4) if n])
-        coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
-    op = TruncatedOperator(coeffs, x_precision, 2)
+        num = rng.choice(_NONZERO_3)
+        pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
+    op = _from_pairs(pairs, x_precision, 2)
     return op if not op.is_zero else TruncatedOperator.one(x_precision)
 
 
@@ -518,33 +596,33 @@ def _random_graded_monic(rng: Random, x_precision: int) -> TruncatedOperator:
     """Monic operator with a constant top d2-coefficient and random tail."""
     k = rng.randint(0, 2)
     l = rng.randint(1, 2)
-    coeffs: Dict[Key, Fraction] = {(0, 0, k, l): Fraction(1)}
+    pairs: Dict[Key, Tuple[int, int]] = {(0, 0, k, l): (1, 1)}
     for _ in range(rng.randint(0, 3)):
         k2 = rng.randint(0, l - 1)
         k1 = rng.randint(0, 2)
         i1 = rng.randint(0, 2)
         i2 = rng.randint(0, 2 - i1)
-        num = rng.choice([n for n in range(-3, 4) if n])
-        coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
-    return TruncatedOperator(coeffs, x_precision, max(k + l, 4))
+        num = rng.choice(_NONZERO_3)
+        pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
+    return _from_pairs(pairs, x_precision, max(k + l, 4))
 
 
 def _random_normalized_pair(rng: Random, x_precision: int):
     """Pair matching the normalized shape with random admissible tails."""
     k = rng.randint(2, 3)
     l = rng.randint(1, 2)
-    p_coeffs: Dict[Key, Fraction] = {(0, 0, 0, k): Fraction(1)}
+    p_pairs: Dict[Key, Tuple[int, int]] = {(0, 0, 0, k): (1, 1)}
     for _ in range(rng.randint(0, 3)):
         s = rng.randint(0, k - 2)
         key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
-        p_coeffs[key] = Fraction(rng.choice([n for n in range(-2, 3) if n]))
-    q_coeffs: Dict[Key, Fraction] = {(0, 0, 1, l): Fraction(1)}
+        p_pairs[key] = (rng.choice(_NONZERO_2), 1)
+    q_pairs: Dict[Key, Tuple[int, int]] = {(0, 0, 1, l): (1, 1)}
     for _ in range(rng.randint(0, 3)):
         s = rng.randint(0, l - 1)
         key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
-        q_coeffs[key] = Fraction(rng.choice([n for n in range(-2, 3) if n]))
-    P = TruncatedOperator(p_coeffs, x_precision, k + 2)
-    Q = TruncatedOperator(q_coeffs, x_precision, l + 2)
+        q_pairs[key] = (rng.choice(_NONZERO_2), 1)
+    P = _from_pairs(p_pairs, x_precision, k + 2)
+    Q = _from_pairs(q_pairs, x_precision, l + 2)
     return P, Q
 
 
@@ -803,8 +881,8 @@ def run_property_suite(
         P = random_operator(rng, T)
         Q = random_operator(rng, T)
         low = op_mul(P, Q)
-        hi_p = TruncatedOperator(P.coeffs, T + 6, P.d_bound)
-        hi_q = TruncatedOperator(Q.coeffs, T + 6, Q.d_bound)
+        hi_p = TruncatedOperator._trusted(P.num, P.den, T + 6, P.d_bound)
+        hi_q = TruncatedOperator._trusted(Q.num, Q.den, T + 6, Q.d_bound)
         high = op_mul(hi_p, hi_q)
         if high.truncate(low.x_precision) != low:
             prec_fail += 1
@@ -821,7 +899,7 @@ def run_property_suite(
     reasm_fail = 0
     for _ in range(trials):
         P = random_operator(rng, T)
-        grades = {(k[0] + k[1]) - (k[2] + k[3]) for k in P.coeffs}
+        grades = {(k[0] + k[1]) - (k[2] + k[3]) for k in P.num}
         total = TruncatedOperator.zero(T)
         for m in grades:
             total = total + homogeneous_component(P, m)

@@ -8,6 +8,7 @@ counting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -137,7 +138,12 @@ CANONICAL = PicardClass(1, E8_ZERO, 0)
 
 
 def canonical_curves() -> Tuple[PicardClass, ...]:
-    """The four ample curves, numerically K with nonzero torsion tags."""
+    """The four ample curves, numerically K with nonzero torsion tags, built once."""
+    return _canonical_curves()
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_curves() -> Tuple[PicardClass, ...]:
     return tuple(PicardClass(1, E8_ZERO, t) for t in range(1, 5))
 
 
@@ -146,9 +152,14 @@ def divisor_candidates() -> List[PicardClass]:
     return [PicardClass(0, e, t) for e in e8_roots() for t in range(TORSION_ORDER)]
 
 
-def divisors() -> List[PicardClass]:
-    """The 1200 classes D = K + E."""
-    return [PicardClass(1, c.e, c.t) for c in divisor_candidates()]
+def divisors() -> Tuple[PicardClass, ...]:
+    """The 1200 classes D = K + E, built once."""
+    return _divisors()
+
+
+@functools.lru_cache(maxsize=1)
+def _divisors() -> Tuple[PicardClass, ...]:
+    return tuple(PicardClass(1, c.e, c.t) for c in divisor_candidates())
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,8 @@ def test_bad_prime_exits_two(capsys):
         (["surface", "--primes", "11,11"], None),
         (["surface"], {"primes": [31, 11, 31]}),
         (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": -5}}),
+        (["surface", "--primes", ","], None),
+        (["surface"], {"primes": []}),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -154,6 +156,11 @@ GOLDEN_RUNS = (
         "golden_pdo_seed7_trials200_T16.json",
         ["pdo", "--seed", "7", "--trials", "200"],
         {"pdo_budget": {"T": 16}},
+    ),
+    (
+        "golden_pdo_default.json",
+        ["pdo", "--seed", "42", "--trials", "500"],
+        {"pdo_budget": {"T": 12}},
     ),
 )
 

@@ -243,6 +243,99 @@ def _fraction_change_variables(P, a, b, c, d, e):
     return pa.TruncatedOperator(acc, P.x_precision, P.d_bound)
 
 
+_NONZERO_3 = [n for n in range(-3, 4) if n]
+_NONZERO_2 = [n for n in range(-2, 3) if n]
+
+
+def _fraction_random_operator(rng, x_precision):
+    """Oracle: random_operator with Fraction coefficients through the constructor."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        i1 = rng.randint(0, 2)
+        i2 = rng.randint(0, 2 - i1)
+        k1 = rng.randint(0, 2)
+        k2 = rng.randint(0, 2 - k1)
+        num = rng.choice(_NONZERO_3)
+        coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
+    op = pa.TruncatedOperator(coeffs, x_precision, 2)
+    return op if not op.is_zero else pa.TruncatedOperator.one(x_precision)
+
+
+def _fraction_random_a1_operator(rng, x_precision, m):
+    """Oracle: _random_a1_operator with Fraction coefficients through the constructor."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        k1 = rng.randint(0, 2)
+        k2 = rng.randint(0, 2 - k1)
+        lo = max(k1 + k2 - m, 0)
+        i1 = rng.randint(lo, lo + 2)
+        i2 = rng.randint(0, 2)
+        num = rng.choice(_NONZERO_3)
+        coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
+    op = pa.TruncatedOperator(coeffs, x_precision, 2)
+    return op if not op.is_zero else pa.TruncatedOperator.one(x_precision)
+
+
+def _fraction_random_graded_monic(rng, x_precision):
+    """Oracle: _random_graded_monic with Fraction coefficients through the constructor."""
+    k = rng.randint(0, 2)
+    l = rng.randint(1, 2)
+    coeffs = {(0, 0, k, l): Fraction(1)}
+    for _ in range(rng.randint(0, 3)):
+        k2 = rng.randint(0, l - 1)
+        k1 = rng.randint(0, 2)
+        i1 = rng.randint(0, 2)
+        i2 = rng.randint(0, 2 - i1)
+        num = rng.choice(_NONZERO_3)
+        coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
+    return pa.TruncatedOperator(coeffs, x_precision, max(k + l, 4))
+
+
+def _fraction_random_normalized_pair(rng, x_precision):
+    """Oracle: _random_normalized_pair with Fraction coefficients through the constructor."""
+    k = rng.randint(2, 3)
+    l = rng.randint(1, 2)
+    p_coeffs = {(0, 0, 0, k): Fraction(1)}
+    for _ in range(rng.randint(0, 3)):
+        s = rng.randint(0, k - 2)
+        key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
+        p_coeffs[key] = Fraction(rng.choice(_NONZERO_2))
+    q_coeffs = {(0, 0, 1, l): Fraction(1)}
+    for _ in range(rng.randint(0, 3)):
+        s = rng.randint(0, l - 1)
+        key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
+        q_coeffs[key] = Fraction(rng.choice(_NONZERO_2))
+    P = pa.TruncatedOperator(p_coeffs, x_precision, k + 2)
+    Q = pa.TruncatedOperator(q_coeffs, x_precision, l + 2)
+    return P, Q
+
+
+def test_generators_match_fraction_oracles():
+    """Same terms in the same order, same budgets, and the Random left in the same state.
+
+    The draws are part of the report: eq_seen is printed in a reference string.
+    """
+    for seed in range(200):
+        T = (1, 2, 3, 12)[seed % 4]
+        cases = (
+            (pa.random_operator, _fraction_random_operator, (T,)),
+            (pa._random_a1_operator, _fraction_random_a1_operator, (T, seed % 3)),
+            (pa._random_graded_monic, _fraction_random_graded_monic, (T,)),
+            (pa._random_normalized_pair, _fraction_random_normalized_pair, (T,)),
+        )
+        for gen, oracle, args in cases:
+            rng, twin = Random(seed), Random(seed)
+            got, want = gen(rng, *args), oracle(twin, *args)
+            assert rng.getstate() == twin.getstate()
+            got = got if isinstance(got, tuple) else (got,)
+            want = want if isinstance(want, tuple) else (want,)
+            for g, w in zip(got, want, strict=True):
+                assert g.coeffs == w.coeffs
+                assert list(g.coeffs) == list(w.coeffs)
+                assert (g.x_precision, g.d_bound) == (w.x_precision, w.d_bound)
+                _assert_trusted_invariants(g)
+
+
 @st.composite
 def _operators(draw):
     """Operators with mixed denominators, T in 2..20 and d_bound in 0..6.
@@ -261,10 +354,13 @@ def _operators(draw):
 
 
 def _assert_trusted_invariants(R):
-    """What the public constructor would have enforced on a result."""
+    """What the public constructor would have enforced, and the canonical form."""
     assert all(isinstance(v, Fraction) and v != 0 for v in R.coeffs.values())
     assert all(i1 + i2 < R.x_precision for (i1, i2, _, _) in R.coeffs)
     assert max((k1 + k2 for (_, _, k1, k2) in R.coeffs), default=0) <= R.d_bound
+    assert all(type(n) is int and n != 0 for n in R.num.values())
+    assert type(R.den) is int and R.den > 0
+    assert math.gcd(R.den, *R.num.values()) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,6 +400,8 @@ def test_trusted_builds_keep_invariants():
     S = P + Q
     assert S == op("1/2 x2^3 + d2 + x1^2")
     _assert_trusted_invariants(S)
+    # the 1/2 cancels, so the sum's denominator drops back to 1
+    assert (op("1/2 x1 + d1") + op("1/2 x1")).den == 1
     short = op("x1 d1", 3) + op("x2^3 d2 + x1^4", 12)
     assert short == op("x1 d1", 3) and short.x_precision == 3
     cut = P.truncate(3)
@@ -311,6 +409,48 @@ def test_trusted_builds_keep_invariants():
     assert pa.homogeneous_component(P, 0) == op("x1 d1")
     with pytest.raises(ValueError):
         P.truncate(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operators(), _operators(), st.fractions(-4, 4, max_denominator=6), st.integers(1, 20))
+def test_every_build_is_canonical(P, Q, c, t):
+    """Each build, filtering or not, keeps den > 0, gcd 1 and no zero numerator."""
+    builds = [P, P + Q, P - Q, P - P, P.scale(c), P.truncate(t)]
+    builds += [pa.homogeneous_component(P, m) for m in range(-6, 2 * P.x_precision)]
+    if not P.is_zero:
+        builds.append(pa.ht_2(P))
+    for R in builds:
+        _assert_trusted_invariants(R)
+    t_sum = min(P.x_precision, Q.x_precision)
+    want = {}
+    for k in {**P.coeffs, **Q.coeffs}:
+        v = P.coeffs.get(k, 0) + Q.coeffs.get(k, 0)
+        if v and k[0] + k[1] < t_sum:
+            want[k] = v
+    assert (P + Q).coeffs == want
+    assert P.scale(c).coeffs == {k: c * v for k, v in P.coeffs.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operators(), _operators(), st.integers(2, 30))
+def test_equality_is_fraction_map_equality(P, Q, s):
+    """Equal Fraction maps over any denominators give equal operators and hashes."""
+    # the same map, as unreduced numerator/denominator pairs over s times each denominator
+    R = pa.TruncatedOperator(
+        {k: Fraction(v.numerator * s, v.denominator * s) for k, v in P.coeffs.items()},
+        P.x_precision + 1,
+    )
+    S = P.scale(s).scale(Fraction(1, s))
+    for twin in (R, S):
+        assert twin == P and hash(twin) == hash(P)
+        assert (twin.num, twin.den) == (P.num, P.den)
+    assert (P == Q) == (P.coeffs == Q.coeffs)
+    if not P.is_zero:
+        key = next(iter(P.num))
+        bumped = pa.TruncatedOperator(
+            {**P.coeffs, key: P.coeffs[key] + Fraction(1, s)}, P.x_precision
+        )
+        assert bumped != P
 
 
 def test_normalized_shape_not_preserved_by_shear():

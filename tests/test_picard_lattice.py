@@ -110,6 +110,16 @@ def test_divisors_have_expected_numerics():
         assert rr_engine.chi_divisor(rr_engine.GODEAUX, D.numerics) == 0
 
 
+def test_divisor_tables_are_built_once():
+    """The shared tuples equal a fresh build, and every call returns the same object."""
+    fresh = tuple(pl.PicardClass(1, c.e, c.t) for c in pl.divisor_candidates())
+    assert pl.divisors() == fresh
+    assert pl.divisors() is pl.divisors()
+    curves = tuple(pl.PicardClass(1, pl.E8_ZERO, t) for t in range(1, 5))
+    assert pl.canonical_curves() == curves
+    assert pl.canonical_curves() is pl.canonical_curves()
+
+
 def test_orbit_partition():
     orbits = pl.partition_orbits()
     assert len(orbits) == 120
