@@ -189,11 +189,13 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
             "derived",
         )
     )
+    curves = picard_lattice.canonical_curves()
     hilbert_bad = 0
     for D in divisors:
-        for curve in picard_lattice.canonical_curves():
+        numerics = D.numerics
+        for curve in curves:
             if not rr_engine.prespectral_hilbert_check(
-                D.numerics, C, D.pair(curve), n_max=10
+                numerics, C, D.pair(curve), n_max=10
             ):
                 hilbert_bad += 1
     entries.append(
@@ -408,15 +410,16 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{q} is not prime")
         if q % 5 != 1:
             raise ValueError(f"prime {q} is not 1 mod 5; no order-5 symmetry exists")
+        if not any(v % q for v in cfg["coefficients"]):
+            raise ValueError(f"every coefficient vanishes mod the prime {q}")
     cfg["trials"] = _json_int("trials", cfg["trials"])
     if cfg["trials"] < 1:
         raise ValueError(f"trials must be at least 1, got {cfg['trials']}")
     cfg["seed"] = _json_int("seed", cfg["seed"])
-    for key, val in cfg["pdo_budget"].items():
-        _json_int(f"pdo_budget.{key}", val)
-    d_bound = cfg["pdo_budget"]["d_bound"]
-    if d_bound < 0:
-        raise ValueError(f"pdo_budget.d_bound must be non-negative, got {d_bound}")
+    for key, low in (("T", 1), ("d_bound", 0)):
+        val = _json_int(f"pdo_budget.{key}", cfg["pdo_budget"][key])
+        if val < low:
+            raise ValueError(f"pdo_budget.{key} must be at least {low}, got {val}")
     return cfg
 
 

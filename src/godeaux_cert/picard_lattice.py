@@ -173,13 +173,18 @@ class DivisorClassOrbit:
             raise ValueError(f"orbit has size {len(self.members)}, expected 10")
 
 
-def partition_orbits() -> List[DivisorClassOrbit]:
-    """Partition the 1200 divisors into 120 orbits of size 10."""
+def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
+    """Partition the 1200 divisors into 120 orbits of size 10, built once."""
+    return _partition_orbits()
+
+
+@functools.lru_cache(maxsize=1)
+def _partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
     buckets: Dict[Tuple[int, ...], set] = {}
     for d in divisors():
         key = min(d.e.c, (-d.e).c)
         buckets.setdefault(key, set()).add(d)
-    orbits = [DivisorClassOrbit(frozenset(v)) for _, v in sorted(buckets.items())]
+    orbits = tuple(DivisorClassOrbit(frozenset(v)) for _, v in sorted(buckets.items()))
     covered = set().union(*(o.members for o in orbits))
     if len(covered) != len(divisors()) or covered != set(divisors()):
         raise AssertionError("orbits do not partition the candidate set")

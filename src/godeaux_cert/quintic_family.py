@@ -5,6 +5,11 @@ family over prime fields containing fifth roots of unity, and brute-forces
 invariance, freeness of the action, smoothness, and transversality to the
 coordinate planes.  The family-dimension count 11 - 3 = 8 is prime-free
 rational linear algebra.
+
+The singular-point scans test only the partial derivatives: a member f is
+homogeneous of degree 5, so Euler's identity sum_v z_v df/dz_v = 5 f makes
+every common zero of the partials a zero of f whenever 5 is a unit mod q.
+At q = 5 the identity says nothing, and the scans refuse that prime.
 """
 
 from __future__ import annotations
@@ -102,10 +107,7 @@ def build_quintic(a: Sequence[int], q: int) -> SparsePolynomial:
     reduces mod q, which is how the tests use this view as an oracle.
     """
     _require_prime(q)
-    coeffs = _reduce_coeffs(a, q)
-    return SparsePolynomial(
-        {exps: c for exps, c in zip(_MONOMIAL_ORDER, coeffs) if c}, 4
-    )
+    return SparsePolynomial({exps: c for c, exps in _int_terms(a, q)}, 4)
 
 
 def invariance_check(a: Sequence[int], g: GroupElement, q: int) -> bool:
@@ -114,13 +116,10 @@ def invariance_check(a: Sequence[int], g: GroupElement, q: int) -> bool:
     Each monomial picks up eps^{sum w_j n_j}; the polynomial is invariant
     up to scale iff that scalar is the same across all surviving terms.
     """
-    f = build_quintic(a, q)
-    if f.is_zero:
-        raise ValueError("zero polynomial")
     eps = primitive_fifth_root(q)
     scalars = {
         eps ** (sum(w * n for w, n in zip(g.weights, exps)) % 5)
-        for exps in f.terms
+        for _, exps in _int_terms(a, q)
     }
     return len(scalars) == 1
 
@@ -147,12 +146,11 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
     test the pure-power coefficients a1*a8*a9*a10 != 0.  They must agree.
     """
     points = fixed_points(GroupElement.generator(), q)
-    terms = _int_terms(a, q)
+    coeffs = _reduce_coeffs(a, q)
     by_eval = all(
-        sum(c * math.prod(x ** e for x, e in zip(pt, exps)) for c, exps in terms) % q
+        sum(c * math.prod(map(pow, pt, exps)) for c, exps in zip(coeffs, _MONOMIAL_ORDER)) % q
         for pt in points
     )
-    coeffs = _reduce_coeffs(a, q)
     by_coeff = all(coeffs[i] for i in PURE_POWER_INDICES)
     if by_eval != by_coeff:
         raise AssertionError("evaluation route and coefficient criterion disagree")
@@ -160,67 +158,51 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
 
 
 def _int_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int, int]]]:
-    coeffs = _reduce_coeffs(a, q)
-    return [(c, exps) for exps, c in zip(_MONOMIAL_ORDER, coeffs) if c]
+    return [(c, exps) for c, exps in zip(_reduce_coeffs(a, q), _MONOMIAL_ORDER) if c]
 
 
-def _singular_point_exists(
-    terms: List[Tuple[int, Tuple[int, ...]]], q: int, nvars: int
-) -> bool:
-    """Brute force: does some projective point kill f and all partials?
+def _scan_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int, int]]]:
+    _require_prime(q)
+    if q == 5:
+        raise ValueError("q = 5 divides the degree: the partials do not decide smoothness")
+    return _int_terms(a, q)
 
-    Plain-int arithmetic with per-point power tables; reductions mod q are
-    deferred to one point per term for speed.
+
+def _singular_point_exists(terms: List[Tuple[int, Tuple[int, ...]]], q: int) -> bool:
+    """Brute force: is some projective point a common zero of all partials?
+
+    By Euler's identity sum_v z_v df/dz_v = 5 f, such a point is a zero of f,
+    hence singular, as long as q != 5 (the callers refuse q = 5).  One power
+    table pw[x][e] = x^e mod q serves every point; each partial keeps only
+    its nonzero exponents, and its sum is reduced mod q once.
     """
-    partials = []
-    for v in range(nvars):
-        pv = []
-        for c, exps in terms:
-            e = exps[v]
-            if e:
-                pv.append((c * e, exps[:v] + (e - 1,) + exps[v + 1 :]))
-        partials.append(pv)
+    nvars = len(terms[0][1])
+    partials = [
+        [
+            (c * exps[v], [(u, e - (u == v)) for u, e in enumerate(exps) if e - (u == v)])
+            for c, exps in terms
+            if exps[v]
+        ]
+        for v in range(nvars)
+    ]
+    pw = [[pow(x, e, q) for e in range(5)] for x in range(q)]
     for pt in iter_projective_coords(q, nvars - 1):
-        pw = [[1] * 6 for _ in range(nvars)]
-        for v, x in enumerate(pt):
-            acc = 1
-            for e in range(1, 6):
-                acc = acc * x % q
-                pw[v][e] = acc
-        val = 0
-        for c, exps in terms:
-            t = c
-            for v, e in enumerate(exps):
-                if e:
-                    t *= pw[v][e]
-            val += t
-        if val % q != 0:
-            continue
-        if all(
-            sum(
-                c * _mono(pw, exps)
-                for c, exps in pv
-            )
-            % q
-            == 0
-            for pv in partials
-        ):
+        for pv in partials:
+            s = 0
+            for c, factors in pv:
+                for u, e in factors:
+                    c *= pw[pt[u]][e]
+                s += c
+            if s % q:
+                break
+        else:
             return True
     return False
 
 
-def _mono(pw, exps) -> int:
-    t = 1
-    for v, e in enumerate(exps):
-        if e:
-            t *= pw[v][e]
-    return t
-
-
 def smoothness_check(a: Sequence[int], q: int) -> bool:
-    """No point of P^3(F_q) is a common zero of the member and its partials."""
-    _require_prime(q)
-    return not _singular_point_exists(_int_terms(a, q), q, 4)
+    """No point of P^3(F_q) is a common zero of the member's partials."""
+    return not _singular_point_exists(_scan_terms(a, q), q)
 
 
 def transversality_check(a: Sequence[int], plane_index: int, q: int) -> bool:
@@ -231,15 +213,13 @@ def transversality_check(a: Sequence[int], plane_index: int, q: int) -> bool:
     """
     if not 1 <= plane_index <= 4:
         raise ValueError(f"plane_index {plane_index} out of range 1..4")
-    _require_prime(q)
     drop = plane_index - 1
-    restricted = []
-    for c, exps in _int_terms(a, q):
-        if exps[drop] == 0:
-            restricted.append((c, exps[:drop] + exps[drop + 1 :]))
-    if not restricted:
-        return False
-    return not _singular_point_exists(restricted, q, 3)
+    restricted = [
+        (c, exps[:drop] + exps[drop + 1 :])
+        for c, exps in _scan_terms(a, q)
+        if exps[drop] == 0
+    ]
+    return bool(restricted) and not _singular_point_exists(restricted, q)
 
 
 def weight_difference_rank() -> int:
@@ -283,16 +263,10 @@ def brute_force_invariant_hyperplanes(g: GroupElement, q: int) -> int:
 
     Independent oracle for invariant_hyperplanes: a hyperplane with
     coefficient vector c is invariant iff the weighted vector
-    (eps^{w_j} c_j) is proportional to c.
+    (eps^{w_j} c_j) is proportional to c, which is the fixed-point
+    condition on c, so the count is that of brute_force_fixed_points.
     """
-    eps = primitive_fifth_root(q)
-    count = 0
-    for raw in iter_projective_coords(q, 3):
-        c = tuple(FieldElement(v, q) for v in raw)
-        moved = ProjectivePoint(tuple(eps ** w * x for w, x in zip(g.weights, c)))
-        if moved == ProjectivePoint(c):
-            count += 1
-    return count
+    return len(brute_force_fixed_points(g, q))
 
 
 def brute_force_fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, ...], ...]:

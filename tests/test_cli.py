@@ -83,6 +83,10 @@ def test_bad_prime_exits_two(capsys):
         (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": -5}}),
         (["surface", "--primes", ","], None),
         (["surface"], {"primes": []}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 0}}),
+        (["pdo", "--trials", "3"], {"pdo_budget": {"T": -3}}),
+        (["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"], None),
+        (["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"], None),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -94,6 +98,12 @@ def test_malformed_input_exits_two(tmp_path, capsys, args, config):
     # user would see) fails the test before the exit code is compared
     assert run_cli(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_vanishing_coefficients_name_the_prime(capsys):
+    # nonzero mod 31, zero mod 11
+    assert run_cli(["surface", "--primes", "31,11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,22"]) == 2
+    assert "mod the prime 11" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -151,16 +161,28 @@ GOLDEN_RUNS = (
         "golden_all_seed42_trials40_q11.json",
         ["all", "--seed", "42", "--trials", "40", "--primes", "11"],
         None,
+        0,
     ),
     (
         "golden_pdo_seed7_trials200_T16.json",
         ["pdo", "--seed", "7", "--trials", "200"],
         {"pdo_budget": {"T": 16}},
+        0,
     ),
     (
         "golden_pdo_default.json",
         ["pdo", "--seed", "42", "--trials", "500"],
         {"pdo_budget": {"T": 12}},
+        0,
+    ),
+    # the Fermat member at the default primes 11, 31 and 41
+    ("golden_surface_default.json", ["surface"], None, 0),
+    # a member singular at (1:1:1:1) by construction; its smoothness checks fail
+    (
+        "golden_surface_singular0_q11_q31.json",
+        ["surface"],
+        {"coefficients": [-1, 2, -1, 5, 4, -5, -8, -1, 6, 7, -3, -5], "primes": [11, 31]},
+        1,
     ),
 )
 
@@ -170,14 +192,15 @@ def test_report_bytes_match_golden(tmp_path):
 
     Each recorded file is the output of `godeaux-cert ARGS --no-timestamp
     --json PATH`, with `--config` pointing at the listed config when there is
-    one; a change that alters any check, value or key order must re-record it.
+    one, and the run exits with the listed code; a change that alters any
+    check, value or key order must re-record it.
     """
-    for name, args, config in GOLDEN_RUNS:
+    for name, args, config, exit_code in GOLDEN_RUNS:
         args = args + ["--no-timestamp"]
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             args += ["--config", str(cfg)]
         out = tmp_path / name
-        assert run_cli(args + ["--json", str(out)]) == 0
+        assert run_cli(args + ["--json", str(out)]) == exit_code, name
         assert out.read_bytes() == Path(__file__).with_name(name).read_bytes(), name

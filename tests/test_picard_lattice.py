@@ -118,6 +118,8 @@ def test_divisor_tables_are_built_once():
     curves = tuple(pl.PicardClass(1, pl.E8_ZERO, t) for t in range(1, 5))
     assert pl.canonical_curves() == curves
     assert pl.canonical_curves() is pl.canonical_curves()
+    assert pl.partition_orbits() == pl._partition_orbits.__wrapped__()
+    assert pl.partition_orbits() is pl.partition_orbits()
 
 
 def test_orbit_partition():

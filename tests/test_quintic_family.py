@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from godeaux_cert.exact_arith import (
     FieldElement,
+    SparsePolynomial,
     iter_projective_coords,
     primitive_fifth_root,
     projective_points,
@@ -147,11 +148,20 @@ def test_smoothness_rejects_degenerate_member():
     assert not qf.smoothness_check(a, 11)
 
 
-def _field_route_singular(a, q):
-    """Independent oracle: FieldElement evaluation over projective_points."""
+def _field_route_singular(a, q, plane=None):
+    """Independent oracle: FieldElement evaluation of f and of every partial.
+
+    With plane=None the member is scanned over P^3; with a 1-based plane
+    index, its restriction to that coordinate plane is scanned over P^2.
+    """
     f = qf.build_quintic(a, q)
-    partials = [f.partial(v) for v in range(4)]
-    for p in projective_points(q, 3):
+    if plane is not None:
+        drop = plane - 1
+        f = SparsePolynomial(
+            {e[:drop] + e[drop + 1 :]: c for e, c in f.terms.items() if e[drop] == 0}, 3
+        )
+    partials = [f.partial(v) for v in range(f.num_vars)]
+    for p in projective_points(q, f.num_vars - 1):
         if not f.eval(p.coords) and all(not d.eval(p.coords) for d in partials):
             return True
     return False
@@ -161,6 +171,47 @@ def test_smoothness_agrees_with_field_route():
     cases = [FERMAT, [1] * 12, [1, 2, 0, 0, 3, 0, 0, 1, 4, 1, 0, 0]]
     for a in cases:
         assert qf.smoothness_check(a, 11) == (not _field_route_singular(a, 11))
+
+
+def _singular_at_ones(free):
+    """Set the pure-power coefficients so every partial vanishes at (1:1:1:1) mod 11.
+
+    The z_j-partial there is sum_i a_i n_ij, and among the pure powers only
+    z_j^5 has a nonzero z_j-exponent (5), so that sum fixes its coefficient.
+    """
+    a = [0] * 12
+    others = [i for i in range(12) if i not in qf.PURE_POWER_INDICES]
+    for i, v in zip(others, free):
+        a[i] = v
+    for j, idx in enumerate(qf.PURE_POWER_INDICES):
+        s = sum(a[i] * qf._MONOMIAL_ORDER[i][j] for i in others)
+        a[idx] = -s * pow(5, -1, 11) % 11
+    return a
+
+
+_DENSE = st.lists(st.integers(1, 10), min_size=12, max_size=12)
+_SPARSE = st.dictionaries(st.integers(0, 11), st.integers(1, 10), min_size=1, max_size=4).map(
+    lambda d: [d.get(i, 0) for i in range(12)]
+)
+_SINGULAR = st.lists(st.integers(0, 10), min_size=8, max_size=8).map(_singular_at_ones)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_DENSE, _SPARSE, _SINGULAR))
+def test_partials_only_scan_matches_field_route(a):
+    """The scan reads only the partials; the oracle also evaluates f."""
+    assume(any(a))
+    assert qf.smoothness_check(a, 11) == (not _field_route_singular(a, 11))
+    for plane in range(1, 5):
+        assert qf.transversality_check(a, plane, 11) == (not _field_route_singular(a, 11, plane))
+
+
+def test_singular_scans_reject_q5():
+    with pytest.raises(ValueError):
+        qf.smoothness_check(FERMAT, 5)
+    for plane in range(1, 5):
+        with pytest.raises(ValueError):
+            qf.transversality_check(FERMAT, plane, 5)
 
 
 def test_transversality_fermat_all_planes():
