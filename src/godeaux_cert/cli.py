@@ -24,8 +24,6 @@ DEFAULT_SEED = 42
 DEFAULT_T = 12
 DEFAULT_D_BOUND = 6
 
-SUITES = ("monomials", "diophantine", "lattice", "counts", "rr", "surface", "pdo")
-
 
 def suite_monomials(cfg: dict) -> List[CheckEntry]:
     mons = quintic_family.enumerate_monomials()
@@ -340,6 +338,7 @@ SUITE_FUNCS = {
     "surface": suite_surface,
     "pdo": suite_pdo,
 }
+SUITES = tuple(SUITE_FUNCS)
 
 
 def _parse_int_list(text: str, expect: Optional[int] = None) -> tuple:
@@ -473,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         report = run(args.command, cfg)
-    except pdo_algebra.PrecisionError as exc:
+    except (pdo_algebra.PrecisionError, pdo_algebra.UndecidableOrderError) as exc:
         T = cfg["pdo_budget"]["T"]
         print(f"error: pdo_budget.T = {T} is too small: {exc}", file=sys.stderr)
         return 2
@@ -490,8 +489,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if args.json:
         payload = report.to_json(timestamp=not args.no_timestamp)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if report.overall_pass else 1
 
 

@@ -1,74 +1,43 @@
 """Bounded integer enumeration for the three small equation systems.
 
-Every search space here has at most 66 candidates, so plain exhaustive
-loops are both the implementation and the obvious reference oracle.
+Every search space here is a box of at most 6^4 = 1296 candidates, so one
+exhaustive comprehension per system is both the implementation and the
+obvious reference oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
-from .picard_lattice import PicardClass, e8_roots
-
-GROUP_ORDER = 5
-
-
-@dataclass(frozen=True)
-class BoxConstraint:
-    """Linear condition sum(c_i x_i) = target (optionally mod m) on a box."""
-
-    bounds: Tuple[Tuple[int, int], ...]
-    coefficients: Tuple[int, ...]
-    target: int
-    modulus: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if len(self.bounds) != len(self.coefficients):
-            raise ValueError("bounds/coefficients arity mismatch")
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty range [{lo}, {hi}]")
-        if self.modulus is not None and self.modulus < 1:
-            raise ValueError("modulus must be positive")
-
-    def holds(self, point: Tuple[int, ...]) -> bool:
-        s = sum(c * x for c, x in zip(self.coefficients, point))
-        if self.modulus is None:
-            return s == self.target
-        return (s - self.target) % self.modulus == 0
-
-    def solutions(self) -> FrozenSet[Tuple[int, ...]]:
-        ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
-        return frozenset(p for p in itertools.product(*ranges) if self.holds(p))
+from .picard_lattice import TORSION_ORDER, PicardClass, e8_roots
 
 
 def solve_monomial_system() -> FrozenSet[Tuple[int, int, int, int]]:
     """Non-negative 4-tuples with sum 5 and weighted sum 0 mod 5."""
-    degree = BoxConstraint(((0, 5),) * 4, (1, 1, 1, 1), 5)
-    weight = BoxConstraint(((0, 5),) * 4, (1, 2, 3, 4), 0, modulus=5)
-    return frozenset(p for p in degree.solutions() if weight.holds(p))
+    return frozenset(
+        p
+        for p in itertools.product(range(6), repeat=4)
+        if sum(p) == 5 and (p[0] + 2 * p[1] + 3 * p[2] + 4 * p[3]) % 5 == 0
+    )
 
 
 def solve_smooth_quadric_case() -> FrozenSet[Tuple[int, int]]:
     """5(m+n) - 2mn = 15 over 0 <= m, n <= 5."""
-    out = set()
-    for m in range(6):
-        for n in range(6):
-            if 5 * (m + n) - 2 * m * n == 15:
-                out.add((m, n))
-    return frozenset(out)
+    return frozenset(
+        (m, n)
+        for m, n in itertools.product(range(6), repeat=2)
+        if 5 * (m + n) - 2 * m * n == 15
+    )
 
 
 def solve_cone_case() -> FrozenSet[Tuple[int, int]]:
     """m(m - 2n) + 5n = 15 over 0 <= m <= 5, 0 <= n <= 10."""
-    out = set()
-    for m in range(6):
-        for n in range(11):
-            if m * (m - 2 * n) + 5 * n == 15:
-                out.add((m, n))
-    return frozenset(out)
+    return frozenset(
+        (m, n)
+        for m, n in itertools.product(range(6), range(11))
+        if m * (m - 2 * n) + 5 * n == 15
+    )
 
 
 def intersection_identity() -> int:
@@ -85,7 +54,7 @@ def intersection_identity() -> int:
     downstairs = m1.pair(m2)
     if m1.pair(m1) != -1:
         raise AssertionError("M1 self-intersection should be -1")
-    return GROUP_ORDER * downstairs
+    return TORSION_ORDER * downstairs
 
 
 def self_intersection_downstairs() -> int:

@@ -2,7 +2,9 @@
 
 Primality, fifth roots of unity, projective-space enumeration over a prime
 field, and exact integer and rational linear algebra.  The prime-field
-checks themselves run on plain ints mod q.  The object layer here (FieldElement, SparsePolynomial,
+checks run on plain ints mod q, with one exception: the invariance check
+takes its fifth root of unity as a FieldElement from primitive_fifth_root.
+Otherwise the object layer here (FieldElement, SparsePolynomial,
 ProjectivePoint) is a second, independent representation of F_q and its
 polynomials, kept as the oracle the tests compare those checks against.
 All values are immutable and all operations are pure functions.
@@ -71,9 +73,6 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         return FieldElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -159,10 +158,6 @@ class SparsePolynomial:
                 clean[exps] = coeff
         self.terms = clean
         self.num_vars = num_vars
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePolynomial):

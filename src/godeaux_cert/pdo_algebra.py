@@ -638,9 +638,9 @@ def normalized_shape_preserved_under_special_change(
     rng = Random(seed)
     for _ in range(trials):
         P, Q = _random_normalized_pair(rng, x_precision)
-        b = Fraction(rng.randint(-2, 2))
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
-        d = Fraction(rng.randint(-2, 2))
+        b = rng.randint(-2, 2)
+        c = rng.choice(_NONZERO_2)
+        d = rng.randint(-2, 2)
         if not is_normalized_pair(special_change(P, b, c, d), special_change(Q, b, c, d)):
             return False
     return True
@@ -815,11 +815,11 @@ def run_property_suite(
     ]
     for _ in range(max(trials // 5, 20)):
         params = [
-            Fraction(rng.choice([-2, -1, 1, 2])),
-            Fraction(rng.randint(-2, 2)),
-            Fraction(rng.randint(-2, 2)),
-            Fraction(rng.randint(-2, 2)),
-            Fraction(rng.choice([-2, -1, 1, 2])),
+            rng.choice(_NONZERO_2),
+            rng.randint(-2, 2),
+            rng.randint(-2, 2),
+            rng.randint(-2, 2),
+            rng.choice(_NONZERO_2),
         ]
         P = random_operator(rng, T)
         Q = random_operator(rng, T)
@@ -861,9 +861,9 @@ def run_property_suite(
     qe_fail = 0
     for _ in range(max(trials // 5, 20)):
         P, Q = _random_normalized_pair(rng, T)
-        b = Fraction(rng.randint(-2, 2))
-        c = Fraction(rng.randint(-2, 2))
-        d = Fraction(rng.randint(-2, 2))
+        b = rng.randint(-2, 2)
+        c = rng.randint(-2, 2)
+        d = rng.randint(-2, 2)
         if not is_quasi_elliptic_pair(special_change(P, b, c, d), special_change(Q, b, c, d)):
             qe_fail += 1
     entries.append(

@@ -48,6 +48,10 @@ _MONOMIAL_ORDER: Tuple[Tuple[int, int, int, int], ...] = (
 # Coefficient positions (0-based) of the pure powers z1^5, z2^5, z3^5, z4^5.
 PURE_POWER_INDICES = (0, 7, 8, 9)
 
+# The 4 coordinate points of P^3: the fixed locus of the symmetry, and the
+# defining forms of the 4 invariant coordinate planes.
+_COORDINATE_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
 
 def enumerate_monomials() -> Tuple[Tuple[int, int, int, int], ...]:
     """Exhaustively solve n1+n2+n3+n4 = 5, n1+2n2+3n3+4n4 = 0 (mod 5).
@@ -136,7 +140,7 @@ def fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, int, int, int], ..
         raise ValueError("identity fixes everything")
     if len(set(g.weights)) != 4:
         raise ValueError(f"weights {g.weights} are not pairwise distinct")
-    return tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4))
+    return _COORDINATE_POINTS
 
 
 def free_action_check(a: Sequence[int], q: int) -> bool:
@@ -145,11 +149,11 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
     Two independent routes: evaluate at the four coordinate points, and
     test the pure-power coefficients a1*a8*a9*a10 != 0.  They must agree.
     """
-    points = fixed_points(GroupElement.generator(), q)
+    _require_prime(q)
     coeffs = _reduce_coeffs(a, q)
     by_eval = all(
         sum(c * math.prod(map(pow, pt, exps)) for c, exps in zip(coeffs, _MONOMIAL_ORDER)) % q
-        for pt in points
+        for pt in _COORDINATE_POINTS
     )
     by_coeff = all(coeffs[i] for i in PURE_POWER_INDICES)
     if by_eval != by_coeff:
@@ -253,9 +257,7 @@ def invariant_hyperplanes(
     w = tuple(x % 5 for x in weights)
     if len(set(w)) != 4:
         raise ValueError(f"weights {w} are not pairwise distinct")
-    return tuple(
-        tuple(1 if j == i else 0 for j in range(4)) for i in range(4)
-    )
+    return _COORDINATE_POINTS
 
 
 def brute_force_invariant_hyperplanes(g: GroupElement, q: int) -> int:

@@ -87,6 +87,9 @@ def test_bad_prime_exits_two(capsys):
         (["pdo", "--trials", "3"], {"pdo_budget": {"T": -3}}),
         (["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"], None),
         (["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"], None),
+        # too small to decide an order: bold_ord raises UndecidableOrderError
+        (["pdo"], {"pdo_budget": {"T": 7}}),
+        (["pdo", "--trials", "100"], {"pdo_budget": {"T": 8}}),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -104,6 +107,14 @@ def test_vanishing_coefficients_name_the_prime(capsys):
     # nonzero mod 31, zero mod 11
     assert run_cli(["surface", "--primes", "31,11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,22"]) == 2
     assert "mod the prime 11" in capsys.readouterr().err
+
+
+def test_unwritable_json_path_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert run_cli(["monomials", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(path) in err
 
 
 def test_config_file_and_flag_override(tmp_path):

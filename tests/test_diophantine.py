@@ -1,25 +1,7 @@
 """Bounded enumeration solvers against raw double-loop oracles."""
 
-import pytest
-
 from godeaux_cert import diophantine as dio
 from godeaux_cert.quintic_family import enumerate_monomials
-
-
-def test_box_constraint_validation():
-    with pytest.raises(ValueError):
-        dio.BoxConstraint(((1, 0),), (1,), 0)
-    with pytest.raises(ValueError):
-        dio.BoxConstraint(((0, 1),), (1, 2), 0)
-    with pytest.raises(ValueError):
-        dio.BoxConstraint(((0, 1),), (1,), 0, modulus=0)
-
-
-def test_box_constraint_solutions():
-    c = dio.BoxConstraint(((0, 3), (0, 3)), (1, 1), 3)
-    assert c.solutions() == {(0, 3), (1, 2), (2, 1), (3, 0)}
-    cm = dio.BoxConstraint(((0, 4),), (2,), 1, modulus=3)
-    assert cm.solutions() == {(2,)}
 
 
 def test_monomial_system_matches_family_listing():

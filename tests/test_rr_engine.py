@@ -1,5 +1,7 @@
 """Euler-characteristic arithmetic: Riemann-Roch, adjunction, Noether."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,11 +20,6 @@ def test_noether_enforced_in_constructor():
         rr.SurfaceInvariants(chi=1, K2=2, e=11)
     with pytest.raises(ValueError):
         rr.SurfaceInvariants(chi=2, K2=1, e=23, q=0, pg=0)  # chi != 1 - q + pg
-
-
-def test_b2_consistency():
-    with pytest.raises(ValueError):
-        rr.SurfaceInvariants(chi=1, K2=1, e=11, b2=8)
 
 
 def test_quotient_invariants():
@@ -89,6 +86,36 @@ def test_growth_check():
     assert not rr.growth_check(rr.NumericalDivisor(4, 2), m_max=5)
     with pytest.raises(ValueError):
         rr.growth_check(rr.NumericalDivisor(1, 1), m_max=2)
+
+
+def _fraction_growth_check(C, m_max):
+    """Oracle: fit a quadratic through m = 1, 2, 3 with Fractions, confirm it
+    reproduces every value up to m_max, and require leading coefficient 1/2."""
+
+    def chi_m(m):
+        return rr.chi_divisor(rr.GODEAUX, rr.NumericalDivisor(m * m * C.self_int, m * C.dot_K))
+
+    y1, y2, y3 = (Fraction(chi_m(m)) for m in (1, 2, 3))
+    # Newton's forward differences at m = 1, 2, 3.
+    lead = (y3 - 2 * y2 + y1) / 2
+    lin = (y2 - y1) - 3 * lead
+    const = y1 - lead - lin
+    for m in range(1, m_max + 1):
+        if lead * m * m + lin * m + const != chi_m(m):
+            return False
+    return lead == Fraction(1, 2)
+
+
+@given(
+    st.builds(
+        lambda sq, k: rr.NumericalDivisor(sq, 2 * k + sq % 2),
+        st.integers(-6, 6),
+        st.integers(-10, 10),
+    ),
+    st.integers(3, 12),
+)
+def test_growth_check_matches_fraction_fit(C, m_max):
+    assert rr.growth_check(C, m_max) == _fraction_growth_check(C, m_max)
 
 
 def test_chi_curve_sheaf():
