@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from random import Random
 from typing import List, Optional, Sequence
@@ -470,6 +471,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    created = False
+    if args.json:
+        created = not os.path.exists(args.json)
+        try:
+            # An unwritable path fails here, before any check runs; append
+            # mode leaves an old report at the path untouched.
+            open(args.json, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror}", file=sys.stderr)
+            return 2
+    code = 2
+    try:
+        code = _run_and_report(args, cfg)
+    finally:
+        if code == 2 and created:
+            os.remove(args.json)  # no empty or partial report is left behind
+    return code
+
+
+def _run_and_report(args: argparse.Namespace, cfg: dict) -> int:
     try:
         report = run(args.command, cfg)
     except (pdo_algebra.PrecisionError, pdo_algebra.UndecidableOrderError) as exc:

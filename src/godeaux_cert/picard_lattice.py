@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -43,7 +44,7 @@ class E8Vector:
 
     def dot(self, other: "E8Vector") -> int:
         """Intersection pairing; negative definite on nonzero vectors."""
-        s = sum(a * b for a, b in zip(self.c, other.c))
+        s = sum(map(operator.mul, self.c, other.c))
         if s % 4 != 0:
             raise AssertionError(f"non-integral pairing between {self.c} and {other.c}")
         return -(s // 4)
@@ -129,8 +130,9 @@ class PicardClass:
     def __sub__(self, other: "PicardClass") -> "PicardClass":
         return self + (-other)
 
-    @property
+    @functools.cached_property
     def numerics(self) -> rr_engine.NumericalDivisor:
+        """(D^2, D.K), worked out on first use and kept on the instance."""
         return rr_engine.NumericalDivisor(self.pair(self), self.pair(CANONICAL))
 
 

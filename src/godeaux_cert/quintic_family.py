@@ -14,7 +14,9 @@ At q = 5 the identity says nothing, and the scans refuse that prime.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -128,21 +130,6 @@ def invariance_check(a: Sequence[int], g: GroupElement, q: int) -> bool:
     return len(scalars) == 1
 
 
-def fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, int, int, int], ...]:
-    """Fixed points of g on P^3(F_q): the 4 coordinate points, as unit tuples.
-
-    Only elements with pairwise distinct weights are accepted; a repeated
-    weight fixes a positive-dimensional locus and falls outside the free
-    families handled here.
-    """
-    _require_prime(q)
-    if g.is_identity:
-        raise ValueError("identity fixes everything")
-    if len(set(g.weights)) != 4:
-        raise ValueError(f"weights {g.weights} are not pairwise distinct")
-    return _COORDINATE_POINTS
-
-
 def free_action_check(a: Sequence[int], q: int) -> bool:
     """No fixed point of the symmetry lies on the member.
 
@@ -151,14 +138,20 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
     """
     _require_prime(q)
     coeffs = _reduce_coeffs(a, q)
-    by_eval = all(
-        sum(c * math.prod(map(pow, pt, exps)) for c, exps in zip(coeffs, _MONOMIAL_ORDER)) % q
-        for pt in _COORDINATE_POINTS
-    )
+    by_eval = all(sum(map(operator.mul, coeffs, row)) % q for row in _monomial_values())
     by_coeff = all(coeffs[i] for i in PURE_POWER_INDICES)
     if by_eval != by_coeff:
         raise AssertionError("evaluation route and coefficient criterion disagree")
     return by_eval
+
+
+@functools.lru_cache(maxsize=1)
+def _monomial_values() -> Tuple[Tuple[int, ...], ...]:
+    """Row i holds the value of every monomial, in canonical order, at coordinate point i."""
+    return tuple(
+        tuple(math.prod(map(pow, pt, exps)) for exps in _MONOMIAL_ORDER)
+        for pt in _COORDINATE_POINTS
+    )
 
 
 def _int_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int, int]]]:
@@ -272,7 +265,7 @@ def brute_force_invariant_hyperplanes(g: GroupElement, q: int) -> int:
 
 
 def brute_force_fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, ...], ...]:
-    """Oracle for fixed_points: scan every point of P^3(F_q)."""
+    """Every fixed point of g on P^3(F_q), found by scanning every point."""
     eps = primitive_fifth_root(q)
     out = []
     for raw in iter_projective_coords(q, 3):

@@ -10,6 +10,7 @@ individual h^i is ever computed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -94,12 +95,19 @@ def prespectral_hilbert_check(
 
     The sheaf is modeled numerically as O(D + C) twisted by multiples of C
     on the Godeaux surface; it is smooth, so the Cartier multiplier is d = 1.
-    sq - dk is even because D^2 = D.K and m^2 C^2 = m C.K (mod 2).
+    The verdict depends only on six integers, so it is worked out once per
+    distinct input.
     """
+    return _hilbert_verdict(D.self_int, D.dot_K, C.self_int, C.dot_K, d_dot_c, n_max)
+
+
+@functools.lru_cache(maxsize=1024)
+def _hilbert_verdict(d_sq: int, d_k: int, c_sq: int, c_k: int, d_dot_c: int, n_max: int) -> bool:
+    # sq - dk is even because D^2 = D.K and m^2 C^2 = m C.K (mod 2).
     for n in range(n_max + 1):
         mult = n + 1
-        sq = D.self_int + 2 * mult * d_dot_c + mult * mult * C.self_int
-        dk = D.dot_K + mult * C.dot_K
+        sq = d_sq + 2 * mult * d_dot_c + mult * mult * c_sq
+        dk = d_k + mult * c_k
         chi = GODEAUX.chi + (sq - dk) // 2
         if chi != (n + 1) * (n + 2) // 2:
             return False

@@ -1,9 +1,11 @@
 """CLI: exit codes, config handling, determinism of JSON reports."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from godeaux_cert import cli
 
@@ -111,10 +113,115 @@ def test_vanishing_coefficients_name_the_prime(capsys):
 
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
     path = tmp_path / "missing" / "r.json"
-    assert run_cli(["monomials", "--json", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert str(path) in err
+    assert run_cli(["all", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert str(path) in captured.err
+    # the path is tried before any check runs
+    assert "[PASS]" not in captured.out
+
+
+def test_run_that_exits_two_leaves_no_report(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pdo_budget": {"T": 7}}))
+    path = tmp_path / "r.json"
+    assert run_cli(["pdo", "--config", str(cfg), "--json", str(path)]) == 2
+    assert not path.exists()
+    # an old report at the path is left as it was
+    path.write_text("old report")
+    assert run_cli(["pdo", "--config", str(cfg), "--json", str(path)]) == 2
+    assert path.read_text() == "old report"
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_NOT_INT = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.just({}),
+)
+_NOT_LIST = _NOT_INT.filter(lambda v: not isinstance(v, list))
+_CONFIG_KEYS = ("primes", "coefficients", "trials", "seed", "pdo_budget")
+# one strategy per way a config can be malformed
+_BAD_CONFIGS = {
+    "not_an_object": st.one_of(
+        st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=3)
+    ),
+    "unknown_key": st.text(min_size=1, max_size=8)
+    .filter(lambda k: k not in _CONFIG_KEYS)
+    .map(lambda k: {"primes": [11], k: 1}),
+    "primes_not_a_list": st.builds(lambda v: {"primes": v}, _NOT_LIST),
+    "primes_empty": st.just({"primes": []}),
+    "prime_not_an_int": st.builds(lambda v: {"primes": [11, v]}, _NOT_INT),
+    "prime_not_1_mod_5_or_composite": st.builds(
+        lambda q: {"primes": [11, q]},
+        st.integers(-100, 200).filter(lambda q: not (cli.is_prime(q) and q % 5 == 1)),
+    ),
+    "prime_repeated": st.builds(lambda q: {"primes": [q, 31, q]}, st.sampled_from((11, 41))),
+    "coefficients_not_a_list": st.builds(lambda v: {"coefficients": v}, _NOT_LIST),
+    "coefficients_wrong_count": st.builds(
+        lambda n: {"coefficients": [1] * n}, st.integers(0, 20).filter(lambda n: n != 12)
+    ),
+    "coefficient_not_an_int": st.builds(
+        lambda i, v: {"coefficients": [1] * i + [v] + [1] * (11 - i)}, st.integers(0, 11), _NOT_INT
+    ),
+    "coefficients_vanish_mod_a_prime": st.builds(
+        lambda q, k: {"primes": [q], "coefficients": [q * k] * 12},
+        st.sampled_from((11, 31, 41)),
+        st.integers(-3, 3),
+    ),
+    "trials_not_an_int": st.builds(lambda v: {"trials": v}, _NOT_INT),
+    "trials_below_one": st.builds(lambda v: {"trials": v}, st.integers(-10, 0)),
+    "seed_not_an_int": st.builds(lambda v: {"seed": v}, _NOT_INT),
+    "pdo_budget_not_an_object": st.builds(
+        lambda v: {"pdo_budget": v}, _NOT_INT.filter(lambda v: not isinstance(v, dict))
+    ),
+    "pdo_budget_unknown_key": st.text(min_size=1, max_size=8)
+    .filter(lambda k: k not in ("T", "d_bound"))
+    .map(lambda k: {"pdo_budget": {k: 1}}),
+    "T_not_an_int": st.builds(lambda v: {"pdo_budget": {"T": v}}, _NOT_INT),
+    "T_below_one": st.builds(lambda v: {"pdo_budget": {"T": v}}, st.integers(-10, 0)),
+    "d_bound_not_an_int": st.builds(lambda v: {"pdo_budget": {"d_bound": v}}, _NOT_INT),
+    "d_bound_negative": st.builds(lambda v: {"pdo_budget": {"d_bound": v}}, st.integers(-10, -1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_CONFIGS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_malformed_config_exits_two(tmp_path, capsys, kind, data):
+    config = data.draw(_BAD_CONFIGS[kind])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["monomials", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "[PASS]" not in captured.out
+
+
+def test_repeat_call_counts_are_kept(monkeypatch):
+    """suite_surface compares the free-action routes on 1,000 samples per prime
+    after the member's own check, and suite_rr checks 1,200 divisors x 4 curves."""
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli.quintic_family, "free_action_check")
+    count(cli.rr_engine, "prespectral_hilbert_check")
+    cfg = cli.load_config(cli.build_parser().parse_args(["all"]))
+    cli.suite_surface(cfg)
+    assert calls["free_action_check"] == 1001 * len(cfg["primes"]) == 3003
+    cli.suite_rr(cfg)
+    assert calls["prespectral_hilbert_check"] == 4800
 
 
 def test_config_file_and_flag_override(tmp_path):

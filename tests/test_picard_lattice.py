@@ -110,6 +110,14 @@ def test_divisors_have_expected_numerics():
         assert rr_engine.chi_divisor(rr_engine.GODEAUX, D.numerics) == 0
 
 
+def test_cached_numerics_match_pairings():
+    """numerics is (D^2, D.K), kept on the instance after the first read."""
+    classes = pl.divisors() + tuple(pl.divisor_candidates()) + pl.canonical_curves()
+    for D in classes:
+        assert D.numerics == rr_engine.NumericalDivisor(D.pair(D), D.pair(pl.CANONICAL))
+        assert D.numerics is D.numerics
+
+
 def test_divisor_tables_are_built_once():
     """The shared tuples equal a fresh build, and every call returns the same object."""
     fresh = tuple(pl.PicardClass(1, c.e, c.t) for c in pl.divisor_candidates())

@@ -1,11 +1,14 @@
 """Invariant quintic family: monomials, symmetry, freeness, smoothness."""
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from godeaux_cert.exact_arith import (
     FieldElement,
     SparsePolynomial,
+    _require_prime,
     iter_projective_coords,
     primitive_fifth_root,
     projective_points,
@@ -84,8 +87,23 @@ def test_group_element_powers():
     assert g.power(5).is_identity
 
 
+def _fixed_points(g, q):
+    """Fixed points of g on P^3(F_q): the 4 coordinate points, as unit tuples.
+
+    Only elements with pairwise distinct weights are accepted; a repeated
+    weight fixes a positive-dimensional locus and falls outside the free
+    families handled here.
+    """
+    _require_prime(q)
+    if g.is_identity:
+        raise ValueError("identity fixes everything")
+    if len(set(g.weights)) != 4:
+        raise ValueError(f"weights {g.weights} are not pairwise distinct")
+    return qf._COORDINATE_POINTS
+
+
 def test_fixed_points_are_coordinate_points():
-    assert qf.fixed_points(qf.GroupElement.generator(), 11) == (
+    assert _fixed_points(qf.GroupElement.generator(), 11) == (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
         (0, 0, 1, 0),
@@ -95,16 +113,16 @@ def test_fixed_points_are_coordinate_points():
 
 def test_fixed_points_match_brute_force():
     g = qf.GroupElement.generator()
-    assert set(qf.brute_force_fixed_points(g, 11)) == set(qf.fixed_points(g, 11))
+    assert set(qf.brute_force_fixed_points(g, 11)) == set(_fixed_points(g, 11))
     g2 = g.power(2)
-    assert set(qf.brute_force_fixed_points(g2, 11)) == set(qf.fixed_points(g2, 11))
+    assert set(qf.brute_force_fixed_points(g2, 11)) == set(_fixed_points(g2, 11))
 
 
 def test_fixed_points_rejects_identity_and_repeats():
     with pytest.raises(ValueError):
-        qf.fixed_points(qf.GroupElement((0, 0, 0, 0)), 11)
+        _fixed_points(qf.GroupElement((0, 0, 0, 0)), 11)
     with pytest.raises(ValueError):
-        qf.fixed_points(qf.GroupElement((1, 1, 2, 3)), 11)
+        _fixed_points(qf.GroupElement((1, 1, 2, 3)), 11)
 
 
 def test_free_action_fermat_true():
@@ -132,9 +150,29 @@ def test_free_action_matches_field_element_route(q, a):
     f = qf.build_quintic(a, q)
     points = [
         tuple(FieldElement(v, q) for v in pt)
-        for pt in qf.fixed_points(qf.GroupElement.generator(), q)
+        for pt in _fixed_points(qf.GroupElement.generator(), q)
     ]
     assert qf.free_action_check(a, q) == all(f.eval(p) for p in points)
+
+
+def _prod_route_free_action(a, q):
+    """Oracle: evaluate every monomial at every fixed point with math.prod."""
+    coeffs = [v % q for v in a]
+    return all(
+        sum(c * math.prod(map(pow, pt, exps)) for c, exps in zip(coeffs, qf._MONOMIAL_ORDER)) % q
+        for pt in _fixed_points(qf.GroupElement.generator(), q)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((11, 31, 41)),
+    st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=12, max_size=12),
+)
+def test_free_action_table_matches_prod_route(q, a):
+    """The monomial-value table gives the verdict of per-point evaluation."""
+    assume(any(v % q for v in a))
+    assert qf.free_action_check(a, q) == _prod_route_free_action(a, q)
 
 
 def test_smoothness_fermat_multi_prime():

@@ -1,5 +1,6 @@
 """Euler-characteristic arithmetic: Riemann-Roch, adjunction, Noether."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,46 @@ def test_hilbert_condition_fails_off_pattern():
     D = rr.NumericalDivisor(0, 0)
     C = rr.NumericalDivisor(1, 1)
     assert not rr.prespectral_hilbert_check(D, C, d_dot_c=0, n_max=3)
+
+
+def _uncached_hilbert_check(D, C, d_dot_c, n_max):
+    """Oracle: the per-n loop, evaluated afresh on every call."""
+    for n in range(n_max + 1):
+        mult = n + 1
+        sq = D.self_int + 2 * mult * d_dot_c + mult * mult * C.self_int
+        dk = D.dot_K + mult * C.dot_K
+        if rr.GODEAUX.chi + (sq - dk) // 2 != (n + 1) * (n + 2) // 2:
+            return False
+    return True
+
+
+def _hilbert_input(c_k, d_k, slips):
+    """Numerics that pass the Hilbert condition for every n, then shifted.
+
+    The condition holds for all n exactly when C^2 = 1, 2 D.C - C.K = 1 and
+    D^2 - D.K = -2.  The slips move C^2 (and C.K with it, to keep the
+    parity), D.C, and D^2 (by twice the slip); nonzero slips give inputs
+    that fail at some n, not always at n = 0.
+    """
+    C = rr.NumericalDivisor(1 + slips[0], 2 * c_k + 1 + slips[0])
+    D = rr.NumericalDivisor(2 * d_k - 2 + 2 * slips[2], 2 * d_k)
+    return D, C, c_k + 1 + slips[1]
+
+
+def test_memoized_hilbert_check_matches_loop():
+    seen_fail_after_zero = False
+    for c_k, d_k in itertools.product((-2, 0, 3), repeat=2):
+        for slips in itertools.product((-2, -1, 0, 1, 2), repeat=3):
+            D, C, dc = _hilbert_input(c_k, d_k, slips)
+            for n_max in range(13):
+                expected = _uncached_hilbert_check(D, C, dc, n_max)
+                if slips == (0, 0, 0):
+                    assert expected
+                seen_fail_after_zero |= _uncached_hilbert_check(D, C, dc, 0) and not expected
+                # the first call may fill the cache, the second reads it
+                assert rr.prespectral_hilbert_check(D, C, dc, n_max) == expected
+                assert rr.prespectral_hilbert_check(D, C, dc, n_max) == expected
+    assert seen_fail_after_zero
 
 
 def test_growth_check():
