@@ -342,14 +342,11 @@ SUITE_FUNCS = {
 SUITES = tuple(SUITE_FUNCS)
 
 
-def _parse_int_list(text: str, expect: Optional[int] = None) -> tuple:
+def _parse_int_list(text: str) -> tuple:
     try:
-        vals = tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from exc
-    if expect is not None and len(vals) != expect:
-        raise ValueError(f"expected {expect} integers, got {len(vals)}")
-    return vals
 
 
 def _json_int(name: str, val) -> int:
@@ -375,7 +372,10 @@ def load_config(args: argparse.Namespace) -> dict:
     }
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError("config file nests JSON too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
         _reject_unknown("config", raw, cfg)
@@ -391,15 +391,16 @@ def load_config(args: argparse.Namespace) -> dict:
     if args.primes:
         cfg["primes"] = _parse_int_list(args.primes)
     if args.coeffs:
-        cfg["coefficients"] = _parse_int_list(args.coeffs, expect=12)
+        cfg["coefficients"] = _parse_int_list(args.coeffs)
     if args.trials is not None:
         cfg["trials"] = args.trials
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg["primes"] = tuple(_json_int("prime", q) for q in cfg["primes"])
     cfg["coefficients"] = tuple(_json_int("coefficient", v) for v in cfg["coefficients"])
-    if len(cfg["coefficients"]) != 12:
-        raise ValueError("coefficient vector must have 12 entries")
+    n = len(cfg["coefficients"])
+    if n != 12:
+        raise ValueError(f"coefficient vector must have 12 entries, got {n}")
     if not cfg["primes"]:
         raise ValueError("at least one prime is needed")
     repeated = sorted({q for q in cfg["primes"] if cfg["primes"].count(q) > 1})

@@ -18,6 +18,7 @@ predicates, linear changes of variables, and the residue-module action.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from collections.abc import Mapping
@@ -121,8 +122,8 @@ class TruncatedOperator:
         return op
 
     @classmethod
-    def zero(cls, x_precision: int, d_bound: int = 0) -> "TruncatedOperator":
-        return cls({}, x_precision, d_bound)
+    def zero(cls, x_precision: int) -> "TruncatedOperator":
+        return cls({}, x_precision)
 
     @classmethod
     def one(cls, x_precision: int) -> "TruncatedOperator":
@@ -149,7 +150,7 @@ class TruncatedOperator:
         return TruncatedOperator._trusted(
             {k: n for k, n in self.num.items() if k[0] + k[1] < x_precision},
             self.den,
-            min(self.x_precision, x_precision),
+            x_precision,
             self.d_bound,
         )
 
@@ -291,24 +292,25 @@ def symbol(P: TruncatedOperator) -> TruncatedOperator:
     return homogeneous_component(P, -d)
 
 
-def ord_gamma(P: TruncatedOperator) -> Tuple[int, int]:
-    """(k, l): l the top d2-degree, k the d1-order of its coefficient."""
+def _top_d2(P: TruncatedOperator) -> Tuple[int, Dict[Key, int]]:
+    """(l, the terms of d2-degree l) for the top d2-degree l of P."""
     if P.is_zero:
         raise ValueError("zero operator has no graded order")
-    l = max(k2 for (_, _, _, k2) in P.num)
-    k = max(k1 for (_, _, k1, k2) in P.num if k2 == l)
-    return (k, l)
+    l = max(key[3] for key in P.num)
+    return l, {key: n for key, n in P.num.items() if key[3] == l}
+
+
+def ord_gamma(P: TruncatedOperator) -> Tuple[int, int]:
+    """(k, l): l the top d2-degree, k the d1-order of its coefficient."""
+    l, top = _top_d2(P)
+    return (max(key[2] for key in top), l)
 
 
 def ht_2(P: TruncatedOperator) -> TruncatedOperator:
     """The coefficient of the top d2-power, with that power stripped off."""
-    _, l = ord_gamma(P)
+    _, top = _top_d2(P)
     return TruncatedOperator._trusted(
-        {
-            (i1, i2, k1, 0): n
-            for (i1, i2, k1, k2), n in P.num.items()
-            if k2 == l
-        },
+        {(i1, i2, k1, 0): n for (i1, i2, k1, _), n in top.items()},
         P.den,
         P.x_precision,
         P.d_bound,
@@ -319,11 +321,9 @@ def is_monic(P: TruncatedOperator) -> bool:
     """Top coefficient is exactly 1 (constant, no x-dependence)."""
     if P.is_zero:
         return False
-    k, l = ord_gamma(P)
-    top = {
-        key: n for key, n in P.num.items() if key[3] == l and key[2] == k
-    }
-    return top == {(0, 0, k, l): P.den}
+    l, top = _top_d2(P)
+    k = max(key[2] for key in top)
+    return {key: n for key, n in top.items() if key[2] == k} == {(0, 0, k, l): P.den}
 
 
 def a1_check(P: TruncatedOperator, m: int) -> bool:
@@ -359,16 +359,12 @@ def is_normalized_pair(P: TruncatedOperator, Q: TruncatedOperator) -> bool:
     """P = d2^k + (terms of d2-degree <= k-2), Q = d1 d2^l + lower d2-terms."""
     if P.is_zero or Q.is_zero:
         return False
-    k = max(k2 for (_, _, _, k2) in P.num)
-    if k < 1:
-        return False
-    p_top = {key: n for key, n in P.num.items() if key[3] == k}
-    if p_top != {(0, 0, 0, k): P.den}:
+    k, p_top = _top_d2(P)
+    if k < 1 or p_top != {(0, 0, 0, k): P.den}:
         return False
     if any(key[3] == k - 1 for key in P.num):
         return False
-    l = max(k2 for (_, _, _, k2) in Q.num)
-    q_top = {key: n for key, n in Q.num.items() if key[3] == l}
+    l, q_top = _top_d2(Q)
     return q_top == {(0, 0, 1, l): Q.den}
 
 
@@ -488,7 +484,7 @@ def to_string(P: TruncatedOperator) -> str:
     bits: List[str] = []
     for key, v in sorted(P.coeffs.items()):
         factors = []
-        for name, slot in (("x1", 0), ("x2", 1), ("d1", 2), ("d2", 3)):
+        for name, slot in _SLOT.items():
             e = key[slot]
             if e == 1:
                 factors.append(name)
@@ -510,8 +506,6 @@ def parse_operator(
 ) -> TruncatedOperator:
     """Parse the term grammar `coef x1^i1 x2^i2 d1^k1 d2^k2` joined by +/-."""
     compact = "".join(text.split())
-    if compact in ("", "0"):
-        return TruncatedOperator.zero(x_precision, d_bound or 0)
     acc: Dict[Key, Fraction] = {}
     for raw in compact.replace("-", "+-").split("+"):
         if not raw:
@@ -607,23 +601,33 @@ def _random_graded_monic(rng: Random, x_precision: int) -> TruncatedOperator:
     return _from_pairs(pairs, x_precision, max(k + l, 4))
 
 
+def _monic_with_tail(rng: Random, top: Key, s_max: int, x_precision: int):
+    """top plus 0-3 random terms of d2-degree <= s_max; d_bound is top[3] + 2."""
+    pairs: Dict[Key, Tuple[int, int]] = {top: (1, 1)}
+    for _ in range(rng.randint(0, 3)):
+        s = rng.randint(0, s_max)
+        key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
+        pairs[key] = (rng.choice(_NONZERO_2), 1)
+    return _from_pairs(pairs, x_precision, top[3] + 2)
+
+
 def _random_normalized_pair(rng: Random, x_precision: int):
     """Pair matching the normalized shape with random admissible tails."""
     k = rng.randint(2, 3)
     l = rng.randint(1, 2)
-    p_pairs: Dict[Key, Tuple[int, int]] = {(0, 0, 0, k): (1, 1)}
-    for _ in range(rng.randint(0, 3)):
-        s = rng.randint(0, k - 2)
-        key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
-        p_pairs[key] = (rng.choice(_NONZERO_2), 1)
-    q_pairs: Dict[Key, Tuple[int, int]] = {(0, 0, 1, l): (1, 1)}
-    for _ in range(rng.randint(0, 3)):
-        s = rng.randint(0, l - 1)
-        key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
-        q_pairs[key] = (rng.choice(_NONZERO_2), 1)
-    P = _from_pairs(p_pairs, x_precision, k + 2)
-    Q = _from_pairs(q_pairs, x_precision, l + 2)
+    P = _monic_with_tail(rng, (0, 0, 0, k), k - 2, x_precision)
+    Q = _monic_with_tail(rng, (0, 0, 1, l), l - 1, x_precision)
     return P, Q
+
+
+def _sheared_normalized_pairs(rng: Random, x_precision: int, count: int):
+    """count random normalized pairs, each after a shear with c != 0."""
+    for _ in range(count):
+        P, Q = _random_normalized_pair(rng, x_precision)
+        b = rng.randint(-2, 2)
+        c = rng.choice(_NONZERO_2)
+        d = rng.randint(-2, 2)
+        yield special_change(P, b, c, d), special_change(Q, b, c, d)
 
 
 def normalized_shape_preserved_under_special_change(
@@ -635,15 +639,14 @@ def normalized_shape_preserved_under_special_change(
     random nonzero shear parameters.  Returns True only if the shape
     survives in every trial.
     """
-    rng = Random(seed)
-    for _ in range(trials):
-        P, Q = _random_normalized_pair(rng, x_precision)
-        b = rng.randint(-2, 2)
-        c = rng.choice(_NONZERO_2)
-        d = rng.randint(-2, 2)
-        if not is_normalized_pair(special_change(P, b, c, d), special_change(Q, b, c, d)):
-            return False
-    return True
+    pairs = _sheared_normalized_pairs(Random(seed), x_precision, trials)
+    return all(is_normalized_pair(P, Q) for P, Q in pairs)
+
+
+def _agree(A: TruncatedOperator, B: TruncatedOperator) -> bool:
+    """Same terms below the common x-precision of A and B."""
+    t = min(A.x_precision, B.x_precision)
+    return A.truncate(t) == B.truncate(t)
 
 
 def run_property_suite(
@@ -685,8 +688,7 @@ def run_property_suite(
         R = random_operator(rng, T)
         left = op_mul(op_mul(P, Q), R)
         right = op_mul(P, op_mul(Q, R))
-        t = min(left.x_precision, right.x_precision)
-        if left.truncate(t) != right.truncate(t):
+        if not _agree(left, right):
             assoc_fail += 1
     entries.append(
         check(
@@ -713,8 +715,7 @@ def run_property_suite(
             eq_seen += 1
             if bo != total:
                 eq_fail += 1
-            t = min(prod.x_precision, ss.x_precision)
-            if symbol(prod).truncate(t) != ss.truncate(t):
+            if not _agree(symbol(prod), ss):
                 sym_fail += 1
     entries.append(
         check(
@@ -768,9 +769,7 @@ def run_property_suite(
         kq, lq = ord_gamma(Q)
         if ord_gamma(prod) != (kp + kq, lp + lq):
             gamma_fail += 1
-        ht = op_mul(ht_2(P), ht_2(Q))
-        t = min(prod.x_precision, ht.x_precision)
-        if ht_2(prod).truncate(t) != ht.truncate(t):
+        if not _agree(ht_2(prod), op_mul(ht_2(P), ht_2(Q))):
             ht_fail += 1
     entries.append(
         check(
@@ -825,8 +824,7 @@ def run_property_suite(
         Q = random_operator(rng, T)
         lhs = change_variables(op_mul(P, Q), *params)
         rhs = op_mul(change_variables(P, *params), change_variables(Q, *params))
-        t = min(lhs.x_precision, rhs.x_precision)
-        if lhs.truncate(t) != rhs.truncate(t):
+        if not _agree(lhs, rhs):
             hom_fail += 1
         imgs = [change_variables(g, *params) for g in gens]
         for di in (2, 3):
@@ -858,14 +856,10 @@ def run_property_suite(
         )
     )
 
-    qe_fail = 0
-    for _ in range(max(trials // 5, 20)):
-        P, Q = _random_normalized_pair(rng, T)
-        b = rng.randint(-2, 2)
-        c = rng.randint(-2, 2)
-        d = rng.randint(-2, 2)
-        if not is_quasi_elliptic_pair(special_change(P, b, c, d), special_change(Q, b, c, d)):
-            qe_fail += 1
+    qe_fail = sum(
+        not is_quasi_elliptic_pair(P, Q)
+        for P, Q in _sheared_normalized_pairs(rng, T, max(trials // 5, 20))
+    )
     entries.append(
         check(
             "pdo.quasi_elliptic_preserved",
@@ -926,13 +920,9 @@ def run_property_suite(
         )
     )
     torsion_fail = 0
-    for _ in range(trials):
-        p1, p2 = rng.randint(0, 2), rng.randint(0, 2)
-        k = rng.randint(1, 3)
-        res = spectral_module_action(
-            TruncatedOperator.monomial((0, 0, 0, k), T), (p1, p2)
-        )
-        if not any(res.values()):
+    for p1, p2, k in itertools.product(range(3), range(3), range(1, 4)):
+        d2k = TruncatedOperator.monomial((0, 0, 0, k), T)
+        if not any(spectral_module_action(d2k, (p1, p2)).values()):
             torsion_fail += 1
     entries.append(
         check(

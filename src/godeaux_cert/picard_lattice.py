@@ -170,10 +170,6 @@ class DivisorClassOrbit:
 
     members: frozenset
 
-    def __post_init__(self) -> None:
-        if len(self.members) != 10:
-            raise ValueError(f"orbit has size {len(self.members)}, expected 10")
-
 
 def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
     """Partition the 1200 divisors into 120 orbits of size 10, built once."""

@@ -48,9 +48,15 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
-def test_bad_coeff_count_exits_two(capsys):
+def test_bad_coeff_count_exits_two(tmp_path, capsys):
     assert run_cli(["surface", "--coeffs", "1,2,3"]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "must have 12 entries, got 3" in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"coefficients": [1] * 13}))
+    assert run_cli(["surface", "--config", str(path)]) == 2
+    assert "must have 12 entries, got 13" in capsys.readouterr().err
 
 
 def test_bad_prime_exits_two(capsys):
@@ -103,6 +109,24 @@ def test_malformed_input_exits_two(tmp_path, capsys, args, config):
     # user would see) fails the test before the exit code is compared
     assert run_cli(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deeply_nested_config_exits_two(tmp_path, capsys):
+    # json.dumps cannot build this: it recurses as deep as the parser does
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli(["monomials", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "[PASS]" not in captured.out
+
+
+def test_wrong_orbit_size_is_a_failed_check(monkeypatch, capsys):
+    orbits = cli.picard_lattice.partition_orbits()
+    short = cli.picard_lattice.DivisorClassOrbit(frozenset(list(orbits[0].members)[:9]))
+    monkeypatch.setattr(cli.picard_lattice, "partition_orbits", lambda: (short,) + orbits[1:])
+    assert run_cli(["counts"]) == 1
+    assert "[FAIL] counts.orbit_sizes:" in capsys.readouterr().out
 
 
 def test_vanishing_coefficients_name_the_prime(capsys):

@@ -1,5 +1,6 @@
 """Truncated operator ring: product, orders, symbols, substitutions."""
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -353,6 +354,101 @@ def _operators(draw):
     return pa.TruncatedOperator(coeffs, T, d_bound)
 
 
+@st.composite
+def _graded_operators(draw):
+    """_operators(), often with a monic term d1^k d2^l at or above its top d2-degree.
+
+    With l two above the old top, the d2^(l-1) row is empty, so normalized,
+    monic and quasi-elliptic shapes all occur as well as their failures.
+    """
+    P = draw(_operators())
+    if draw(st.booleans()):
+        top = max((key[3] for key in P.num), default=0)
+        key = (0, 0, draw(st.integers(0, 2)), top + draw(st.integers(0, 2)))
+        P = pa.TruncatedOperator({**P.coeffs, key: 1}, P.x_precision)
+    return P
+
+
+def _d2_rows(P):
+    """{j: A_j} for P = sum over j of A_j d2^j, each A_j a Fraction map on (i1, i2, k1)."""
+    rows = {}
+    for (i1, i2, k1, k2), v in P.coeffs.items():
+        rows.setdefault(k2, {})[(i1, i2, k1)] = v
+    return rows
+
+
+def _plain_ord_gamma(P):
+    rows = _d2_rows(P)
+    l = max(rows)
+    return max(k1 for (_, _, k1) in rows[l]), l
+
+
+def _plain_is_monic(P):
+    """The top d1-part of the top d2-row is exactly d1^k."""
+    if P.is_zero:
+        return False
+    k, l = _plain_ord_gamma(P)
+    top = {key: v for key, v in _d2_rows(P)[l].items() if key[2] == k}
+    return top == {(0, 0, k): 1}
+
+
+def _plain_is_quasi_elliptic_pair(P, Q):
+    if P.is_zero or Q.is_zero:
+        return False
+    (kp, lp), (kq, _) = _plain_ord_gamma(P), _plain_ord_gamma(Q)
+    return kp == 0 and lp >= 1 and kq == 1 and _plain_is_monic(P) and _plain_is_monic(Q)
+
+
+def _plain_is_normalized_pair(P, Q):
+    """Top d2-row of P is 1 at some k >= 1 and its row k - 1 is empty; top row of Q is d1."""
+    if P.is_zero or Q.is_zero:
+        return False
+    p_rows, q_rows = _d2_rows(P), _d2_rows(Q)
+    k = max(p_rows)
+    return (
+        k >= 1
+        and p_rows[k] == {(0, 0, 0): 1}
+        and k - 1 not in p_rows
+        and q_rows[max(q_rows)] == {(0, 0, 1): 1}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_operators(), _graded_operators())
+def test_top_d2_readers_match_plain_definitions(P, Q):
+    for R in (P, Q):
+        if R.is_zero:
+            with pytest.raises(ValueError):
+                pa.ord_gamma(R)
+            with pytest.raises(ValueError):
+                pa.ht_2(R)
+            continue
+        assert pa.ord_gamma(R) == _plain_ord_gamma(R)
+        row = _d2_rows(R)[_plain_ord_gamma(R)[1]]
+        ht = pa.ht_2(R)
+        assert ht.coeffs == {(i1, i2, k1, 0): v for (i1, i2, k1), v in row.items()}
+        assert (ht.x_precision, ht.d_bound) == (R.x_precision, R.d_bound)
+        _assert_trusted_invariants(ht)
+    assert pa.is_monic(P) == _plain_is_monic(P)
+    for A, B in ((P, Q), (Q, P), (P, P)):
+        assert pa.is_quasi_elliptic_pair(A, B) == _plain_is_quasi_elliptic_pair(A, B)
+        assert pa.is_normalized_pair(A, B) == _plain_is_normalized_pair(A, B)
+
+
+def test_pair_predicates_match_plain_definitions_on_generated_pairs():
+    """Normalized pairs, their shears and graded monic operators: mostly positive cases."""
+    rng = Random(5)
+    for _ in range(100):
+        P, Q = pa._random_normalized_pair(rng, T)
+        [(P2, Q2)] = pa._sheared_normalized_pairs(rng, T, 1)
+        M = pa._random_graded_monic(rng, T)
+        for A, B in ((P, Q), (P2, Q2), (Q, P), (M, Q), (P, M)):
+            assert pa.is_monic(A) == _plain_is_monic(A)
+            assert pa.is_quasi_elliptic_pair(A, B) == _plain_is_quasi_elliptic_pair(A, B)
+            assert pa.is_normalized_pair(A, B) == _plain_is_normalized_pair(A, B)
+        assert pa.is_normalized_pair(P, Q) and pa.is_quasi_elliptic_pair(P2, Q2)
+
+
 def _assert_trusted_invariants(R):
     """What the public constructor would have enforced, and the canonical form."""
     assert all(isinstance(v, Fraction) and v != 0 for v in R.coeffs.values())
@@ -466,6 +562,39 @@ def test_normalized_shape_not_preserved_by_shear():
     assert pa.normalized_shape_preserved_under_special_change(trials=20, seed=1) is False
 
 
+def _old_normalized_shape_loop(trials, seed, x_precision=T):
+    """Oracle: the loop normalized_shape_preserved_under_special_change ran on its own.
+
+    Returns its verdict and every sheared pair it would have tested had it
+    not stopped at the first failure, with the Random left after all trials.
+    """
+    rng = Random(seed)
+    pairs = []
+    for _ in range(trials):
+        P, Q = _fraction_random_normalized_pair(rng, x_precision)
+        b = rng.randint(-2, 2)
+        c = rng.choice(_NONZERO_2)
+        d = rng.randint(-2, 2)
+        pairs.append((pa.special_change(P, b, c, d), pa.special_change(Q, b, c, d)))
+    return all(pa.is_normalized_pair(P, Q) for P, Q in pairs), pairs, rng
+
+
+def test_shared_shear_generator_matches_old_loop():
+    for seed in range(50):
+        trials, x_precision = 1 + seed % 7, (6, 12, 16)[seed % 3]
+        verdict, pairs, twin = _old_normalized_shape_loop(trials, seed, x_precision)
+        got = pa.normalized_shape_preserved_under_special_change(trials, seed, x_precision)
+        assert got is verdict
+        rng = Random(seed)
+        shared = list(pa._sheared_normalized_pairs(rng, x_precision, trials))
+        assert rng.getstate() == twin.getstate()
+        for (gp, gq), (wp, wq) in zip(shared, pairs, strict=True):
+            for g, w in ((gp, wp), (gq, wq)):
+                assert (g.num, g.den) == (w.num, w.den)
+                assert list(g.num) == list(w.num)
+                assert (g.x_precision, g.d_bound) == (w.x_precision, w.d_bound)
+
+
 def test_quasi_ellipticity_preserved_by_shear():
     rng = Random(3)
     for _ in range(30):
@@ -512,6 +641,14 @@ def test_parse_round_trip():
 def test_to_string_parse_identity(coeffs):
     P = pa.TruncatedOperator(coeffs, T)
     assert pa.parse_operator(pa.to_string(P), T) == P
+
+
+def test_parse_zero_matches_constructor():
+    for text, x_precision, d_bound in itertools.product(["", "0", " 0 "], [1, 12], [None, 0, 3]):
+        got = pa.parse_operator(text, x_precision, d_bound)
+        want = pa.TruncatedOperator({}, x_precision, d_bound)
+        assert (got.num, got.den) == (want.num, want.den) == ({}, 1)
+        assert (got.x_precision, got.d_bound) == (want.x_precision, want.d_bound)
 
 
 def test_parse_rejects_garbage():
