@@ -96,8 +96,10 @@ def prespectral_hilbert_check(
     The sheaf is modeled numerically as O(D + C) twisted by multiples of C
     on the Godeaux surface; it is smooth, so the Cartier multiplier is d = 1.
     The verdict depends only on six integers, so it is worked out once per
-    distinct input.
+    distinct input.  n_max < 0 would check nothing, so it is refused.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     return _hilbert_verdict(D.self_int, D.dot_K, C.self_int, C.dot_K, d_dot_c, n_max)
 
 

@@ -662,3 +662,145 @@ def test_property_suite_small_run_is_green():
     entries = pa.run_property_suite(trials=40, seed=11)
     assert entries
     assert all(e.status == "pass" for e in entries)
+
+
+def test_suite_refuses_zero_trials():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            pa.run_property_suite(trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            pa.normalized_shape_preserved_under_special_change(trials=trials)
+
+
+def _basis_keys(x_precision):
+    """Keys random_operator can draw at this precision, from its loop bounds."""
+    return {
+        (i1, i2, k1, k2)
+        for i1 in range(3)
+        for i2 in range(3 - i1)
+        for k1 in range(3)
+        for k2 in range(3 - k1)
+        if i1 + i2 < x_precision
+    }
+
+
+def test_random_operator_basis_shape():
+    for x_precision in range(1, 21):
+        basis = pa._random_operator_basis(x_precision)
+        *monomials, one = basis
+        assert (one.num, one.den, one.d_bound) == ({(0, 0, 0, 0): 1}, 1, 0)
+        assert [(B.den, B.d_bound) for B in monomials] == [(1, 2)] * len(monomials)
+        assert all(list(B.num.values()) == [1] for B in monomials)
+        keys = [key for B in monomials for key in B.num]
+        assert len(keys) == len(set(keys)) and set(keys) == _basis_keys(x_precision)
+        assert {B.x_precision for B in basis} == {x_precision}
+    assert len(pa._random_operator_basis(12)) == 37
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_random_operator_lies_in_basis_span(seed, x_precision):
+    """The premise of the basis certificates in run_property_suite."""
+    rng = Random(seed)
+    one = pa.TruncatedOperator.one(x_precision)
+    keys = _basis_keys(x_precision)
+    for _ in range(20):
+        P = pa.random_operator(rng, x_precision)
+        assert P.x_precision == x_precision
+        if P.d_bound == 0:
+            assert (P.num, P.den) == (one.num, one.den)
+        else:
+            assert P.d_bound == 2 and set(P.num) <= keys
+
+
+def _sampled_precision_failures(rng, x_precision, trials):
+    """Oracle: the sampled precision-soundness loop the suite used to run."""
+    fail = 0
+    for _ in range(trials):
+        P = pa.random_operator(rng, x_precision)
+        Q = pa.random_operator(rng, x_precision)
+        low = pa.op_mul(P, Q)
+        hi_p = pa.TruncatedOperator._trusted(P.num, P.den, x_precision + 6, P.d_bound)
+        hi_q = pa.TruncatedOperator._trusted(Q.num, Q.den, x_precision + 6, Q.d_bound)
+        if pa.op_mul(hi_p, hi_q).truncate(low.x_precision) != low:
+            fail += 1
+    return fail
+
+
+def _sampled_reassembly_failures(rng, x_precision, trials):
+    """Oracle: the sampled component-reassembly loop the suite used to run."""
+    fail = 0
+    for _ in range(trials):
+        P = pa.random_operator(rng, x_precision)
+        total = pa.TruncatedOperator.zero(x_precision)
+        for m in {(k[0] + k[1]) - (k[2] + k[3]) for k in P.num}:
+            total = total + pa.homogeneous_component(P, m)
+        if total != P:
+            fail += 1
+    return fail
+
+
+def _suite_reading(check_id, **kwargs):
+    entries = pa.run_property_suite(**kwargs)
+    (entry,) = [e for e in entries if e.check_id == check_id]
+    return entry.actual
+
+
+def test_basis_certificates_agree_with_sampled_oracles():
+    for x_precision in (12, 16):
+        for check_id in ("pdo.precision_soundness", "pdo.component_reassembly"):
+            assert _suite_reading(check_id, trials=1, x_precision=x_precision) == 0
+        for seed in range(5):
+            rng = Random(seed)
+            assert _sampled_precision_failures(rng, x_precision, 500) == 0
+            assert _sampled_reassembly_failures(rng, x_precision, 500) == 0
+
+
+def test_precision_certificate_catches_one_bad_pair(monkeypatch):
+    """A wrong high-precision product of one basis pair reads exactly 1."""
+    real_mul = pa.op_mul
+    x_precision = 12
+
+    def corrupt_mul(P, Q):
+        prod = real_mul(P, Q)
+        if (
+            P.x_precision == Q.x_precision == x_precision + 6
+            and (P.num, P.den, Q.num, Q.den) == ({(2, 0, 0, 2): 1}, 1, {(0, 2, 2, 0): 1}, 1)
+        ):
+            return prod + pa.TruncatedOperator.one(prod.x_precision)
+        return prod
+
+    monkeypatch.setattr(pa, "op_mul", corrupt_mul)
+    assert _suite_reading("pdo.precision_soundness", trials=1, x_precision=x_precision) == 1
+
+
+_REAL_COMPONENT = pa.homogeneous_component
+# grades of the basis at T = 12; one(T) adds one more at grade 0
+_BASIS_GRADES = [(k[0] + k[1]) - (k[2] + k[3]) for k in _basis_keys(12)] + [0]
+
+
+def _dropping(grade):
+    return lambda P, m: (
+        pa.TruncatedOperator.zero(P.x_precision) if m == grade else _REAL_COMPONENT(P, m)
+    )
+
+
+@pytest.mark.parametrize(
+    "component, want",
+    [
+        # losing grade g fails once per basis operator of grade g
+        *((_dropping(g), _BASIS_GRADES.count(g)) for g in range(-2, 3)),
+        # ignoring m keeps each basis operator at its 4 other grades
+        (lambda P, m: P, 37 * 4),
+        # keeping grades m and m + 1 keeps each one once more, at m = g - 1,
+        # except those of grade -2, for which m = -3 is not checked
+        (
+            lambda P, m: _REAL_COMPONENT(P, m) + _REAL_COMPONENT(P, m + 1),
+            37 - _BASIS_GRADES.count(-2),
+        ),
+    ],
+    ids=[f"drops-{g}" for g in range(-2, 3)] + ["ignores-m", "keeps-m-and-m+1"],
+)
+def test_reassembly_certificate_catches_a_wrong_component(monkeypatch, component, want):
+    monkeypatch.setattr(pa, "homogeneous_component", component)
+    assert _suite_reading("pdo.component_reassembly", trials=1) == want

@@ -81,6 +81,16 @@ def test_hilbert_condition_fails_off_pattern():
     assert not rr.prespectral_hilbert_check(D, C, d_dot_c=0, n_max=3)
 
 
+def test_hilbert_condition_refuses_empty_range():
+    # D^2 = 3 fails at n = 0, so a negative n_max must not read as a pass
+    D = rr.NumericalDivisor(3, 1)
+    C = rr.NumericalDivisor(1, 1)
+    assert not rr.prespectral_hilbert_check(D, C, 1, 0)
+    for n_max in (-1, -5):
+        with pytest.raises(ValueError, match="n_max"):
+            rr.prespectral_hilbert_check(D, C, 1, n_max)
+
+
 def _uncached_hilbert_check(D, C, d_dot_c, n_max):
     """Oracle: the per-n loop, evaluated afresh on every call."""
     for n in range(n_max + 1):
