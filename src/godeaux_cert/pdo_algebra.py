@@ -285,11 +285,8 @@ def homogeneous_component(P: TruncatedOperator, m: int) -> TruncatedOperator:
 
 
 def symbol(P: TruncatedOperator) -> TruncatedOperator:
-    """The homogeneous component of P at grade -ord(P)."""
-    d = bold_ord(P)
-    if d == NEG_INF:
-        return TruncatedOperator._trusted({}, 1, P.x_precision, P.d_bound)
-    return homogeneous_component(P, -d)
+    """The homogeneous component of P at grade -ord(P), which is +inf (so zero) for P = 0."""
+    return homogeneous_component(P, -bold_ord(P))
 
 
 def _top_d2(P: TruncatedOperator) -> Tuple[int, Dict[Key, int]]:
@@ -677,6 +674,12 @@ def run_property_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a draw; below it, draws decide
+        raise PrecisionError(
+            f"the property suite needs x_precision >= 10, got {x_precision}: a product of two "
+            "random operators has precision T - 2, derivative bound 4 and order >= -4, so "
+            "its order is decidable for every draw only when T >= 10"
+        )
     rng = Random(seed)
     T = x_precision
     entries: List[CheckEntry] = []

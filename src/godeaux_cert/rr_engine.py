@@ -96,7 +96,8 @@ def prespectral_hilbert_check(
     The sheaf is modeled numerically as O(D + C) twisted by multiples of C
     on the Godeaux surface; it is smooth, so the Cartier multiplier is d = 1.
     The verdict depends only on six integers, so it is worked out once per
-    distinct input.  n_max < 0 would check nothing, so it is refused.
+    distinct input.  For n_max >= 2 it holds for n = 0..n_max exactly when it
+    holds for every n >= 0.  n_max < 0 would check nothing, so it is refused.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
@@ -105,15 +106,13 @@ def prespectral_hilbert_check(
 
 @functools.lru_cache(maxsize=1024)
 def _hilbert_verdict(d_sq: int, d_k: int, c_sq: int, c_k: int, d_dot_c: int, n_max: int) -> bool:
-    # sq - dk is even because D^2 = D.K and m^2 C^2 = m C.K (mod 2).
-    for n in range(n_max + 1):
-        mult = n + 1
-        sq = d_sq + 2 * mult * d_dot_c + mult * mult * c_sq
-        dk = d_k + mult * c_k
-        chi = GODEAUX.chi + (sq - dk) // 2
-        if chi != (n + 1) * (n + 2) // 2:
-            return False
-    return True
+    # With m = n + 1, 2 (chi(O(D + mC)) - m(m+1)/2) = a + b m + c m^2 exactly
+    # (D^2 = D.K and m^2 C^2 = m C.K mod 2).  A quadratic with three zeros is
+    # zero, so m = 1..3 decides every n.
+    a = d_sq - d_k + 2 * GODEAUX.chi
+    b = 2 * d_dot_c - c_k - 1
+    c = c_sq - 1
+    return all(a + b * m + c * m * m == 0 for m in range(1, min(n_max, 2) + 2))
 
 
 def growth_check(C: NumericalDivisor, m_max: int) -> bool:

@@ -98,6 +98,11 @@ def test_bad_prime_exits_two(capsys):
         # too small to decide an order: bold_ord raises UndecidableOrderError
         (["pdo"], {"pdo_budget": {"T": 7}}),
         (["pdo", "--trials", "100"], {"pdo_budget": {"T": 8}}),
+        # below T = 10 the suite refuses before its first draw; at seed 42 these
+        # three used to exit 0, as their draws happened to decide every order
+        (["pdo", "--trials", "40"], {"pdo_budget": {"T": 7}}),
+        (["pdo", "--trials", "40"], {"pdo_budget": {"T": 8}}),
+        (["pdo", "--trials", "40"], {"pdo_budget": {"T": 9}}),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -127,6 +132,18 @@ def test_wrong_orbit_size_is_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli.picard_lattice, "partition_orbits", lambda: (short,) + orbits[1:])
     assert run_cli(["counts"]) == 1
     assert "[FAIL] counts.orbit_sizes:" in capsys.readouterr().out
+
+
+def test_wrong_monomial_listing_is_a_failed_check(monkeypatch, capsys):
+    # the listing names (4,1,0,0), which the search cannot find, instead of (0,1,3,1)
+    listing = tuple(
+        (4, 1, 0, 0) if m == (0, 1, 3, 1) else m for m in cli.quintic_family._MONOMIAL_ORDER
+    )
+    monkeypatch.setattr(cli.quintic_family, "_MONOMIAL_ORDER", listing)
+    assert run_cli(["monomials"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] monomials.canonical_order:" in out
+    assert out.endswith("4 passed, 1 failed, 0 undecidable -> FAIL\n")
 
 
 def test_vanishing_coefficients_name_the_prime(capsys):

@@ -80,6 +80,9 @@ def test_symbol_examples():
     assert pa.symbol(op("d2^2 + x1 d1")) == op("d2^2")
     homog = op("x1 d1 + x2 d2")
     assert pa.symbol(homog) == homog
+    for x_precision in (1, 12):
+        S = pa.symbol(pa.TruncatedOperator.zero(x_precision))
+        assert S.is_zero and (S.x_precision, S.d_bound) == (x_precision, 0)
 
 
 def test_component_reassembly():
@@ -352,6 +355,12 @@ def _operators(draw):
         key = (draw(st.integers(0, T)), draw(st.integers(0, T)), k1, k2)
         coeffs[key] = draw(st.fractions(-9, 9, max_denominator=12))
     return pa.TruncatedOperator(coeffs, T, d_bound)
+
+
+@given(_operators())
+def test_symbol_of_a_difference_to_itself_keeps_budgets(P):
+    S = pa.symbol(P - P)
+    assert S.is_zero and (S.x_precision, S.d_bound) == (P.x_precision, P.d_bound)
 
 
 @st.composite
@@ -670,6 +679,17 @@ def test_suite_refuses_zero_trials():
             pa.run_property_suite(trials=trials)
         with pytest.raises(ValueError, match="trials"):
             pa.normalized_shape_preserved_under_special_change(trials=trials)
+
+
+def test_suite_refuses_precision_below_ten():
+    # a product of two draws has order >= -4, precision T - 2 and derivative
+    # bound 4: bold_ord decides it for every draw exactly when T >= 10
+    for x_precision in (1, 7, 8, 9):
+        with pytest.raises(pa.PrecisionError, match="x_precision >= 10"):
+            pa.run_property_suite(trials=40, x_precision=x_precision)
+    for seed in range(12):
+        entries = pa.run_property_suite(trials=40, seed=seed, x_precision=10)
+        assert all(e.status == "pass" for e in entries)
 
 
 def _basis_keys(x_precision):

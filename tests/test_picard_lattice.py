@@ -1,6 +1,7 @@
 """Lattice model: roots, Gram data, divisor counting, orbit partition."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,33 @@ def test_pairing_symmetric_and_bounded(u, v):
 def test_pairing_bilinear_on_sums(u, v, w):
     s = pl.E8Vector(tuple(a + b for a, b in zip(u.c, v.c)))
     assert s.dot(w) == u.dot(w) + v.dot(w)
+
+
+def test_root_pairings_are_divisible_by_four():
+    roots = pl.e8_roots()
+    assert all(sum(map(operator.mul, u.c, v.c)) % 4 == 0 for u in roots for v in roots)
+
+
+_ODD_ROOTS = [r for r in pl.e8_roots() if r.c[0] % 2]
+
+
+@st.composite
+def _root_sums(draw):
+    """A sum of 1-7 roots whose doubled coordinates have the drawn parity."""
+    odd = draw(st.booleans())
+    roots = draw(st.lists(_vec, min_size=1, max_size=6))
+    if sum(r.c[0] % 2 for r in roots) % 2 != odd:
+        roots.append(draw(st.sampled_from(_ODD_ROOTS)))
+    v = pl.E8Vector(tuple(map(sum, zip(*(r.c for r in roots)))))
+    assert v.c[0] % 2 == odd
+    return v
+
+
+@given(_root_sums(), _root_sums())
+def test_pairing_of_root_sums_is_integral(u, v):
+    s = sum(map(operator.mul, u.c, v.c))
+    assert s % 4 == 0
+    assert u.dot(v) * -4 == s
 
 
 def test_gram_determinant_unimodular():

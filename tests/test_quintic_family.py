@@ -298,5 +298,9 @@ def test_invariant_hyperplanes_are_coordinate_planes():
 
 
 def test_invariant_hyperplane_count_matches_brute_force():
+    # The hyperplane sum(c_j z_j) = 0 is carried to itself by g exactly when
+    # (eps^{w_j} c_j) is proportional to c, which is the condition for the
+    # point c to be fixed by g: so the invariant hyperplanes of P^3(F_q)
+    # are counted by the fixed points.
     g = qf.GroupElement.generator()
-    assert qf.brute_force_invariant_hyperplanes(g, 11) == 4
+    assert len(qf.brute_force_fixed_points(g, 11)) == len(qf.invariant_hyperplanes()) == 4

@@ -120,6 +120,10 @@ def test_memoized_hilbert_check_matches_loop():
     for c_k, d_k in itertools.product((-2, 0, 3), repeat=2):
         for slips in itertools.product((-2, -1, 0, 1, 2), repeat=3):
             D, C, dc = _hilbert_input(c_k, d_k, slips)
+            # a quadratic in n with three zeros is zero: n_max = 2 decides every n
+            assert rr.prespectral_hilbert_check(D, C, dc, 2) == _uncached_hilbert_check(
+                D, C, dc, 60
+            )
             for n_max in range(13):
                 expected = _uncached_hilbert_check(D, C, dc, n_max)
                 if slips == (0, 0, 0):
