@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from random import Random
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__, diophantine, picard_lattice, quintic_family, rr_engine
 from . import pdo_algebra
@@ -74,7 +74,10 @@ def suite_diophantine(cfg: dict) -> List[CheckEntry]:
         check(
             "dioph.smooth_quadric",
             "5(m+n) - 2mn = 15 on the 6x6 box",
-            frozenset({(0, 3), (3, 0), (5, 2), (2, 5)}),
+            # a list, not a set display: a set of constants compiles to a frozenset
+            # constant whose order can change when reloaded from a .pyc; built in
+            # this order at run time it prints as the golden reports record
+            frozenset([(5, 2), (0, 3), (3, 0), (2, 5)]),
             diophantine.solve_smooth_quadric_case(),
             "stated",
         ),
@@ -188,15 +191,18 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
             "derived",
         )
     )
-    curves = picard_lattice.canonical_curves()
+    # D.pair ignores the torsion tag, so curves with one (k, e) share one pairing.
+    classes: Dict[tuple, List[picard_lattice.PicardClass]] = {}
+    for curve in picard_lattice.canonical_curves():
+        classes.setdefault((curve.k, curve.e), []).append(curve)
     hilbert_bad = 0
     for D in divisors:
         numerics = D.numerics
-        for curve in curves:
-            if not rr_engine.prespectral_hilbert_check(
-                numerics, C, D.pair(curve), n_max=10
-            ):
-                hilbert_bad += 1
+        for curves in classes.values():
+            d_dot_c = D.pair(curves[0])
+            for _ in curves:
+                if not rr_engine.prespectral_hilbert_check(numerics, C, d_dot_c, n_max=10):
+                    hilbert_bad += 1
     entries.append(
         check(
             "rr.hilbert_condition",

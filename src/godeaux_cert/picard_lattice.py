@@ -63,11 +63,16 @@ E8_ZERO = E8Vector((0,) * 8)
 
 
 def e8_roots() -> Tuple[E8Vector, ...]:
-    """The 240 vectors of self-intersection -2, in lexicographic order.
+    """The 240 vectors of self-intersection -2, in lexicographic order, built once.
 
     112 with doubled coordinates a signed pair of 2s, 128 with all
     coordinates +-1 and an even number of -1.
     """
+    return _e8_roots()
+
+
+@functools.lru_cache(maxsize=1)
+def _e8_roots() -> Tuple[E8Vector, ...]:
     out = set()
     for i, j in itertools.combinations(range(8), 2):
         for si in (-2, 2):

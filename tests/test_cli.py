@@ -1,6 +1,7 @@
 """CLI: exit codes, config handling, determinism of JSON reports."""
 
 import json
+import marshal
 from collections import Counter
 from pathlib import Path
 
@@ -265,6 +266,55 @@ def test_repeat_call_counts_are_kept(monkeypatch):
     assert calls["prespectral_hilbert_check"] == 4800
 
 
+def _rr_reading(check_id):
+    (entry,) = [e for e in cli.suite_rr({}) if e.check_id == check_id]
+    return entry.actual
+
+
+def _hilbert_failures_oracle(curves):
+    """Oracle: the Hilbert condition on every divisor x curve pair, each paired on its own."""
+    C = cli.rr_engine.NumericalDivisor(1, 1)
+    return sum(
+        not cli.rr_engine.prespectral_hilbert_check(D.numerics, C, D.pair(curve), n_max=10)
+        for D in cli.picard_lattice.divisors()
+        for curve in curves
+    )
+
+
+def test_hilbert_condition_matches_per_curve_pairing(monkeypatch):
+    """suite_rr pairs each divisor once per numerical class of curve; the count
+    must equal pairing every curve, also when the curves fall in two classes."""
+    pl = cli.picard_lattice
+    real = _hilbert_failures_oracle(pl.canonical_curves())
+    assert _rr_reading("rr.hilbert_condition") == real == 0
+    root = pl.e8_roots()[0]
+    # interleaved, so a pairing shared across classes or taken from a neighbour shows
+    curves = tuple(
+        pl.PicardClass(1, e, t)
+        for e, t in ((pl.E8_ZERO, 1), (root, 2), (pl.E8_ZERO, 3), (root, 4))
+    )
+    monkeypatch.setattr(pl, "canonical_curves", lambda: curves)
+    want = _hilbert_failures_oracle(curves)
+    assert 0 < want < 2400  # the root classes fail wherever D.E pairs nonzero with the root
+    assert _rr_reading("rr.hilbert_condition") == want
+
+
+def test_warm_rr_suite_pairs_each_divisor_once(monkeypatch):
+    """The four curves are all numerically K, so a warm suite_rr makes 1,200
+    pairings, not 1,200 x 4; the first call also fills each D.numerics."""
+    cli.suite_rr({})
+    calls = Counter()
+    real_pair = cli.picard_lattice.PicardClass.pair
+
+    def counted(self, other):
+        calls["pair"] += 1
+        return real_pair(self, other)
+
+    monkeypatch.setattr(cli.picard_lattice.PicardClass, "pair", counted)
+    cli.suite_rr({})
+    assert calls["pair"] == 1200
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -363,3 +413,19 @@ def test_report_bytes_match_golden(tmp_path):
         out = tmp_path / name
         assert run_cli(args + ["--json", str(out)]) == exit_code, name
         assert out.read_bytes() == Path(__file__).with_name(name).read_bytes(), name
+
+
+def test_report_bytes_do_not_depend_on_the_bytecode_cache():
+    """cli compiled fresh and cli as its .pyc holds it (a marshal round trip)
+    print the same report. A frozenset constant reloaded from a .pyc can
+    iterate in another order than a fresh compile's."""
+    fresh = compile(Path(cli.__file__).read_text(), cli.__file__, "exec")
+    texts = []
+    for code in (fresh, marshal.loads(marshal.dumps(fresh))):
+        module = {"__name__": "godeaux_cert._cli_copy", "__package__": "godeaux_cert"}
+        exec(code, module)
+        report = cli.VerificationReport()
+        for name in ("monomials", "diophantine", "lattice", "counts", "rr"):
+            report.extend(module["SUITE_FUNCS"][name]({}))
+        texts.append(report.to_json(timestamp=False))
+    assert texts[0] == texts[1]

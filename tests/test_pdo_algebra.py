@@ -31,6 +31,30 @@ def test_constructor_validates():
         pa.TruncatedOperator({(0, 0, 3, 0): 1}, 4, d_bound=2)
 
 
+def test_constructor_refuses_floats():
+    with pytest.raises(TypeError, match="float"):
+        pa.TruncatedOperator({(0, 0, 1, 0): 0.1}, 5)
+    exact = pa.TruncatedOperator({(0, 0, 1, 0): Fraction(1, 10)}, 5)
+    assert exact.coeffs[(0, 0, 1, 0)] == Fraction(1, 10)
+
+
+def test_scale_refuses_floats():
+    with pytest.raises(TypeError, match="float"):
+        op("d1").scale(0.1)
+    assert op("d1").scale(Fraction(1, 10)) == op("1/10 d1")
+
+
+def test_change_variables_refuses_floats():
+    P = op("x1 d2")
+    # the substitution cache would take 0.5 for the Fraction(1, 2) seen first
+    half = pa.change_variables(P, Fraction(1, 2), 0, 0, 0, 1)
+    with pytest.raises(TypeError, match="float"):
+        pa.change_variables(P, 0.5, 0, 0, 0, 1)
+    with pytest.raises(TypeError, match="float"):
+        pa.special_change(P, 0, 0.5, 0)
+    assert pa.change_variables(P, Fraction(1, 2), 0, 0, 0, 1) == half
+
+
 def test_defining_relation():
     d1, x1 = op("d1"), op("x1")
     assert d1 * x1 - x1 * d1 == pa.TruncatedOperator.one(T - 1)
@@ -485,6 +509,46 @@ def test_op_mul_matches_fraction_oracle(P, Q):
     _assert_trusted_invariants(got)
 
 
+@st.composite
+def _uncontracted_pairs(draw):
+    """(P, Q) with k1 j1 = k2 j2 = 0 on every term pair, near the precision edge.
+
+    Per variable, either P holds no derivative in it or Q no power of it, so
+    no derivative of P meets its own variable in Q. The precision puts the
+    first term pair at over = -1 (kept) or over = 0 (dropped).
+    """
+    p_no_d = draw(st.tuples(st.booleans(), st.booleans()))
+    coeff = st.fractions(-9, 9, max_denominator=12).filter(bool)
+
+    def key(left):
+        i1, i2, k1, k2 = (draw(st.integers(0, 3)) for _ in range(4))
+        if left:
+            return (i1, i2, 0 if p_no_d[0] else k1, 0 if p_no_d[1] else k2)
+        return (i1 if p_no_d[0] else 0, i2 if p_no_d[1] else 0, k1, k2)
+
+    p_keys = [key(True) for _ in range(draw(st.integers(1, 4)))]
+    q_keys = [key(False) for _ in range(draw(st.integers(1, 4)))]
+    d_p = max(k1 + k2 for _, _, k1, k2 in p_keys)
+    over = draw(st.sampled_from((-1, 0)))
+    # over = (x-degree of the first P term + that of the first Q term) - (T - d_p)
+    x_deg = sum(p_keys[0][:2]) + sum(q_keys[0][:2])
+    T = max(x_deg - over + d_p, d_p + 1)
+    P = pa.TruncatedOperator({k: draw(coeff) for k in p_keys}, T, d_p)
+    Q = pa.TruncatedOperator({k: draw(coeff) for k in q_keys}, T + draw(st.integers(0, 2)))
+    return P, Q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_uncontracted_pairs())
+def test_op_mul_one_term_path_matches_fraction_oracle(pair):
+    P, Q = pair
+    got, want = pa.op_mul(P, Q), _fraction_op_mul(P, Q)
+    assert got.coeffs == want.coeffs
+    assert list(got.coeffs) == list(want.coeffs)
+    assert (got.x_precision, got.d_bound) == (want.x_precision, want.d_bound)
+    _assert_trusted_invariants(got)
+
+
 _params = st.fractions(-3, 3, max_denominator=4)
 
 
@@ -824,3 +888,27 @@ def _dropping(grade):
 def test_reassembly_certificate_catches_a_wrong_component(monkeypatch, component, want):
     monkeypatch.setattr(pa, "homogeneous_component", component)
     assert _suite_reading("pdo.component_reassembly", trials=1) == want
+
+
+def test_equality_branch_is_hit_on_every_draw():
+    """The order checks read associativity's draws; every product of two draws
+    has a nonzero symbol product, so the branch count equals trials."""
+    for x_precision in (10, 12, 16):
+        for seed in range(20):
+            entries = pa.run_property_suite(trials=5, seed=seed, x_precision=x_precision)
+            (entry,) = [e for e in entries if e.check_id == "pdo.order_additive_nonzero_symbols"]
+            assert entry.reference == "equality branch hit 5 times"
+
+
+def test_symbol_check_catches_a_wrong_grade(monkeypatch):
+    real_bold_ord = pa.bold_ord
+    monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, 1 - real_bold_ord(P)))
+    assert _suite_reading("pdo.symbol_multiplicative", trials=40) > 0
+
+
+def test_order_check_catches_an_off_by_one_order(monkeypatch):
+    real_bold_ord = pa.bold_ord
+    # symbol keeps the true grade, so the equality branch is still reached
+    monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, -real_bold_ord(P)))
+    monkeypatch.setattr(pa, "bold_ord", lambda P: real_bold_ord(P) + 1)
+    assert _suite_reading("pdo.order_additive_nonzero_symbols", trials=40) > 0

@@ -156,6 +156,8 @@ def test_divisor_tables_are_built_once():
     assert pl.canonical_curves() is pl.canonical_curves()
     assert pl.partition_orbits() == pl._partition_orbits.__wrapped__()
     assert pl.partition_orbits() is pl.partition_orbits()
+    assert pl.e8_roots() == pl._e8_roots.__wrapped__()
+    assert pl.e8_roots() is pl.e8_roots()
 
 
 def test_orbit_partition():
