@@ -74,10 +74,7 @@ def suite_diophantine(cfg: dict) -> List[CheckEntry]:
         check(
             "dioph.smooth_quadric",
             "5(m+n) - 2mn = 15 on the 6x6 box",
-            # a list, not a set display: a set of constants compiles to a frozenset
-            # constant whose order can change when reloaded from a .pyc; built in
-            # this order at run time it prints as the golden reports record
-            frozenset([(5, 2), (0, 3), (3, 0), (2, 5)]),
+            frozenset({(0, 3), (3, 0), (5, 2), (2, 5)}),
             diophantine.solve_smooth_quadric_case(),
             "stated",
         ),

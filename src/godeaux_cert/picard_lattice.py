@@ -56,7 +56,10 @@ class E8Vector:
         return self.dot(self)
 
     def __neg__(self) -> "E8Vector":
-        return E8Vector(tuple(-x for x in self.c))
+        # negation keeps uniform parity and a coordinate sum divisible by 4
+        v = object.__new__(E8Vector)
+        object.__setattr__(v, "c", tuple(-x for x in self.c))
+        return v
 
 
 E8_ZERO = E8Vector((0,) * 8)
@@ -140,7 +143,9 @@ class PicardClass:
     @functools.cached_property
     def numerics(self) -> rr_engine.NumericalDivisor:
         """(D^2, D.K), worked out on first use and kept on the instance."""
-        return rr_engine.NumericalDivisor(self.pair(self), self.pair(CANONICAL))
+        # D.K = k exactly: K.K = 1 and K pairs to 0 with the K-orthogonal E8 part
+        k = self.k
+        return rr_engine.NumericalDivisor(k * k + self.e.dot(self.e), k)
 
 
 CANONICAL = PicardClass(1, E8_ZERO, 0)
@@ -168,7 +173,7 @@ def divisors() -> Tuple[PicardClass, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _divisors() -> Tuple[PicardClass, ...]:
-    return tuple(PicardClass(1, c.e, c.t) for c in divisor_candidates())
+    return tuple(PicardClass(1, e, t) for e in e8_roots() for t in range(TORSION_ORDER))
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,10 @@ def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
-    buckets: Dict[Tuple[int, ...], set] = {}
+    buckets: Dict[Tuple[int, ...], List[PicardClass]] = {}
     for d in divisors():
-        key = min(d.e.c, (-d.e).c)
-        buckets.setdefault(key, set()).add(d)
+        c = d.e.c
+        buckets.setdefault(min(c, tuple(-x for x in c)), []).append(d)
     return tuple(DivisorClassOrbit(frozenset(v)) for _, v in sorted(buckets.items()))
 
 
@@ -211,7 +216,7 @@ def theorem_counts() -> dict:
 
 def lattice_checks() -> List[CheckEntry]:
     roots = e8_roots()
-    root_set = set(roots)
+    coords = {r.c for r in roots}
     entries = [
         check("lattice.root_count", "rank-8 even lattice root count", 240, len(roots), "stated"),
         check(
@@ -225,7 +230,7 @@ def lattice_checks() -> List[CheckEntry]:
             "lattice.negation_closure",
             "roots closed under negation",
             True,
-            all((-r) in root_set for r in roots),
+            all(tuple(-x for x in r.c) in coords for r in roots),
             "trivial",
         ),
     ]

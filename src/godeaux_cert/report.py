@@ -47,7 +47,27 @@ def undecidable(check_id: str, reference: str, expected, provenance: str) -> Che
     return CheckEntry(check_id, reference, expected, None, provenance, "undecidable")
 
 
+def _set_repr(value) -> str:
+    """repr of a set or frozenset with its elements in sorted order.
+
+    A set's own repr follows its hash-table layout, which depends on how the
+    set was built; sorted, the text depends on the contents alone.  Elements
+    that do not compare with each other are sorted by their repr.
+    """
+    try:
+        items = sorted(value)
+    except TypeError:
+        items = sorted(value, key=repr)
+    name = type(value).__name__
+    if not items:
+        return f"{name}()"
+    body = "{" + ", ".join(map(repr, items)) + "}"
+    return body if type(value) is set else f"{name}({body})"
+
+
 def _plain(value):
+    if isinstance(value, (set, frozenset)):
+        return _set_repr(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

@@ -2,6 +2,9 @@
 
 import json
 import marshal
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -429,3 +432,23 @@ def test_report_bytes_do_not_depend_on_the_bytecode_cache():
             report.extend(module["SUITE_FUNCS"][name]({}))
         texts.append(report.to_json(timestamp=False))
     assert texts[0] == texts[1]
+
+
+def test_cold_and_warm_runs_agree(tmp_path):
+    """lattice, counts and rr in a fresh interpreter, where every table is
+    built on first use, print the same bytes as warm in-process runs."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for command in ("lattice", "counts", "rr"):
+        cfg = cli.load_config(cli.build_parser().parse_args([command]))
+        cli.run(command, cfg)
+        warm = cli.run(command, cfg).to_json(timestamp=False)
+        out = tmp_path / f"{command}.json"
+        subprocess.run(
+            [sys.executable, "-m", "godeaux_cert.cli", command, "--no-timestamp", "--json", str(out)],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        assert out.read_bytes() == warm.encode(), command

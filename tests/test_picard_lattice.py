@@ -211,3 +211,60 @@ def test_picard_class_arithmetic():
     s = a + b
     assert s.k == 1 and s.t == 2  # torsion wraps mod 5
     assert (a - a).pair(a) == 0
+
+
+def test_negation_matches_validated_construction():
+    """-r skips validation; it must equal the checked vector and undo itself."""
+    for r in pl.e8_roots():
+        neg, checked = -r, pl.E8Vector(tuple(-x for x in r.c))
+        assert type(neg) is pl.E8Vector
+        assert neg == checked and hash(neg) == hash(checked)
+        assert -neg == r
+
+
+def _orbits_oracle():
+    """The orbit partition built with validated negation and set buckets."""
+    buckets = {}
+    for d in pl.divisors():
+        neg = pl.E8Vector(tuple(-x for x in d.e.c))
+        buckets.setdefault(min(d.e.c, neg.c), set()).add(d)
+    return tuple(pl.DivisorClassOrbit(frozenset(v)) for _, v in sorted(buckets.items()))
+
+
+def test_orbits_match_validated_oracle():
+    assert pl._partition_orbits.__wrapped__() == _orbits_oracle()
+
+
+@given(st.integers(-5, 5), _root_sums(), st.integers(0, 4))
+def test_numerics_match_pairings_for_any_k(k, e, t):
+    D = pl.PicardClass(k, e, t)
+    assert D.numerics == rr_engine.NumericalDivisor(D.pair(D), D.pair(pl.CANONICAL))
+
+
+def _count_constructions(monkeypatch):
+    """Count every __post_init__ of PicardClass and E8Vector from now on."""
+    counts = {pl.PicardClass: 0, pl.E8Vector: 0}
+    for cls in counts:
+        real = cls.__post_init__
+
+        def counted(self, cls=cls, real=real):
+            counts[cls] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_cold_tables_build_no_throwaway_objects(monkeypatch):
+    """Once the roots exist, the divisors take one PicardClass each, and
+    negation, the orbits and the lattice checks validate no E8Vector."""
+    pl.e8_roots()
+    pl.divisors()
+    counts = _count_constructions(monkeypatch)
+    assert len(pl._divisors.__wrapped__()) == 1200
+    assert counts == {pl.PicardClass: 1200, pl.E8Vector: 0}
+    counts[pl.PicardClass] = 0
+    assert len([-r for r in pl.e8_roots()]) == 240
+    assert len(pl._partition_orbits.__wrapped__()) == 120
+    assert all(e.status == "pass" for e in pl.lattice_checks())
+    assert counts == {pl.PicardClass: 0, pl.E8Vector: 0}

@@ -63,3 +63,33 @@ def test_json_is_valid_and_deterministic():
 def test_timestamp_present_by_default():
     r = VerificationReport()
     assert "timestamp" in r.to_dict()["metadata"]
+
+
+def _report_bytes(expected, actual):
+    r = VerificationReport()
+    r.extend([check("x", "r", expected, actual, "trivial")])
+    return r.to_json(timestamp=False)
+
+
+def test_set_values_render_by_contents_not_insertion_order():
+    """Equal sets built in different orders print the same, elements sorted."""
+    # 1 and 9 share a slot of an 8-slot table, so each set iterates in insertion order
+    a, b = frozenset([1, 9]), frozenset([9, 1])
+    assert a == b and repr(a) != repr(b)
+    assert _report_bytes(a, a) == _report_bytes(b, b)
+    entry = json.loads(_report_bytes(a, {9, 1}))["entries"][0]
+    assert entry["expected"] == "frozenset({1, 9})"
+    assert entry["actual"] == "{1, 9}"
+    quadric = [(5, 2), (0, 3), (3, 0), (2, 5)]
+    assert _report_bytes(frozenset(quadric), set(quadric)) == _report_bytes(
+        frozenset(reversed(quadric)), set(reversed(quadric))
+    )
+
+
+def test_set_rendering_keeps_the_repr_shape():
+    entry = json.loads(_report_bytes(set(), frozenset()))["entries"][0]
+    assert (entry["expected"], entry["actual"]) == ("set()", "frozenset()")
+    # elements that do not compare with each other sort by their repr
+    entry = json.loads(_report_bytes({1, "a"}, frozenset([(1,), None])))["entries"][0]
+    assert entry["expected"] == "{'a', 1}"
+    assert entry["actual"] == "frozenset({(1,), None})"
