@@ -46,11 +46,14 @@ def intersection_identity() -> int:
     Downstairs M1 = K + E and M2 = K - E + torsion have pairing
     K^2 - E^2 = 1 + 2 = 3; the degree-5 unramified cover multiplies
     intersection numbers by 5, giving 15.  Computed from the lattice,
-    not hardcoded: the first root serves as E.
+    not hardcoded: the first root serves as E, and -E is looked up among
+    the roots by its coordinates.
     """
-    e = e8_roots()[0]
+    roots = e8_roots()
+    e = roots[0]
+    neg = tuple(-x for x in e.c)
     m1 = PicardClass(1, e, 0)
-    m2 = PicardClass(1, -e, 1)
+    m2 = PicardClass(1, next(r for r in roots if r.c == neg), 1)
     return TORSION_ORDER * m1.pair(m2)
 
 

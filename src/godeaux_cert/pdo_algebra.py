@@ -543,7 +543,11 @@ def parse_operator(
             fm = _FACTOR_RE.match(rest, pos)
             if not fm:
                 raise ValueError(f"cannot parse {rest[pos:]!r} in {text!r}")
-            exps[_SLOT[fm.group(1)]] += int(fm.group(2) or 1)
+            slot = _SLOT[fm.group(1)]
+            # d1 x1 = x1 d1 + 1, so a term with x after d is not one monomial
+            if slot < 2 and exps[2] + exps[3]:
+                raise ValueError(f"x-factor after a d-factor in term {raw!r} of {text!r}")
+            exps[slot] += int(fm.group(2) or 1)
             pos = fm.end()
         key = tuple(exps)
         acc[key] = acc.get(key, Fraction(0)) + coef

@@ -4,6 +4,9 @@ The rank-8 part is stored in doubled coordinates so every pairing is
 integer arithmetic; the intersection form is k*k' - (c.c')/4, and the
 membership conditions make the division exact.  Reproduces the 1200 / 120 /
 1080 / 840 divisor counting.
+
+The model is a read-only table: the checks pair classes and never add,
+subtract or negate them, so every vector is built by its validating constructor.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ class E8Vector:
     @property
     def norm(self) -> int:
         return self.dot(self)
-
-    def __neg__(self) -> "E8Vector":
-        # negation keeps uniform parity and a coordinate sum divisible by 4
-        v = object.__new__(E8Vector)
-        object.__setattr__(v, "c", tuple(-x for x in self.c))
-        return v
 
 
 E8_ZERO = E8Vector((0,) * 8)
@@ -127,19 +124,6 @@ class PicardClass:
     def pair(self, other: "PicardClass") -> int:
         return self.k * other.k + self.e.dot(other.e)
 
-    def __add__(self, other: "PicardClass") -> "PicardClass":
-        return PicardClass(
-            self.k + other.k,
-            E8Vector(tuple(a + b for a, b in zip(self.e.c, other.e.c))),
-            self.t + other.t,
-        )
-
-    def __neg__(self) -> "PicardClass":
-        return PicardClass(-self.k, -self.e, -self.t)
-
-    def __sub__(self, other: "PicardClass") -> "PicardClass":
-        return self + (-other)
-
     @functools.cached_property
     def numerics(self) -> rr_engine.NumericalDivisor:
         """(D^2, D.K), worked out on first use and kept on the instance."""
@@ -178,9 +162,9 @@ def _divisors() -> Tuple[PicardClass, ...]:
 
 @dataclass(frozen=True)
 class DivisorClassOrbit:
-    """One block {K + E + a, K - E + a : a in Z/5} of ten classes."""
+    """One block {K + E + a, K - E + a : a in Z/5} of ten classes, in divisor order."""
 
-    members: frozenset
+    members: Tuple[PicardClass, ...]
 
 
 def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
@@ -194,7 +178,7 @@ def _partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
     for d in divisors():
         c = d.e.c
         buckets.setdefault(min(c, tuple(-x for x in c)), []).append(d)
-    return tuple(DivisorClassOrbit(frozenset(v)) for _, v in sorted(buckets.items()))
+    return tuple(DivisorClassOrbit(tuple(v)) for _, v in sorted(buckets.items()))
 
 
 # Per-orbit exclusion model: each orbit of 10 loses at most 1 class with a
@@ -276,8 +260,8 @@ def verify_divisor_conditions(D: PicardClass, C: PicardClass) -> List[CheckEntry
     """Numeric conditions tying one divisor D = K + E to one ample curve C."""
     if C.e != E8_ZERO or C.k != 1:
         raise ValueError("C must be numerically the canonical class")
-    E = D - CANONICAL
-    if E.pair(E) != -2 or E.k != 0:
+    # E = D - K is a root exactly when its K-part D.k - 1 is 0 and E^2 = D.e^2 = -2
+    if D.k != 1 or D.e.norm != -2:
         raise ValueError("D - K must be a root (self-intersection -2, K-part 0)")
     genus = rr_engine.adjunction_genus(C.numerics)
     return [

@@ -237,18 +237,13 @@ def family_dimension() -> int:
     return 11 - weight_difference_rank()
 
 
-def invariant_hyperplanes(
-    weights: Tuple[int, int, int, int] = (1, 2, 3, 4)
-) -> Tuple[Tuple[int, int, int, int], ...]:
+def invariant_hyperplanes() -> Tuple[Tuple[int, int, int, int], ...]:
     """The hyperplanes fixed by the dual action: the 4 coordinate planes.
 
-    Represented as unit exponent tuples for the defining linear forms.
-    Requires pairwise distinct weights; otherwise the fixed hyperplanes
-    form continuous families and the count 4 is wrong.
+    Represented as unit exponent tuples for the defining linear forms.  The
+    generator's weights (1, 2, 3, 4) are pairwise distinct, so no other
+    hyperplane is fixed.
     """
-    w = tuple(x % 5 for x in weights)
-    if len(set(w)) != 4:
-        raise ValueError(f"weights {w} are not pairwise distinct")
     return _COORDINATE_POINTS
 
 

@@ -132,7 +132,7 @@ def test_deeply_nested_config_exits_two(tmp_path, capsys):
 
 def test_wrong_orbit_size_is_a_failed_check(monkeypatch, capsys):
     orbits = cli.picard_lattice.partition_orbits()
-    short = cli.picard_lattice.DivisorClassOrbit(frozenset(list(orbits[0].members)[:9]))
+    short = cli.picard_lattice.DivisorClassOrbit(orbits[0].members[:9])
     monkeypatch.setattr(cli.picard_lattice, "partition_orbits", lambda: (short,) + orbits[1:])
     assert run_cli(["counts"]) == 1
     assert "[FAIL] counts.orbit_sizes:" in capsys.readouterr().out

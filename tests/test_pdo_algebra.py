@@ -731,6 +731,16 @@ def test_parse_rejects_garbage():
         pa.parse_operator("d1 -", T)
 
 
+def test_parse_rejects_x_after_d():
+    """d1 x1 = x1 d1 + 1 is not one monomial; the grammar puts x before d."""
+    for text in ("d1 x1", "x2 + 3 d2 x1^2", "-x1 d1 x2"):
+        with pytest.raises(ValueError, match="x-factor after a d-factor"):
+            pa.parse_operator(text, T)
+    assert op("x2 x1") == op("x1 x2")
+    assert op("d2 d1") == op("d1 d2")
+    assert pa.op_mul(op("d1"), op("x1")) == op("x1 d1 + 1")
+
+
 def test_property_suite_small_run_is_green():
     entries = pa.run_property_suite(trials=40, seed=11)
     assert entries

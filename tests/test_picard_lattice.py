@@ -37,7 +37,7 @@ def test_root_count_by_shape():
 
 def test_roots_closed_under_negation():
     roots = set(pl.e8_roots())
-    assert all(-r in roots for r in roots)
+    assert all(pl.E8Vector(tuple(-x for x in r.c)) in roots for r in roots)
 
 
 _vec = st.sampled_from(pl.e8_roots())
@@ -163,11 +163,11 @@ def test_divisor_tables_are_built_once():
 def test_orbit_partition():
     orbits = pl.partition_orbits()
     assert len(orbits) == 120
-    assert all(len(o.members) == 10 for o in orbits)
+    assert all(type(o.members) is tuple and len(o.members) == 10 for o in orbits)
     seen = set()
     for o in orbits:
-        assert not (o.members & seen)
-        seen |= o.members
+        assert not (set(o.members) & seen)
+        seen |= set(o.members)
     assert len(seen) == 1200
 
 
@@ -177,7 +177,7 @@ def test_orbit_structure_contains_both_signs_and_all_torsion():
     ts = {m.t for m in orbit.members}
     assert len(es) == 2
     e1, e2 = es
-    assert e1 == -e2
+    assert e1.c == tuple(-x for x in e2.c)
     assert ts == {0, 1, 2, 3, 4}
 
 
@@ -199,40 +199,42 @@ def test_verify_divisor_conditions():
 
 def test_verify_divisor_conditions_rejects_bad_inputs():
     C = pl.canonical_curves()[0]
-    with pytest.raises(ValueError):
-        pl.verify_divisor_conditions(pl.CANONICAL, C)  # D - K not a root
-    with pytest.raises(ValueError):
+    root, t = pl.e8_roots()[0], 2
+    message = "D - K must be a root"
+    with pytest.raises(ValueError, match=message):
+        pl.verify_divisor_conditions(pl.CANONICAL, C)  # D - K = 0, not a root
+    with pytest.raises(ValueError, match=message):
+        pl.verify_divisor_conditions(pl.PicardClass(0, root, t), C)  # K-part -1
+    with pytest.raises(ValueError, match=message):
+        pl.verify_divisor_conditions(pl.PicardClass(2, root, t), C)  # K-part 1
+    with pytest.raises(ValueError, match="canonical class"):
         pl.verify_divisor_conditions(pl.divisors()[0], pl.divisors()[0])
 
 
-def test_picard_class_arithmetic():
-    a = pl.PicardClass(1, pl.e8_roots()[0], 3)
-    b = pl.PicardClass(0, pl.e8_roots()[0], 4)
-    s = a + b
-    assert s.k == 1 and s.t == 2  # torsion wraps mod 5
-    assert (a - a).pair(a) == 0
-
-
-def test_negation_matches_validated_construction():
-    """-r skips validation; it must equal the checked vector and undo itself."""
-    for r in pl.e8_roots():
-        neg, checked = -r, pl.E8Vector(tuple(-x for x in r.c))
-        assert type(neg) is pl.E8Vector
-        assert neg == checked and hash(neg) == hash(checked)
-        assert -neg == r
-
-
 def _orbits_oracle():
-    """The orbit partition built with validated negation and set buckets."""
+    """The orbit partition built with validated negation, the members of each
+    orbit listed in divisor order."""
     buckets = {}
     for d in pl.divisors():
         neg = pl.E8Vector(tuple(-x for x in d.e.c))
-        buckets.setdefault(min(d.e.c, neg.c), set()).add(d)
-    return tuple(pl.DivisorClassOrbit(frozenset(v)) for _, v in sorted(buckets.items()))
+        buckets.setdefault(min(d.e.c, neg.c), []).append(d)
+    return tuple(pl.DivisorClassOrbit(tuple(v)) for _, v in sorted(buckets.items()))
 
 
 def test_orbits_match_validated_oracle():
     assert pl._partition_orbits.__wrapped__() == _orbits_oracle()
+
+
+def test_orbit_build_hashes_no_picard_class(monkeypatch):
+    """The orbits bucket divisors by coordinate tuples and store them as
+    tuples, so building them never hashes a class."""
+    pl.divisors()
+
+    def refuse(self):
+        raise AssertionError("PicardClass hashed")
+
+    monkeypatch.setattr(pl.PicardClass, "__hash__", refuse)
+    assert len(pl._partition_orbits.__wrapped__()) == 120
 
 
 @given(st.integers(-5, 5), _root_sums(), st.integers(0, 4))
@@ -257,14 +259,13 @@ def _count_constructions(monkeypatch):
 
 def test_cold_tables_build_no_throwaway_objects(monkeypatch):
     """Once the roots exist, the divisors take one PicardClass each, and
-    negation, the orbits and the lattice checks validate no E8Vector."""
+    the orbits and the lattice checks validate no E8Vector."""
     pl.e8_roots()
     pl.divisors()
     counts = _count_constructions(monkeypatch)
     assert len(pl._divisors.__wrapped__()) == 1200
     assert counts == {pl.PicardClass: 1200, pl.E8Vector: 0}
     counts[pl.PicardClass] = 0
-    assert len([-r for r in pl.e8_roots()]) == 240
     assert len(pl._partition_orbits.__wrapped__()) == 120
     assert all(e.status == "pass" for e in pl.lattice_checks())
     assert counts == {pl.PicardClass: 0, pl.E8Vector: 0}
