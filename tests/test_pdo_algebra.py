@@ -901,8 +901,8 @@ def test_reassembly_certificate_catches_a_wrong_component(monkeypatch, component
 
 
 def test_equality_branch_is_hit_on_every_draw():
-    """The order checks read associativity's draws; every product of two draws
-    has a nonzero symbol product, so the branch count equals trials."""
+    """Every product of two random_operator draws has a nonzero symbol
+    product, so the order checks' branch count equals trials."""
     for x_precision in (10, 12, 16):
         for seed in range(20):
             entries = pa.run_property_suite(trials=5, seed=seed, x_precision=x_precision)
@@ -922,3 +922,162 @@ def test_order_check_catches_an_off_by_one_order(monkeypatch):
     monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, -real_bold_ord(P)))
     monkeypatch.setattr(pa, "bold_ord", lambda P: real_bold_ord(P) + 1)
     assert _suite_reading("pdo.order_additive_nonzero_symbols", trials=40) > 0
+
+
+def _sampled_associativity_failures(rng, x_precision, trials):
+    """Oracle: the sampled associativity loop the suite used to run."""
+    fail = 0
+    for _ in range(trials):
+        P, Q, R = (pa.random_operator(rng, x_precision) for _ in range(3))
+        if not pa._agree(pa.op_mul(pa.op_mul(P, Q), R), pa.op_mul(P, pa.op_mul(Q, R))):
+            fail += 1
+    return fail
+
+
+def _sampled_ring_map_failures(rng, x_precision, trials):
+    """Oracle: the sampled ring-map and commutator loop the suite used to run,
+    over parameters a, e in {-2, -1, 1, 2} and b, c, d in -2..2."""
+    hom_fail = comm_fail = 0
+    gens = [
+        pa.TruncatedOperator.monomial(key, x_precision)
+        for key in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    ]
+    for _ in range(trials):
+        params = [
+            rng.choice(pa._NONZERO_2),
+            rng.randint(-2, 2),
+            rng.randint(-2, 2),
+            rng.randint(-2, 2),
+            rng.choice(pa._NONZERO_2),
+        ]
+        P = pa.random_operator(rng, x_precision)
+        Q = pa.random_operator(rng, x_precision)
+        lhs = pa.change_variables(pa.op_mul(P, Q), *params)
+        rhs = pa.op_mul(pa.change_variables(P, *params), pa.change_variables(Q, *params))
+        if not pa._agree(lhs, rhs):
+            hom_fail += 1
+        imgs = [pa.change_variables(g, *params) for g in gens]
+        for di in (2, 3):
+            for xj in (0, 1):
+                com = pa.op_mul(imgs[di], imgs[xj]) - pa.op_mul(imgs[xj], imgs[di])
+                want = (
+                    pa.TruncatedOperator.one(com.x_precision)
+                    if di - 2 == xj
+                    else pa.TruncatedOperator.zero(com.x_precision)
+                )
+                if com != want:
+                    comm_fail += 1
+    return hom_fail, comm_fail
+
+
+_GENERIC_IDS = ("pdo.associativity", "pdo.change_is_ring_map", "pdo.change_commutators")
+
+
+def test_generic_certificates_agree_with_sampled_oracles():
+    for x_precision in (12, 16):
+        for seed in range(3):
+            entries = pa.run_property_suite(trials=1, seed=seed, x_precision=x_precision)
+            by_id = {e.check_id: e for e in entries}
+            assert [by_id[i].actual for i in _GENERIC_IDS] == [0, 0, 0]
+        for seed in range(5):
+            rng = Random(seed)
+            assert _sampled_associativity_failures(rng, x_precision, 500) == 0
+            assert _sampled_ring_map_failures(rng, x_precision, 100) == (0, 0)
+
+
+@pytest.mark.parametrize("x_precision", [12, 16])
+def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precision):
+    """The generic triple stands for every draw only if op_mul treats each term
+    pair alike: no kernel may branch on the support, say on len(P.num)."""
+    basis = pa._random_operator_basis(x_precision)
+    *monomials, _ = basis
+    rng = Random(x_precision)
+    P, Q = (pa._generic_operator(rng, basis) for _ in range(2))
+    for G in (P, Q):
+        assert set(G.num) == _basis_keys(x_precision) and len(G.num) == 36
+        assert (G.den, G.x_precision, G.d_bound) == (1, x_precision, 2)
+        assert all(1 <= n < 2**64 for n in G.num.values())
+    acc = {}
+    for A in monomials:
+        ((ka, _),) = A.num.items()
+        for B in monomials:
+            ((kb, _),) = B.num.items()
+            AB = pa.op_mul(A, B)
+            assert AB.den == 1
+            for key, n in AB.num.items():
+                acc[key] = acc.get(key, 0) + P.num[ka] * Q.num[kb] * n
+    prod = pa.op_mul(P, Q)
+    want = {key: n for key, n in acc.items() if n}
+    assert (prod.num, prod.den) == (want, 1)
+    assert (prod.x_precision, prod.d_bound) == (x_precision - 2, 4)
+
+
+def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatch):
+    """Every drawn key has x-degree <= 2 < T and a nonzero numerator, so no
+    term is dropped and the one(T) fallback is never taken: every draw has
+    budgets T and d_bound 2, those of the generic triple."""
+    real_from_pairs = pa._from_pairs
+    seen = []
+
+    def recording(pairs, x_precision, d_bound):
+        seen.append(dict(pairs))
+        return real_from_pairs(pairs, x_precision, d_bound)
+
+    monkeypatch.setattr(pa, "_from_pairs", recording)
+    for x_precision in range(3, 21):
+        rng = Random(x_precision)
+        for _ in range(200):
+            P = pa.random_operator(rng, x_precision)
+            assert (P.x_precision, P.d_bound) == (x_precision, 2)
+            assert len(P.num) == len(seen[-1])
+    assert all(
+        k[0] + k[1] <= 2 and n != 0 and d > 0
+        for pairs in seen
+        for k, (n, d) in pairs.items()
+    )
+
+
+_REAL_MUL = pa.op_mul
+_LEFT, _RIGHT = (2, 0, 0, 2), (0, 2, 2, 0)
+
+
+def _mul_with_one_extra_pair(P, Q):
+    """op_mul plus one more copy of the x1^2 d2^2 . x2^2 d1^2 term pair: still
+    bilinear, and wrong on that basis pair alone."""
+    prod = _REAL_MUL(P, Q)
+    a, b = P.num.get(_LEFT), Q.num.get(_RIGHT)
+    if a is None or b is None:
+        return prod
+    left = pa.TruncatedOperator._trusted({_LEFT: 1}, 1, P.x_precision, P.d_bound)
+    right = pa.TruncatedOperator._trusted({_RIGHT: 1}, 1, Q.x_precision, Q.d_bound)
+    return prod + _REAL_MUL(left, right).scale(Fraction(a * b, P.den * Q.den))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_associativity_certificate_catches_one_bad_basis_pair(monkeypatch, seed):
+    monkeypatch.setattr(pa, "op_mul", _mul_with_one_extra_pair)
+    assert _suite_reading("pdo.associativity", trials=1, seed=seed) == 1
+
+
+_REAL_IMAGES = pa._substitution_images
+
+
+def _images_without_shear_in_x1(a, b, c, d, e):
+    """The substitution with x1 -> x1/e: its -c/(ae) x2 term is lost, so it is
+    right exactly when c == 0."""
+    _, *rest = _REAL_IMAGES(a, b, c, d, e)
+    return (pa._integer_form({(1, 0): 1 / Fraction(e)}), *rest)
+
+
+def test_ring_map_certificate_catches_a_substitution_wrong_only_for_shears(monkeypatch):
+    P = pa._generic_operator(Random(3), pa._random_operator_basis(T))
+    real = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
+    monkeypatch.setattr(pa, "_substitution_images", _images_without_shear_in_x1)
+    wrong = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
+    assert wrong[0] == real[0] and wrong[1] != real[1]
+    for seed in range(5):
+        entries = pa.run_property_suite(trials=1, seed=seed)
+        by_id = {e.check_id: e for e in entries}
+        assert by_id["pdo.change_is_ring_map"].actual == 1
+        # only [d2, x1] = c/e breaks
+        assert by_id["pdo.change_commutators"].actual == 1
