@@ -89,6 +89,8 @@ class TruncatedOperator:
         clean: Dict[Key, Fraction] = {}
         for key, val in coeffs.items():
             i1, i2, k1, k2 = key
+            if any(type(e) is not int for e in key):
+                raise TypeError(f"exponents must be ints, got {key!r}")
             if min(i1, i2, k1, k2) < 0:
                 raise ValueError(f"negative exponent in {key}")
             _refuse_floats(val)
@@ -522,8 +524,10 @@ def parse_operator(
     """Parse the term grammar `coef x1^i1 x2^i2 d1^k1 d2^k2` joined by +/-."""
     compact = "".join(text.split())
     acc: Dict[Key, Fraction] = {}
-    for raw in compact.replace("-", "+-").split("+"):
+    for n, raw in enumerate(compact.replace("-", "+-").split("+")):
         if not raw:
+            if n:  # past the first, an empty piece is a sign with no term after it
+                raise ValueError(f"dangling sign in {text!r}")
             continue
         sign = Fraction(1)
         if raw.startswith("-"):
@@ -535,7 +539,10 @@ def parse_operator(
         coef = sign
         rest = raw
         if m:
-            coef *= Fraction(m.group(1))
+            try:
+                coef *= Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term {raw!r} of {text!r}") from None
             rest = raw[m.end() :]
         exps = [0, 0, 0, 0]
         pos = 0
@@ -703,58 +710,34 @@ def _agree(A: TruncatedOperator, B: TruncatedOperator) -> bool:
     return A.truncate(t) == B.truncate(t)
 
 
-def run_property_suite(
-    trials: int = 500, seed: int = 42, x_precision: int = 12, d_bound: int = 6
-) -> List[CheckEntry]:
-    """Randomized, generic-point and constructed checks of the ring and order calculus.
-
-    trials sizes the sampled loops.  Associativity, the substitution ring
-    map and its commutators are decided at one generic point each;
-    precision soundness and component reassembly run over
-    _random_operator_basis(T).
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a draw; below it, draws decide
-        raise PrecisionError(
-            f"the property suite needs x_precision >= 10, got {x_precision}: a product of two "
-            "random operators has precision T - 2, derivative bound 4 and order >= -4, so "
-            "its order is decidable for every draw only when T >= 10"
-        )
-    rng = Random(seed)
-    T = x_precision
-    entries: List[CheckEntry] = []
-
+def _law_relations(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     d1 = TruncatedOperator.monomial((0, 0, 1, 0), T)
     x1 = TruncatedOperator.monomial((1, 0, 0, 0), T)
-    commutator = op_mul(d1, x1) - op_mul(x1, d1)
-    entries.append(
+    euler = parse_operator("x1 d1", T)
+    return [
         check(
             "pdo.defining_relation",
             "[d1, x1] = 1",
             TruncatedOperator.one(T - 1),
-            commutator,
+            op_mul(d1, x1) - op_mul(x1, d1),
             "trivial",
-        )
-    )
-
-    euler = parse_operator("x1 d1", T)
-    entries.append(
+        ),
         check(
             "pdo.euler_square",
             "(x1 d1)^2 = x1^2 d1^2 + x1 d1",
             parse_operator("x1^2 d1^2 + x1 d1", T - 1),
             op_mul(euler, euler),
             "derived",
-        )
-    )
+        ),
+    ]
 
+
+def _law_associativity(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     # With both budgets fixed op_mul is bilinear and truncate linear, so each
     # coefficient of (PQ)R - P(QR) is a trilinear polynomial in the 108
     # coefficients of P, Q and R on the basis; one generic triple decides it.
-    basis = _random_operator_basis(T)
     P, Q, R = (_generic_operator(rng, basis) for _ in range(3))
-    entries.append(
+    return [
         check(
             "pdo.associativity",
             "(PQ)R = P(QR) on one generic triple, miss probability <= 3/(2^64 - 1)",
@@ -762,8 +745,10 @@ def run_property_suite(
             int(not _agree(op_mul(op_mul(P, Q), R), op_mul(P, op_mul(Q, R)))),
             "derived",
         )
-    )
+    ]
 
+
+def _law_order_and_symbol(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     # order and symbol are not multilinear, so they stay sampled
     sub_fail = eq_fail = sym_fail = eq_seen = 0
     for _ in range(trials):
@@ -774,57 +759,44 @@ def run_property_suite(
         total = bold_ord(P) + bold_ord(Q)
         if bo > total:
             sub_fail += 1
-        sp, sq = symbol(P), symbol(Q)
-        ss = op_mul(sp, sq)
+        ss = op_mul(symbol(P), symbol(Q))
         if not ss.is_zero:
             eq_seen += 1
             if bo != total:
                 eq_fail += 1
             if not _agree(symbol(prod), ss):
                 sym_fail += 1
-    entries.append(
-        check(
-            "pdo.order_subadditive",
-            "ord(PQ) <= ord(P) + ord(Q)",
-            0,
-            sub_fail,
-            "derived",
-        )
-    )
-    entries.append(
+    # strict drop at the truncation frontier: both symbols are pure
+    # x-monomials whose product falls outside every trusted window
+    hp = TruncatedOperator.monomial((T - 1, 0, 0, 0), T)
+    hq = TruncatedOperator.monomial((0, T - 1, 0, 0), T)
+    return [
+        check("pdo.order_subadditive", "ord(PQ) <= ord(P) + ord(Q)", 0, sub_fail, "derived"),
         check(
             "pdo.order_additive_nonzero_symbols",
             f"equality branch hit {eq_seen} times",
             0,
             eq_fail,
             "derived",
-        )
-    )
-    entries.append(
+        ),
         check(
             "pdo.symbol_multiplicative",
             "sigma(PQ) = sigma(P) sigma(Q) when nonzero",
             0,
             sym_fail,
             "derived",
-        )
-    )
-
-    # strict drop at the truncation frontier: both symbols are pure
-    # x-monomials whose product falls outside every trusted window
-    hp = TruncatedOperator.monomial((T - 1, 0, 0, 0), T)
-    hq = TruncatedOperator.monomial((0, T - 1, 0, 0), T)
-    strict = bold_ord(op_mul(hp, hq)) < bold_ord(hp) + bold_ord(hq)
-    entries.append(
+        ),
         check(
             "pdo.order_strict_drop",
             "constructed vanishing-symbol product drops strictly",
             True,
-            strict,
+            bold_ord(op_mul(hp, hq)) < bold_ord(hp) + bold_ord(hq),
             "derived",
-        )
-    )
+        ),
+    ]
 
+
+def _law_graded_order(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     gamma_fail = ht_fail = 0
     for _ in range(trials):
         P = _random_graded_monic(rng, T)
@@ -836,25 +808,21 @@ def run_property_suite(
             gamma_fail += 1
         if not _agree(ht_2(prod), op_mul(ht_2(P), ht_2(Q))):
             ht_fail += 1
-    entries.append(
+    return [
         check(
             "pdo.gamma_order_additive",
             "graded order adds on monic-leading pairs",
             0,
             gamma_fail,
             "derived",
-        )
-    )
-    entries.append(
+        ),
         check(
-            "pdo.highest_term_multiplicative",
-            "top d2-coefficients multiply",
-            0,
-            ht_fail,
-            "derived",
-        )
-    )
+            "pdo.highest_term_multiplicative", "top d2-coefficients multiply", 0, ht_fail, "derived"
+        ),
+    ]
 
+
+def _law_a1(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     a1_fail = 0
     for _ in range(trials):
         m1, m2 = rng.randint(0, 2), rng.randint(0, 2)
@@ -862,16 +830,12 @@ def run_property_suite(
         Q = _random_a1_operator(rng, T, m2)
         if not a1_check(op_mul(P, Q), m1 + m2):
             a1_fail += 1
-    entries.append(
-        check(
-            "pdo.a1_closure",
-            "growth levels add under multiplication",
-            0,
-            a1_fail,
-            "derived",
-        )
-    )
+    return [
+        check("pdo.a1_closure", "growth levels add under multiplication", 0, a1_fail, "derived")
+    ]
 
+
+def _law_ring_map(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     # The ring-map defect is a polynomial once powers of a and e are cleared.
     # A term x1^i1 x2^i2 d^k (i = i1 + i2) maps to N / (a^i e^i1), where N has
     # degree i1 + k in a..e.  PQ has i, k <= 4, so a^4 e^4 phi(PQ) has degree
@@ -883,23 +847,18 @@ def run_property_suite(
     P, Q = _generic_operator(rng, basis), _generic_operator(rng, basis)
     lhs = change_variables(op_mul(P, Q), *params)
     rhs = op_mul(change_variables(P, *params), change_variables(Q, *params))
-    comm_fail = 0
-    gens = [
-        TruncatedOperator.monomial(key, T)
+    imgs = [
+        change_variables(TruncatedOperator.monomial(key, T), *params)
         for key in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     ]
-    imgs = [change_variables(g, *params) for g in gens]
-    for di in (2, 3):
-        for xj in (0, 1):
-            com = op_mul(imgs[di], imgs[xj]) - op_mul(imgs[xj], imgs[di])
-            want = (
-                TruncatedOperator.one(com.x_precision)
-                if di - 2 == xj
-                else TruncatedOperator.zero(com.x_precision)
-            )
-            if com != want:
-                comm_fail += 1
-    entries.append(
+    # equality compares terms only, so one(T) and zero(T) serve at every precision
+    one, zero = TruncatedOperator.one(T), TruncatedOperator.zero(T)
+    comm_fail = sum(
+        op_mul(imgs[di], imgs[xj]) - op_mul(imgs[xj], imgs[di]) != (one if di - 2 == xj else zero)
+        for di in (2, 3)
+        for xj in (0, 1)
+    )
+    return [
         check(
             "pdo.change_is_ring_map",
             "substitution commutes with multiplication on one generic trial, "
@@ -907,9 +866,7 @@ def run_property_suite(
             0,
             int(not _agree(lhs, rhs)),
             "derived",
-        )
-    )
-    entries.append(
+        ),
         check(
             "pdo.change_commutators",
             "canonical commutators preserved by one generic substitution, "
@@ -917,14 +874,16 @@ def run_property_suite(
             0,
             comm_fail,
             "derived",
-        )
-    )
+        ),
+    ]
 
+
+def _law_quasi_elliptic(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     qe_fail = sum(
         not is_quasi_elliptic_pair(P, Q)
         for P, Q in _sheared_normalized_pairs(rng, T, max(trials // 5, 20))
     )
-    entries.append(
+    return [
         check(
             "pdo.quasi_elliptic_preserved",
             "shear changes keep pairs quasi-elliptic",
@@ -932,8 +891,10 @@ def run_property_suite(
             qe_fail,
             "derived",
         )
-    )
+    ]
 
+
+def _law_precision(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     # Once both precisions and the left d_bound are fixed, op_mul is bilinear
     # and truncate linear, so agreement on every ordered pair of basis
     # operators proves it for every pair random_operator can draw.
@@ -944,7 +905,7 @@ def run_property_suite(
             low = op_mul(P, Q)
             if op_mul(hi_p, hi_q).truncate(low.x_precision) != low:
                 prec_fail += 1
-    entries.append(
+    return [
         check(
             "pdo.precision_soundness",
             "higher budgets refine, never contradict",
@@ -952,8 +913,10 @@ def run_property_suite(
             prec_fail,
             "derived",
         )
-    )
+    ]
 
+
+def _law_reassembly(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     # Each basis operator is one term of one grade g, and random_operator's
     # draws reach only grades -2..2. homogeneous_component is linear in P, so
     # if it keeps each basis operator at m == g and drops it at every other m,
@@ -967,7 +930,7 @@ def run_property_suite(
         for m in range(-2, 3):
             if homogeneous_component(P, m) != (P if m == g else zero):
                 reasm_fail += 1
-    entries.append(
+    return [
         check(
             "pdo.component_reassembly",
             "graded components sum back to the operator",
@@ -975,36 +938,38 @@ def run_property_suite(
             reasm_fail,
             "derived",
         )
-    )
+    ]
 
+
+def _law_module_action(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     act = spectral_module_action(parse_operator("x1 d1", T), (1, 0))
-    entries.append(
+    torsion_fail = 0
+    for p1, p2, k in itertools.product(range(3), range(3), range(1, 4)):
+        d2k = TruncatedOperator.monomial((0, 0, 0, k), T)
+        if not any(spectral_module_action(d2k, (p1, p2)).values()):
+            torsion_fail += 1
+    return [
         check(
             "pdo.module_action_reduction",
             "class d1 acted by x1 d1 reduces to d1",
             {(1, 0): Fraction(1)},
             act,
             "derived",
-        )
-    )
-    torsion_fail = 0
-    for p1, p2, k in itertools.product(range(3), range(3), range(1, 4)):
-        d2k = TruncatedOperator.monomial((0, 0, 0, k), T)
-        if not any(spectral_module_action(d2k, (p1, p2)).values()):
-            torsion_fail += 1
-    entries.append(
+        ),
         check(
             "pdo.module_torsion_free",
             "no nonzero class dies against a monic pure d2-power",
             0,
             torsion_fail,
             "derived",
-        )
-    )
+        ),
+    ]
 
+
+def _law_normalized_examples(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     P0 = parse_operator("d2^2", T)
     Q0 = parse_operator("d1 d2", T)
-    entries.append(
+    return [
         check(
             "pdo.normalized_example",
             "pure pair (d2^2, d1 d2) is quasi-elliptic, 1-quasi-elliptic and normalized",
@@ -1015,15 +980,52 @@ def run_property_suite(
                 is_normalized_pair(P0, Q0),
             ),
             "trivial",
-        )
-    )
-    entries.append(
+        ),
         check(
             "pdo.normalized_rejects_subtop",
             "a d2^(k-1) term breaks the normalized shape",
             False,
-            is_normalized_pair(parse_operator("d2^2 + d2", T), parse_operator("d1 d2", T)),
+            is_normalized_pair(parse_operator("d2^2 + d2", T), Q0),
             "trivial",
+        ),
+    ]
+
+
+_LAWS = (
+    _law_relations,
+    _law_associativity,
+    _law_order_and_symbol,
+    _law_graded_order,
+    _law_a1,
+    _law_ring_map,
+    _law_quasi_elliptic,
+    _law_precision,
+    _law_reassembly,
+    _law_module_action,
+    _law_normalized_examples,
+)
+
+
+def run_property_suite(
+    trials: int = 500, seed: int = 42, x_precision: int = 12, d_bound: int = 6
+) -> List[CheckEntry]:
+    """Randomized, generic-point and constructed checks of the ring and order calculus.
+
+    Each law in _LAWS maps (rng, T, trials, basis) to its entries, with
+    basis = _random_operator_basis(T); the laws run in order off one
+    Random(seed), so a law that draws starts where the last one stopped.
+    trials sizes the sampled loops.  Associativity, the substitution ring
+    map and its commutators are decided at one generic point each;
+    precision soundness and component reassembly run over basis.  d_bound
+    is only recorded: every generator fixes its own derivative bound.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a draw; below it, draws decide
+        raise PrecisionError(
+            f"the property suite needs x_precision >= 10, got {x_precision}: a product of two "
+            "random operators has precision T - 2, derivative bound 4 and order >= -4, so "
+            "its order is decidable for every draw only when T >= 10"
         )
-    )
-    return entries
+    rng, basis = Random(seed), _random_operator_basis(x_precision)
+    return [entry for law in _LAWS for entry in law(rng, x_precision, trials, basis)]

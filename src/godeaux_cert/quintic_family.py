@@ -91,10 +91,6 @@ class GroupElement:
     def power(self, n: int) -> "GroupElement":
         return GroupElement(tuple(w * n for w in self.weights))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(w == 0 for w in self.weights)
-
 
 def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[int, ...]:
     if len(a) != 12:

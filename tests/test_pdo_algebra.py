@@ -1,8 +1,10 @@
 """Truncated operator ring: product, orders, symbols, substitutions."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -29,6 +31,12 @@ def test_constructor_validates():
         pa.TruncatedOperator({(0, 0, -1, 0): 1}, 4)
     with pytest.raises(ValueError):
         pa.TruncatedOperator({(0, 0, 3, 0): 1}, 4, d_bound=2)
+
+
+def test_constructor_refuses_non_int_exponents():
+    for e in (1.5, Fraction(1), True):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            pa.TruncatedOperator({(e, 0, 0, 0): 1}, T)
 
 
 def test_constructor_refuses_floats():
@@ -727,8 +735,13 @@ def test_parse_zero_matches_constructor():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         pa.parse_operator("x3", T)
-    with pytest.raises(ValueError):
-        pa.parse_operator("d1 -", T)
+    with pytest.raises(ValueError, match="zero denominator in term '1/0x1'"):
+        pa.parse_operator("1/0 x1", T)
+    for text in ("d1 -", "x1 + + d1", "x1 +", "+", "x1 + - d1", "-"):
+        with pytest.raises(ValueError, match="dangling sign"):
+            pa.parse_operator(text, T)
+    # a leading sign belongs to the first term
+    assert op("+x1") == op("x1") and op("-x1") == op("x1").scale(-1)
 
 
 def test_parse_rejects_x_after_d():
@@ -834,16 +847,67 @@ def _sampled_reassembly_failures(rng, x_precision, trials):
     return fail
 
 
-def _suite_reading(check_id, **kwargs):
-    entries = pa.run_property_suite(**kwargs)
-    (entry,) = [e for e in entries if e.check_id == check_id]
-    return entry.actual
+def _run_law(law, seed=42, trials=1, x_precision=T):
+    """The entries of one law run alone off Random(seed), by check id."""
+    entries = law(Random(seed), x_precision, trials, pa._random_operator_basis(x_precision))
+    return {e.check_id: e for e in entries}
+
+
+# the laws of the property suite in table order, each with the ids it reports
+_LAW_IDS = {
+    "_law_relations": ["pdo.defining_relation", "pdo.euler_square"],
+    "_law_associativity": ["pdo.associativity"],
+    "_law_order_and_symbol": [
+        "pdo.order_subadditive",
+        "pdo.order_additive_nonzero_symbols",
+        "pdo.symbol_multiplicative",
+        "pdo.order_strict_drop",
+    ],
+    "_law_graded_order": ["pdo.gamma_order_additive", "pdo.highest_term_multiplicative"],
+    "_law_a1": ["pdo.a1_closure"],
+    "_law_ring_map": ["pdo.change_is_ring_map", "pdo.change_commutators"],
+    "_law_quasi_elliptic": ["pdo.quasi_elliptic_preserved"],
+    "_law_precision": ["pdo.precision_soundness"],
+    "_law_reassembly": ["pdo.component_reassembly"],
+    "_law_module_action": ["pdo.module_action_reduction", "pdo.module_torsion_free"],
+    "_law_normalized_examples": ["pdo.normalized_example", "pdo.normalized_rejects_subtop"],
+}
+
+
+def test_suite_is_its_laws_in_table_order_off_one_random(monkeypatch):
+    golden = json.loads((Path(__file__).parent / "golden_pdo_default.json").read_text())
+    golden_ids = [e["check_id"] for e in golden["entries"]]
+    assert len(golden_ids) == 19
+    assert [i for ids in _LAW_IDS.values() for i in ids] == golden_ids
+    assert [law.__name__ for law in pa._LAWS] == list(_LAW_IDS)
+    made = []
+
+    class RecordedRandom(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    # a passing entry reads the same whatever was drawn, so the draws are
+    # compared through the state of the one Random the suite makes
+    monkeypatch.setattr(pa, "Random", RecordedRandom)
+    for seed in range(5):
+        for x_precision in (10, 12, 16):
+            rng, basis = Random(seed), pa._random_operator_basis(x_precision)
+            runs = [law(rng, x_precision, 5, basis) for law in pa._LAWS]
+            assert [[e.check_id for e in run] for run in runs] == list(_LAW_IDS.values())
+            made.clear()
+            suite = pa.run_property_suite(trials=5, seed=seed, x_precision=x_precision)
+            assert [repr(e) for e in suite] == [repr(e) for run in runs for e in run]
+            assert len(made) == 1 and made[0].getstate() == rng.getstate()
 
 
 def test_basis_certificates_agree_with_sampled_oracles():
     for x_precision in (12, 16):
-        for check_id in ("pdo.precision_soundness", "pdo.component_reassembly"):
-            assert _suite_reading(check_id, trials=1, x_precision=x_precision) == 0
+        for law, check_id in (
+            (pa._law_precision, "pdo.precision_soundness"),
+            (pa._law_reassembly, "pdo.component_reassembly"),
+        ):
+            assert _run_law(law, x_precision=x_precision)[check_id].actual == 0
         for seed in range(5):
             rng = Random(seed)
             assert _sampled_precision_failures(rng, x_precision, 500) == 0
@@ -865,7 +929,8 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
         return prod
 
     monkeypatch.setattr(pa, "op_mul", corrupt_mul)
-    assert _suite_reading("pdo.precision_soundness", trials=1, x_precision=x_precision) == 1
+    got = _run_law(pa._law_precision, x_precision=x_precision)
+    assert got["pdo.precision_soundness"].actual == 1
 
 
 _REAL_COMPONENT = pa.homogeneous_component
@@ -897,7 +962,7 @@ def _dropping(grade):
 )
 def test_reassembly_certificate_catches_a_wrong_component(monkeypatch, component, want):
     monkeypatch.setattr(pa, "homogeneous_component", component)
-    assert _suite_reading("pdo.component_reassembly", trials=1) == want
+    assert _run_law(pa._law_reassembly)["pdo.component_reassembly"].actual == want
 
 
 def test_equality_branch_is_hit_on_every_draw():
@@ -905,15 +970,16 @@ def test_equality_branch_is_hit_on_every_draw():
     product, so the order checks' branch count equals trials."""
     for x_precision in (10, 12, 16):
         for seed in range(20):
-            entries = pa.run_property_suite(trials=5, seed=seed, x_precision=x_precision)
-            (entry,) = [e for e in entries if e.check_id == "pdo.order_additive_nonzero_symbols"]
+            entry = _run_law(pa._law_order_and_symbol, seed, 5, x_precision)[
+                "pdo.order_additive_nonzero_symbols"
+            ]
             assert entry.reference == "equality branch hit 5 times"
 
 
 def test_symbol_check_catches_a_wrong_grade(monkeypatch):
     real_bold_ord = pa.bold_ord
     monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, 1 - real_bold_ord(P)))
-    assert _suite_reading("pdo.symbol_multiplicative", trials=40) > 0
+    assert _run_law(pa._law_order_and_symbol, trials=40)["pdo.symbol_multiplicative"].actual > 0
 
 
 def test_order_check_catches_an_off_by_one_order(monkeypatch):
@@ -921,7 +987,8 @@ def test_order_check_catches_an_off_by_one_order(monkeypatch):
     # symbol keeps the true grade, so the equality branch is still reached
     monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, -real_bold_ord(P)))
     monkeypatch.setattr(pa, "bold_ord", lambda P: real_bold_ord(P) + 1)
-    assert _suite_reading("pdo.order_additive_nonzero_symbols", trials=40) > 0
+    got = _run_law(pa._law_order_and_symbol, trials=40)
+    assert got["pdo.order_additive_nonzero_symbols"].actual > 0
 
 
 def _sampled_associativity_failures(rng, x_precision, trials):
@@ -976,9 +1043,11 @@ _GENERIC_IDS = ("pdo.associativity", "pdo.change_is_ring_map", "pdo.change_commu
 def test_generic_certificates_agree_with_sampled_oracles():
     for x_precision in (12, 16):
         for seed in range(3):
-            entries = pa.run_property_suite(trials=1, seed=seed, x_precision=x_precision)
-            by_id = {e.check_id: e for e in entries}
-            assert [by_id[i].actual for i in _GENERIC_IDS] == [0, 0, 0]
+            got = {
+                **_run_law(pa._law_associativity, seed, x_precision=x_precision),
+                **_run_law(pa._law_ring_map, seed, x_precision=x_precision),
+            }
+            assert [got[i].actual for i in _GENERIC_IDS] == [0, 0, 0]
         for seed in range(5):
             rng = Random(seed)
             assert _sampled_associativity_failures(rng, x_precision, 500) == 0
@@ -1056,7 +1125,7 @@ def _mul_with_one_extra_pair(P, Q):
 @pytest.mark.parametrize("seed", range(5))
 def test_associativity_certificate_catches_one_bad_basis_pair(monkeypatch, seed):
     monkeypatch.setattr(pa, "op_mul", _mul_with_one_extra_pair)
-    assert _suite_reading("pdo.associativity", trials=1, seed=seed) == 1
+    assert _run_law(pa._law_associativity, seed)["pdo.associativity"].actual == 1
 
 
 _REAL_IMAGES = pa._substitution_images
@@ -1076,8 +1145,7 @@ def test_ring_map_certificate_catches_a_substitution_wrong_only_for_shears(monke
     wrong = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
     assert wrong[0] == real[0] and wrong[1] != real[1]
     for seed in range(5):
-        entries = pa.run_property_suite(trials=1, seed=seed)
-        by_id = {e.check_id: e for e in entries}
-        assert by_id["pdo.change_is_ring_map"].actual == 1
+        got = _run_law(pa._law_ring_map, seed)
+        assert got["pdo.change_is_ring_map"].actual == 1
         # only [d2, x1] = c/e breaks
-        assert by_id["pdo.change_commutators"].actual == 1
+        assert got["pdo.change_commutators"].actual == 1

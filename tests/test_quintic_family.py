@@ -84,7 +84,7 @@ def test_invariance_fails_for_unbalanced_weights():
 def test_group_element_powers():
     g = qf.GroupElement.generator()
     assert g.power(2).weights == (2, 4, 1, 3)
-    assert g.power(5).is_identity
+    assert g.power(5).weights == (0, 0, 0, 0)
 
 
 def _fixed_points(g, q):
@@ -95,7 +95,7 @@ def _fixed_points(g, q):
     families handled here.
     """
     _require_prime(q)
-    if g.is_identity:
+    if g.weights == (0, 0, 0, 0):
         raise ValueError("identity fixes everything")
     if len(set(g.weights)) != 4:
         raise ValueError(f"weights {g.weights} are not pairwise distinct")
