@@ -7,7 +7,9 @@ takes its fifth root of unity as a FieldElement from primitive_fifth_root.
 Otherwise the object layer here (FieldElement, SparsePolynomial,
 ProjectivePoint) is a second, independent representation of F_q and its
 polynomials, kept as the oracle the tests compare those checks against.
-All values are immutable and all operations are pure functions.
+It carries only what those oracles use: field elements add, multiply,
+invert and take non-negative powers; polynomials differentiate and
+evaluate.  All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class FieldElement:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.modulus)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -87,22 +80,11 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero")
         return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
         return FieldElement(pow(self.value, n, self.modulus), self.modulus)
 
     def __bool__(self) -> bool:
         return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -136,10 +118,11 @@ class SparsePolynomial:
     """Map from exponent tuples to nonzero coefficients.
 
     The coefficient domain is pluggable: ints, Fractions, or FieldElements,
-    anything supporting +, *, unary truth test, and equality.  Terms are
-    kept with no zero coefficients.  No check path evaluates these: the
-    tests evaluate them at FieldElement points as an independent oracle
-    for the plain-int mod-q checks.
+    anything supporting +, * and a unary truth test.  Terms are kept with
+    no zero coefficients.  No check path evaluates these: the tests
+    differentiate them and evaluate them at FieldElement points as an
+    independent oracle for the plain-int mod-q checks, and that is all
+    this class offers.
     """
 
     __slots__ = ("terms", "num_vars")
@@ -158,11 +141,6 @@ class SparsePolynomial:
                 clean[exps] = coeff
         self.terms = clean
         self.num_vars = num_vars
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
 
     def eval(self, point: Sequence) -> object:
         if len(point) != self.num_vars:

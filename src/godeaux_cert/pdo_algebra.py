@@ -42,11 +42,12 @@ class UndecidableOrderError(ArithmeticError):
     """Terms beyond the truncation frontier could change the answer."""
 
 
-def _refuse_floats(*vals) -> None:
-    """Raise TypeError on a float: it is a binary approximation, not the exact value meant."""
+def _refuse_float_or_bool(*vals) -> None:
+    """Raise TypeError on a float, a binary approximation, or a bool, a truth value."""
     for v in vals:
-        if isinstance(v, float):
-            raise TypeError(f"float {v!r} is not exact; pass an int or a Fraction")
+        if isinstance(v, (float, bool)):
+            kind = type(v).__name__
+            raise TypeError(f"{kind} {v!r} is not an exact number; pass an int or a Fraction")
 
 
 class _FractionView(Mapping):
@@ -93,7 +94,7 @@ class TruncatedOperator:
                 raise TypeError(f"exponents must be ints, got {key!r}")
             if min(i1, i2, k1, k2) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            _refuse_floats(val)
+            _refuse_float_or_bool(val)
             val = Fraction(val)
             if val == 0:
                 continue
@@ -165,7 +166,7 @@ class TruncatedOperator:
         )
 
     def scale(self, c) -> "TruncatedOperator":
-        _refuse_floats(c)
+        _refuse_float_or_bool(c)
         c = Fraction(c)
         cn = c.numerator
         return TruncatedOperator._trusted(
@@ -433,8 +434,8 @@ def change_variables(
     substitution is exact: x-images are linear in x, derivative images are
     constant-coefficient, so no precision is spent.
     """
-    # here, not in the cached builder: a hit there takes 0.5 for a cached Fraction(1, 2)
-    _refuse_floats(a, b, c, d, e)
+    # before the cached _substitution_images, whose hits take 0.5 for Fraction(1, 2), True for 1
+    _refuse_float_or_bool(a, b, c, d, e)
     images = _substitution_images(a, b, c, d, e)
     powers = [
         _powers(form, max((key[slot] for key in P.num), default=0))
@@ -489,8 +490,9 @@ def spectral_module_action(
     }
 
 
-_FACTOR_RE = re.compile(r"(x1|x2|d1|d2)(?:\^(\d+))?")
-_COEF_RE = re.compile(r"^(\d+(?:/\d+)?)")
+# one token and the whitespace after it: a sign, a coefficient n or n/m, or a factor;
+# digits are ASCII, as to_string writes them (\d would also take other scripts' digits)
+_TOKEN_RE = re.compile(r"(?:([+-])|([0-9]+(?:/[0-9]+)?)|(x1|x2|d1|d2)(?:\^([0-9]+))?)\s*")
 _SLOT = {"x1": 0, "x2": 1, "d1": 2, "d2": 3}
 
 
@@ -521,43 +523,45 @@ def to_string(P: TruncatedOperator) -> str:
 def parse_operator(
     text: str, x_precision: int, d_bound: Optional[int] = None
 ) -> TruncatedOperator:
-    """Parse the term grammar `coef x1^i1 x2^i2 d1^k1 d2^k2` joined by +/-."""
-    compact = "".join(text.split())
+    """Parse the term grammar `coef x1^i1 x2^i2 d1^k1 d2^k2` joined by +/-.
+
+    Whitespace may stand between tokens, never inside one: "2 3 x1" is
+    refused, not read as 23 x1.
+    """
+    terms: List[Tuple[int, list]] = [(1, [])]  # (sign, tokens) per term
+    pos = len(text) - len(text.lstrip())
+    while pos < len(text):
+        tok = _TOKEN_RE.match(text, pos)
+        if not tok:
+            raise ValueError(f"cannot parse {text[pos:]!r} in {text!r}")
+        pos = tok.end()
+        if tok.group(1):
+            terms.append((-1 if tok.group(1) == "-" else 1, []))
+        else:
+            terms[-1][1].append(tok)
+    # only the first term may be empty: a leading sign, or no text at all
+    if not all(toks for _, toks in terms[1:]):
+        raise ValueError(f"dangling sign in {text!r}")
     acc: Dict[Key, Fraction] = {}
-    for n, raw in enumerate(compact.replace("-", "+-").split("+")):
-        if not raw:
-            if n:  # past the first, an empty piece is a sign with no term after it
-                raise ValueError(f"dangling sign in {text!r}")
-            continue
-        sign = Fraction(1)
-        if raw.startswith("-"):
-            sign = Fraction(-1)
-            raw = raw[1:]
-        if not raw:
-            raise ValueError(f"dangling sign in {text!r}")
-        m = _COEF_RE.match(raw)
-        coef = sign
-        rest = raw
-        if m:
-            try:
-                coef *= Fraction(m.group(1))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in term {raw!r} of {text!r}") from None
-            rest = raw[m.end() :]
-        exps = [0, 0, 0, 0]
-        pos = 0
-        while pos < len(rest):
-            fm = _FACTOR_RE.match(rest, pos)
-            if not fm:
-                raise ValueError(f"cannot parse {rest[pos:]!r} in {text!r}")
-            slot = _SLOT[fm.group(1)]
+    for sign, toks in terms:
+        coef, exps = Fraction(sign), [0, 0, 0, 0]
+        for n, tok in enumerate(toks):
+            _, num, name, power = tok.groups()
+            if num:
+                if n:
+                    raise ValueError(f"coefficient {num!r} does not lead its term in {text!r}")
+                try:
+                    coef *= Fraction(num)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {num!r} of {text!r}") from None
+                continue
+            slot = _SLOT[name]
             # d1 x1 = x1 d1 + 1, so a term with x after d is not one monomial
             if slot < 2 and exps[2] + exps[3]:
-                raise ValueError(f"x-factor after a d-factor in term {raw!r} of {text!r}")
-            exps[slot] += int(fm.group(2) or 1)
-            pos = fm.end()
-        key = tuple(exps)
-        acc[key] = acc.get(key, Fraction(0)) + coef
+                raise ValueError(f"x-factor after a d-factor in {text!r}")
+            exps[slot] += int(power or 1)
+        if toks:
+            acc[tuple(exps)] = acc.get(tuple(exps), Fraction(0)) + coef
     return TruncatedOperator(acc, x_precision, d_bound)
 
 
@@ -582,7 +586,9 @@ def _from_pairs(
 
 
 def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
-    """Random nonzero operator: 1-4 terms, x-degree and d-degree at most 2."""
+    """Random nonzero operator: 1-4 terms, x-degree and d-degree at most 2, so x_precision >= 3."""
+    if x_precision < 3:
+        raise ValueError(f"random_operator needs x_precision >= 3, got {x_precision}")
     pairs: Dict[Key, Tuple[int, int]] = {}
     for _ in range(rng.randint(1, 4)):
         i1 = rng.randint(0, 2)
@@ -591,10 +597,7 @@ def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
         k2 = rng.randint(0, 2 - k1)
         num = rng.choice(_NONZERO_3)
         pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
-    op = _from_pairs(pairs, x_precision, 2)
-    if op.is_zero:
-        return TruncatedOperator.one(x_precision)
-    return op
+    return _from_pairs(pairs, x_precision, 2)
 
 
 def _random_operator_basis(x_precision: int) -> List[TruncatedOperator]:
@@ -602,15 +605,13 @@ def _random_operator_basis(x_precision: int) -> List[TruncatedOperator]:
 
     The 36 monomials x1^i1 x2^i2 d1^k1 d2^k2 with i1 + i2 <= 2 and
     k1 + k2 <= 2 (those of x-degree below x_precision) at d_bound 2, whose
-    rational combinations are its nonzero draws, then one(x_precision), its
-    d_bound-0 fallback.
+    rational combinations are its draws.
     """
-    monomials = [
+    return [
         TruncatedOperator._trusted({key: 1}, 1, x_precision, 2)
         for key in itertools.product(range(3), repeat=4)
         if key[0] + key[1] <= 2 and key[2] + key[3] <= 2 and key[0] + key[1] < x_precision
     ]
-    return monomials + [TruncatedOperator.one(x_precision)]
 
 
 # Schwartz-Zippel: a nonzero polynomial of total degree D vanishes at a point
@@ -621,17 +622,15 @@ _GENERIC_BOUND = 2**64
 def _generic_operator(rng: Random, basis: List[TruncatedOperator]) -> TruncatedOperator:
     """One dense operator: each of the 36 monomials of basis gets a coefficient from [1, 2^64).
 
-    basis is _random_operator_basis(T), whose last operator, the one(T)
-    fallback, random_operator never returns for T >= 3.  The budgets are
-    those of every other draw: x_precision T and d_bound 2.
+    basis is _random_operator_basis(T).  The budgets are those of every
+    random_operator draw: x_precision T and d_bound 2.
     """
-    *monomials, _ = basis
-    num = {key: rng.randrange(1, _GENERIC_BOUND) for B in monomials for key in B.num}
-    return TruncatedOperator._trusted(num, 1, monomials[0].x_precision, 2)
+    num = {key: rng.randrange(1, _GENERIC_BOUND) for B in basis for key in B.num}
+    return TruncatedOperator._trusted(num, 1, basis[0].x_precision, 2)
 
 
 def _random_a1_operator(rng: Random, x_precision: int, m: int) -> TruncatedOperator:
-    """Random operator satisfying the growth condition at level m."""
+    """Random operator of growth level m; its x-degrees reach 6, so it may be zero below T = 7."""
     pairs: Dict[Key, Tuple[int, int]] = {}
     for _ in range(rng.randint(1, 4)):
         k1 = rng.randint(0, 2)
@@ -641,8 +640,7 @@ def _random_a1_operator(rng: Random, x_precision: int, m: int) -> TruncatedOpera
         i2 = rng.randint(0, 2)
         num = rng.choice(_NONZERO_3)
         pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
-    op = _from_pairs(pairs, x_precision, 2)
-    return op if not op.is_zero else TruncatedOperator.one(x_precision)
+    return _from_pairs(pairs, x_precision, 2)
 
 
 def _random_graded_monic(rng: Random, x_precision: int) -> TruncatedOperator:

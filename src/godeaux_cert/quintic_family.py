@@ -88,9 +88,6 @@ class GroupElement:
     def generator(cls) -> "GroupElement":
         return cls((1, 2, 3, 4))
 
-    def power(self, n: int) -> "GroupElement":
-        return GroupElement(tuple(w * n for w in self.weights))
-
 
 def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[int, ...]:
     if len(a) != 12:

@@ -63,6 +63,23 @@ def test_change_variables_refuses_floats():
     assert pa.change_variables(P, Fraction(1, 2), 0, 0, 0, 1) == half
 
 
+def test_bool_coefficients_are_refused():
+    """True is a truth value, not the coefficient 1, in every public entry point."""
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            pa.TruncatedOperator({(0, 0, 0, 0): flag}, 5)
+        with pytest.raises(TypeError, match="bool"):
+            op("d1").scale(flag)
+        with pytest.raises(TypeError, match="bool"):
+            pa.change_variables(op("x1 d2"), flag, 0, 0, 0, 1)
+        with pytest.raises(TypeError, match="bool"):
+            pa.special_change(op("x1 d2"), 0, flag, 0)
+    # the substitution cache holds the key 1 now; True must still be refused
+    assert pa.change_variables(op("x1 d2"), 1, 0, 0, 0, 1) == op("x1 d2")
+    with pytest.raises(TypeError, match="bool"):
+        pa.change_variables(op("x1 d2"), True, 0, 0, 0, 1)
+
+
 def test_defining_relation():
     d1, x1 = op("d1"), op("x1")
     assert d1 * x1 - x1 * d1 == pa.TruncatedOperator.one(T - 1)
@@ -158,6 +175,20 @@ def test_pair_predicates():
     # non-monic pairs are rejected
     assert not pa.is_quasi_elliptic_pair(op("x1 d2^2"), Q)
     assert not pa.is_quasi_elliptic_pair(P, op("2 d1 d2"))
+
+
+def test_one_quasi_elliptic_false_branches():
+    Q = op("d1 d2")
+    # not quasi-elliptic: P is not monic
+    assert not pa.is_one_quasi_elliptic_pair(op("x1 d2^2"), Q)
+    # quasi-elliptic, but d1^4 breaks A1 at level k + l = 3
+    P = op("d2^2 + d1^4")
+    assert pa.is_quasi_elliptic_pair(P, Q) and not pa.a1_check(P, 3)
+    assert not pa.is_one_quasi_elliptic_pair(P, Q)
+    # A1 holds at level 3, but ord(P) = 3 is not k = 2
+    P = op("d2^2 + d1^3")
+    assert pa.a1_check(P, 3) and pa.bold_ord(P) == 3
+    assert not pa.is_one_quasi_elliptic_pair(P, Q)
 
 
 def test_one_quasi_elliptic_order_arithmetic():
@@ -293,8 +324,7 @@ def _fraction_random_operator(rng, x_precision):
         k2 = rng.randint(0, 2 - k1)
         num = rng.choice(_NONZERO_3)
         coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
-    op = pa.TruncatedOperator(coeffs, x_precision, 2)
-    return op if not op.is_zero else pa.TruncatedOperator.one(x_precision)
+    return pa.TruncatedOperator(coeffs, x_precision, 2)
 
 
 def _fraction_random_a1_operator(rng, x_precision, m):
@@ -308,8 +338,7 @@ def _fraction_random_a1_operator(rng, x_precision, m):
         i2 = rng.randint(0, 2)
         num = rng.choice(_NONZERO_3)
         coeffs[(i1, i2, k1, k2)] = Fraction(num, rng.randint(1, 3))
-    op = pa.TruncatedOperator(coeffs, x_precision, 2)
-    return op if not op.is_zero else pa.TruncatedOperator.one(x_precision)
+    return pa.TruncatedOperator(coeffs, x_precision, 2)
 
 
 def _fraction_random_graded_monic(rng, x_precision):
@@ -350,15 +379,22 @@ def test_generators_match_fraction_oracles():
     """Same terms in the same order, same budgets, and the Random left in the same state.
 
     The draws are part of the report: eq_seen is printed in a reference string.
+    Below T = 3 random_operator refuses before it draws.
     """
     for seed in range(200):
         T = (1, 2, 3, 12)[seed % 4]
-        cases = (
-            (pa.random_operator, _fraction_random_operator, (T,)),
+        cases = [
             (pa._random_a1_operator, _fraction_random_a1_operator, (T, seed % 3)),
             (pa._random_graded_monic, _fraction_random_graded_monic, (T,)),
             (pa._random_normalized_pair, _fraction_random_normalized_pair, (T,)),
-        )
+        ]
+        if T < 3:
+            rng = Random(seed)
+            with pytest.raises(ValueError, match="x_precision >= 3"):
+                pa.random_operator(rng, T)
+            assert rng.getstate() == Random(seed).getstate()
+        else:
+            cases.append((pa.random_operator, _fraction_random_operator, (T,)))
         for gen, oracle, args in cases:
             rng, twin = Random(seed), Random(seed)
             got, want = gen(rng, *args), oracle(twin, *args)
@@ -735,13 +771,27 @@ def test_parse_zero_matches_constructor():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         pa.parse_operator("x3", T)
-    with pytest.raises(ValueError, match="zero denominator in term '1/0x1'"):
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         pa.parse_operator("1/0 x1", T)
     for text in ("d1 -", "x1 + + d1", "x1 +", "+", "x1 + - d1", "-"):
         with pytest.raises(ValueError, match="dangling sign"):
             pa.parse_operator(text, T)
     # a leading sign belongs to the first term
     assert op("+x1") == op("x1") and op("-x1") == op("x1").scale(-1)
+
+
+def test_parse_keeps_tokens_apart():
+    """Whitespace separates tokens and never joins two into one."""
+    for text in ("2 3 x1", "x1^1 2", "x1 2", "1 + 2 3 d1", "x1 d1 5"):
+        with pytest.raises(ValueError, match="does not lead its term"):
+            pa.parse_operator(text, 30)
+    for text in ("x 1", "d1^ 2", "1 /2 x1", "1/ 2 x1", "\u0663 x1", "x1^\u0662"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            pa.parse_operator(text, 30)
+    assert pa.parse_operator("23 x1", 30) == pa.parse_operator("23x1", 30)
+    assert pa.to_string(pa.parse_operator(" x1^12 ", 30)) == "x1^12"
+    assert pa.parse_operator("  ", T).is_zero
+    assert op(" 1/2 x1 x2^2  d1 -3 d2 ") == op("1/2x1x2^2d1-3d2")
 
 
 def test_parse_rejects_x_after_d():
@@ -794,30 +844,28 @@ def _basis_keys(x_precision):
 def test_random_operator_basis_shape():
     for x_precision in range(1, 21):
         basis = pa._random_operator_basis(x_precision)
-        *monomials, one = basis
-        assert (one.num, one.den, one.d_bound) == ({(0, 0, 0, 0): 1}, 1, 0)
-        assert [(B.den, B.d_bound) for B in monomials] == [(1, 2)] * len(monomials)
-        assert all(list(B.num.values()) == [1] for B in monomials)
-        keys = [key for B in monomials for key in B.num]
+        assert [(B.den, B.d_bound) for B in basis] == [(1, 2)] * len(basis)
+        assert all(list(B.num.values()) == [1] for B in basis)
+        keys = [key for B in basis for key in B.num]
         assert len(keys) == len(set(keys)) and set(keys) == _basis_keys(x_precision)
         assert {B.x_precision for B in basis} == {x_precision}
-    assert len(pa._random_operator_basis(12)) == 37
+    assert len(pa._random_operator_basis(12)) == 36
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
 def test_random_operator_lies_in_basis_span(seed, x_precision):
-    """The premise of the basis certificates in run_property_suite."""
+    """The premise of the basis certificates in run_property_suite; below T = 3 a refusal."""
     rng = Random(seed)
-    one = pa.TruncatedOperator.one(x_precision)
+    if x_precision < 3:
+        with pytest.raises(ValueError, match="x_precision >= 3"):
+            pa.random_operator(rng, x_precision)
+        return
     keys = _basis_keys(x_precision)
     for _ in range(20):
         P = pa.random_operator(rng, x_precision)
-        assert P.x_precision == x_precision
-        if P.d_bound == 0:
-            assert (P.num, P.den) == (one.num, one.den)
-        else:
-            assert P.d_bound == 2 and set(P.num) <= keys
+        assert (P.x_precision, P.d_bound) == (x_precision, 2)
+        assert P.num and set(P.num) <= keys
 
 
 def _sampled_precision_failures(rng, x_precision, trials):
@@ -934,8 +982,8 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
 
 
 _REAL_COMPONENT = pa.homogeneous_component
-# grades of the basis at T = 12; one(T) adds one more at grade 0
-_BASIS_GRADES = [(k[0] + k[1]) - (k[2] + k[3]) for k in _basis_keys(12)] + [0]
+# grades of the basis at T = 12
+_BASIS_GRADES = [(k[0] + k[1]) - (k[2] + k[3]) for k in _basis_keys(12)]
 
 
 def _dropping(grade):
@@ -950,12 +998,12 @@ def _dropping(grade):
         # losing grade g fails once per basis operator of grade g
         *((_dropping(g), _BASIS_GRADES.count(g)) for g in range(-2, 3)),
         # ignoring m keeps each basis operator at its 4 other grades
-        (lambda P, m: P, 37 * 4),
+        (lambda P, m: P, 36 * 4),
         # keeping grades m and m + 1 keeps each one once more, at m = g - 1,
         # except those of grade -2, for which m = -3 is not checked
         (
             lambda P, m: _REAL_COMPONENT(P, m) + _REAL_COMPONENT(P, m + 1),
-            37 - _BASIS_GRADES.count(-2),
+            36 - _BASIS_GRADES.count(-2),
         ),
     ],
     ids=[f"drops-{g}" for g in range(-2, 3)] + ["ignores-m", "keeps-m-and-m+1"],
@@ -1059,7 +1107,6 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
     """The generic triple stands for every draw only if op_mul treats each term
     pair alike: no kernel may branch on the support, say on len(P.num)."""
     basis = pa._random_operator_basis(x_precision)
-    *monomials, _ = basis
     rng = Random(x_precision)
     P, Q = (pa._generic_operator(rng, basis) for _ in range(2))
     for G in (P, Q):
@@ -1067,9 +1114,9 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
         assert (G.den, G.x_precision, G.d_bound) == (1, x_precision, 2)
         assert all(1 <= n < 2**64 for n in G.num.values())
     acc = {}
-    for A in monomials:
+    for A in basis:
         ((ka, _),) = A.num.items()
-        for B in monomials:
+        for B in basis:
             ((kb, _),) = B.num.items()
             AB = pa.op_mul(A, B)
             assert AB.den == 1
@@ -1082,9 +1129,10 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
 
 
 def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatch):
-    """Every drawn key has x-degree <= 2 < T and a nonzero numerator, so no
-    term is dropped and the one(T) fallback is never taken: every draw has
-    budgets T and d_bound 2, those of the generic triple."""
+    """There is no one(T) fallback: below T = 3 random_operator refuses, and
+    from T = 3 every drawn key has x-degree <= 2 < T and a nonzero numerator,
+    so no term is dropped and every draw is nonzero with budgets T and
+    d_bound 2, those of the generic triple."""
     real_from_pairs = pa._from_pairs
     seen = []
 
@@ -1093,12 +1141,16 @@ def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatc
         return real_from_pairs(pairs, x_precision, d_bound)
 
     monkeypatch.setattr(pa, "_from_pairs", recording)
+    for x_precision in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="x_precision >= 3"):
+            pa.random_operator(Random(x_precision), x_precision)
+    assert not seen
     for x_precision in range(3, 21):
         rng = Random(x_precision)
         for _ in range(200):
             P = pa.random_operator(rng, x_precision)
             assert (P.x_precision, P.d_bound) == (x_precision, 2)
-            assert len(P.num) == len(seen[-1])
+            assert len(P.num) == len(seen[-1]) > 0
     assert all(
         k[0] + k[1] <= 2 and n != 0 and d > 0
         for pairs in seen

@@ -81,10 +81,11 @@ def test_invariance_fails_for_unbalanced_weights():
     assert not qf.invariance_check(perturbed, g, 11)
 
 
-def test_group_element_powers():
-    g = qf.GroupElement.generator()
-    assert g.power(2).weights == (2, 4, 1, 3)
-    assert g.power(5).weights == (0, 0, 0, 0)
+def test_group_element_reduces_weights_and_refuses_three():
+    assert qf.GroupElement((6, 7, -2, 9)).weights == (1, 2, 3, 4)
+    assert qf.GroupElement((10, 5, 0, 15)).weights == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="need 4 weights"):
+        qf.GroupElement((1, 2, 3))
 
 
 def _fixed_points(g, q):
@@ -114,7 +115,7 @@ def test_fixed_points_are_coordinate_points():
 def test_fixed_points_match_brute_force():
     g = qf.GroupElement.generator()
     assert set(qf.brute_force_fixed_points(g, 11)) == set(_fixed_points(g, 11))
-    g2 = g.power(2)
+    g2 = qf.GroupElement((2, 4, 1, 3))
     assert set(qf.brute_force_fixed_points(g2, 11)) == set(_fixed_points(g2, 11))
 
 
@@ -128,6 +129,11 @@ def test_fixed_points_rejects_identity_and_repeats():
 def test_free_action_fermat_true():
     assert qf.free_action_check(FERMAT, 11)
     assert qf.free_action_check([1] * 12, 11)
+
+
+def test_free_action_refuses_eleven_coefficients():
+    with pytest.raises(ValueError, match="need 12 coefficients, got 11"):
+        qf.free_action_check([1] * 11, 11)
 
 
 def test_free_action_fails_without_pure_power():

@@ -30,6 +30,12 @@ def test_quotient_invariants():
         rr.quotient_invariants(rr.QUINTIC, 3)
 
 
+def test_quotient_invariants_refuses_degree_zero():
+    for deg in (0, -5):
+        with pytest.raises(ValueError, match="deg must be positive"):
+            rr.quotient_invariants(rr.QUINTIC, deg)
+
+
 def test_divisor_parity_enforced():
     with pytest.raises(ValueError):
         rr.NumericalDivisor(0, 1)
