@@ -230,6 +230,15 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
     return entries
 
 
+def _digits(n: int, q: int) -> List[int]:
+    """The 12 base-q digits of 0 <= n < q^12, least significant first."""
+    vec = []
+    for _ in range(12):
+        n, v = divmod(n, q)
+        vec.append(v)
+    return vec
+
+
 def suite_surface(cfg: dict) -> List[CheckEntry]:
     a = cfg["coefficients"]
     primes = cfg["primes"]
@@ -274,11 +283,13 @@ def suite_surface(cfg: dict) -> List[CheckEntry]:
                     "derived",
                 )
             )
-        rng = Random(seed * 100003 + q)
+        # one uniform integer below q^12 is one uniform vector of F_q^12
+        rng, size = Random(seed * 100003 + q), q**12
         disagreements = 0
         for _ in range(1000):
-            vec = [rng.randrange(q) for _ in range(12)]
-            if not any(v % q for v in vec):
+            n = rng.randrange(size)
+            vec = _digits(n, q)
+            if not n:
                 vec[rng.randrange(12)] = 1
             try:
                 quintic_family.free_action_check(vec, q)
@@ -420,6 +431,9 @@ def load_config(args: argparse.Namespace) -> dict:
     if cfg["trials"] < 1:
         raise ValueError(f"trials must be at least 1, got {cfg['trials']}")
     cfg["seed"] = _json_int("seed", cfg["seed"])
+    if cfg["seed"] < 0:
+        # Random(-s) draws what Random(s) draws, so the report would name a seed it did not use
+        raise ValueError(f"seed must be at least 0, got {cfg['seed']}")
     for key, low in (("T", 1), ("d_bound", 0)):
         val = _json_int(f"pdo_budget.{key}", cfg["pdo_budget"][key])
         if val < low:

@@ -565,39 +565,33 @@ def parse_operator(
     return TruncatedOperator(acc, x_precision, d_bound)
 
 
-# random coefficients draw from these, as rng.choice over the same sequence
+# Every draw is rng.choice over a constant tuple.  choice(seq) is
+# seq[_randbelow(len(seq))] and randint(a, b) is a + _randbelow(b - a + 1), so
+# choice(tuple(range(a, b + 1))) takes what randint(a, b) took, from the same
+# stream.  A term at or beyond x_precision is dropped after its draws, so the
+# stream does not depend on the precision.  _UPTO[n] is 0..n.
+_UPTO = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3))
 _NONZERO_3 = (-3, -2, -1, 1, 2, 3)
 _NONZERO_2 = (-2, -1, 1, 2)
-
-
-def _from_pairs(
-    pairs: Dict[Key, Tuple[int, int]], x_precision: int, d_bound: int
-) -> TruncatedOperator:
-    """Operator from (nonzero numerator, positive denominator) pairs.
-
-    Keys at or beyond x-degree x_precision are dropped, as the public
-    constructor would; derivative degrees must already be within d_bound.
-    """
-    pairs = {k: nd for k, nd in pairs.items() if k[0] + k[1] < x_precision}
-    den = math.lcm(*(d for _, d in pairs.values()))
-    return TruncatedOperator._trusted(
-        {k: n * (den // d) for k, (n, d) in pairs.items()}, den, x_precision, d_bound
-    )
+_SHEAR = (-2, -1, 0, 1, 2)
+# A coefficient n/d with d in 1..3 is stored as n * (6 // d) over 6, and
+# _trusted reduces it; choice(_SIXTHS) is 6 // d for d drawn as randint(1, 3).
+_SIXTHS = (6, 3, 2)
 
 
 def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
     """Random nonzero operator: 1-4 terms, x-degree and d-degree at most 2, so x_precision >= 3."""
     if x_precision < 3:
         raise ValueError(f"random_operator needs x_precision >= 3, got {x_precision}")
-    pairs: Dict[Key, Tuple[int, int]] = {}
-    for _ in range(rng.randint(1, 4)):
-        i1 = rng.randint(0, 2)
-        i2 = rng.randint(0, 2 - i1)
-        k1 = rng.randint(0, 2)
-        k2 = rng.randint(0, 2 - k1)
-        num = rng.choice(_NONZERO_3)
-        pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
-    return _from_pairs(pairs, x_precision, 2)
+    choice = rng.choice
+    num: Dict[Key, int] = {}
+    for _ in range(choice((1, 2, 3, 4))):
+        i1 = choice(_UPTO[2])
+        i2 = choice(_UPTO[2 - i1])
+        k1 = choice(_UPTO[2])
+        k2 = choice(_UPTO[2 - k1])
+        num[(i1, i2, k1, k2)] = choice(_NONZERO_3) * choice(_SIXTHS)
+    return TruncatedOperator._trusted(num, 6, x_precision, 2)
 
 
 def _random_operator_basis(x_precision: int) -> List[TruncatedOperator]:
@@ -631,47 +625,53 @@ def _generic_operator(rng: Random, basis: List[TruncatedOperator]) -> TruncatedO
 
 def _random_a1_operator(rng: Random, x_precision: int, m: int) -> TruncatedOperator:
     """Random operator of growth level m; its x-degrees reach 6, so it may be zero below T = 7."""
-    pairs: Dict[Key, Tuple[int, int]] = {}
-    for _ in range(rng.randint(1, 4)):
-        k1 = rng.randint(0, 2)
-        k2 = rng.randint(0, 2 - k1)
-        lo = max(k1 + k2 - m, 0)
-        i1 = rng.randint(lo, lo + 2)
-        i2 = rng.randint(0, 2)
-        num = rng.choice(_NONZERO_3)
-        pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
-    return _from_pairs(pairs, x_precision, 2)
+    choice = rng.choice
+    num: Dict[Key, int] = {}
+    for _ in range(choice((1, 2, 3, 4))):
+        k1 = choice(_UPTO[2])
+        k2 = choice(_UPTO[2 - k1])
+        i1 = max(k1 + k2 - m, 0) + choice(_UPTO[2])
+        i2 = choice(_UPTO[2])
+        n = choice(_NONZERO_3) * choice(_SIXTHS)
+        if i1 + i2 < x_precision:
+            num[(i1, i2, k1, k2)] = n
+    return TruncatedOperator._trusted(num, 6, x_precision, 2)
 
 
 def _random_graded_monic(rng: Random, x_precision: int) -> TruncatedOperator:
     """Monic operator with a constant top d2-coefficient and random tail."""
-    k = rng.randint(0, 2)
-    l = rng.randint(1, 2)
-    pairs: Dict[Key, Tuple[int, int]] = {(0, 0, k, l): (1, 1)}
-    for _ in range(rng.randint(0, 3)):
-        k2 = rng.randint(0, l - 1)
-        k1 = rng.randint(0, 2)
-        i1 = rng.randint(0, 2)
-        i2 = rng.randint(0, 2 - i1)
-        num = rng.choice(_NONZERO_3)
-        pairs[(i1, i2, k1, k2)] = (num, rng.randint(1, 3))
-    return _from_pairs(pairs, x_precision, max(k + l, 4))
+    choice = rng.choice
+    k = choice(_UPTO[2])
+    l = choice((1, 2))
+    num: Dict[Key, int] = {(0, 0, k, l): 6}
+    for _ in range(choice(_UPTO[3])):
+        k2 = choice(_UPTO[l - 1])
+        k1 = choice(_UPTO[2])
+        i1 = choice(_UPTO[2])
+        i2 = choice(_UPTO[2 - i1])
+        n = choice(_NONZERO_3) * choice(_SIXTHS)
+        if i1 + i2 < x_precision:
+            num[(i1, i2, k1, k2)] = n
+    return TruncatedOperator._trusted(num, 6, x_precision, max(k + l, 4))
 
 
 def _monic_with_tail(rng: Random, top: Key, s_max: int, x_precision: int):
-    """top plus 0-3 random terms of d2-degree <= s_max; d_bound is top[3] + 2."""
-    pairs: Dict[Key, Tuple[int, int]] = {top: (1, 1)}
-    for _ in range(rng.randint(0, 3)):
-        s = rng.randint(0, s_max)
-        key = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), s)
-        pairs[key] = (rng.choice(_NONZERO_2), 1)
-    return _from_pairs(pairs, x_precision, top[3] + 2)
+    """top plus 0-3 random integer terms of d2-degree <= s_max; d_bound is top[3] + 2."""
+    choice = rng.choice
+    num: Dict[Key, int] = {top: 1}
+    for _ in range(choice(_UPTO[3])):
+        s = choice(_UPTO[s_max])
+        key = (choice(_UPTO[2]), choice(_UPTO[2]), choice(_UPTO[1]), s)
+        n = choice(_NONZERO_2)
+        if key[0] + key[1] < x_precision:
+            num[key] = n
+    return TruncatedOperator._trusted(num, 1, x_precision, top[3] + 2)
 
 
 def _random_normalized_pair(rng: Random, x_precision: int):
     """Pair matching the normalized shape with random admissible tails."""
-    k = rng.randint(2, 3)
-    l = rng.randint(1, 2)
+    k = rng.choice((2, 3))
+    l = rng.choice((1, 2))
     P = _monic_with_tail(rng, (0, 0, 0, k), k - 2, x_precision)
     Q = _monic_with_tail(rng, (0, 0, 1, l), l - 1, x_precision)
     return P, Q
@@ -679,11 +679,12 @@ def _random_normalized_pair(rng: Random, x_precision: int):
 
 def _sheared_normalized_pairs(rng: Random, x_precision: int, count: int):
     """count random normalized pairs, each after a shear with c != 0."""
+    choice = rng.choice
     for _ in range(count):
         P, Q = _random_normalized_pair(rng, x_precision)
-        b = rng.randint(-2, 2)
-        c = rng.choice(_NONZERO_2)
-        d = rng.randint(-2, 2)
+        b = choice(_SHEAR)
+        c = choice(_NONZERO_2)
+        d = choice(_SHEAR)
         yield special_change(P, b, c, d), special_change(Q, b, c, d)
 
 
@@ -823,7 +824,7 @@ def _law_graded_order(rng: Random, T: int, trials: int, basis) -> List[CheckEntr
 def _law_a1(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     a1_fail = 0
     for _ in range(trials):
-        m1, m2 = rng.randint(0, 2), rng.randint(0, 2)
+        m1, m2 = rng.choice(_UPTO[2]), rng.choice(_UPTO[2])
         P = _random_a1_operator(rng, T, m1)
         Q = _random_a1_operator(rng, T, m2)
         if not a1_check(op_mul(P, Q), m1 + m2):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -107,6 +108,8 @@ def test_bad_prime_exits_two(capsys):
         (["pdo", "--trials", "40"], {"pdo_budget": {"T": 7}}),
         (["pdo", "--trials", "40"], {"pdo_budget": {"T": 8}}),
         (["pdo", "--trials", "40"], {"pdo_budget": {"T": 9}}),
+        # Random(-s) draws what Random(s) draws, so a negative seed is refused
+        (["pdo", "--trials", "3", "--seed", "-1"], None),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
@@ -220,6 +223,7 @@ _BAD_CONFIGS = {
     "trials_not_an_int": st.builds(lambda v: {"trials": v}, _NOT_INT),
     "trials_below_one": st.builds(lambda v: {"trials": v}, st.integers(-10, 0)),
     "seed_not_an_int": st.builds(lambda v: {"seed": v}, _NOT_INT),
+    "seed_negative": st.builds(lambda v: {"seed": v}, st.integers(max_value=-1)),
     "pdo_budget_not_an_object": st.builds(
         lambda v: {"pdo_budget": v}, _NOT_INT.filter(lambda v: not isinstance(v, dict))
     ),
@@ -267,6 +271,90 @@ def test_repeat_call_counts_are_kept(monkeypatch):
     assert calls["free_action_check"] == 1001 * len(cfg["primes"]) == 3003
     cli.suite_rr(cfg)
     assert calls["prespectral_hilbert_check"] == 4800
+
+
+def test_free_action_samples_replay_the_stream_and_reach_both_verdicts(monkeypatch):
+    """Each prime's 1,000 samples are uniform integers below q^12 read as 12
+    base-q digits: the calls after the member's own check are those vectors,
+    in [0, q), and at q = 11 (about 68% of vectors free) both verdicts occur."""
+    seen = []
+    real = cli.quintic_family.free_action_check
+
+    def recording(a, q):
+        verdict = real(a, q)
+        seen.append((tuple(a), q, verdict))
+        return verdict
+
+    monkeypatch.setattr(cli.quintic_family, "free_action_check", recording)
+    cfg = cli.load_config(cli.build_parser().parse_args(["surface"]))
+    cli.suite_surface(cfg)
+    for q in cfg["primes"]:
+        calls = [(a, verdict) for a, p, verdict in seen if p == q]
+        assert len(calls) == 1001
+        assert calls[0][0] == cfg["coefficients"]
+        rng = Random(cfg["seed"] * 100003 + q)
+        for vec, _ in calls[1:]:
+            n = rng.randrange(q**12)
+            assert len(vec) == 12 and all(0 <= v < q for v in vec)
+            assert sum(v * q**i for i, v in enumerate(vec)) == n
+        if q == 11:
+            assert {verdict for _, verdict in calls[1:]} == {True, False}
+
+
+def test_a_zero_draw_is_fixed_up_to_a_unit_vector(monkeypatch):
+    """The zero vector has no verdict to compare, so a draw of 0 becomes the
+    unit vector at a drawn position."""
+
+    class ZeroFirst(Random):
+        """Random whose first draw below 11^12 reads 0; the stream moves on as before."""
+
+        zeroed = False
+
+        def randrange(self, *args):
+            n = super().randrange(*args)
+            if args == (11**12,) and not ZeroFirst.zeroed:
+                ZeroFirst.zeroed = True
+                return 0
+            return n
+
+    seen = []
+    real = cli.quintic_family.free_action_check
+
+    def recording(a, q):
+        seen.append(tuple(a))
+        return real(a, q)
+
+    monkeypatch.setattr(cli, "Random", ZeroFirst)
+    monkeypatch.setattr(cli.quintic_family, "free_action_check", recording)
+    cfg = cli.load_config(cli.build_parser().parse_args(["surface", "--primes", "11"]))
+    cli.suite_surface(cfg)
+    rng = Random(cfg["seed"] * 100003 + 11)
+    rng.randrange(11**12)
+    unit = [0] * 12
+    unit[rng.randrange(12)] = 1
+    assert seen[1] == tuple(unit)
+    assert len(seen) == 1001
+
+
+@pytest.mark.parametrize("q", [11, 31, 41])
+def test_digits_round_trip(q):
+    size = q**12
+    for n in (0, 1, q - 1, q, size // 2, size - 1):
+        vec = cli._digits(n, q)
+        assert len(vec) == 12 and all(0 <= v < q for v in vec)
+        assert sum(v * q**i for i, v in enumerate(vec)) == n
+    assert cli._digits(size - 1, q) == [q - 1] * 12
+
+
+def test_negative_seed_is_refused(capsys):
+    """Random(-s) draws what Random(s) draws, so --seed -42 would rerun every
+    draw of seed 42 under another name in the report."""
+    assert Random(-42).getstate() == Random(42).getstate()
+    assert run_cli(["monomials", "--seed", "-42"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be at least 0, got -42\n"
+    assert "[PASS]" not in captured.out
+    assert run_cli(["monomials", "--seed", "0"]) == 0
 
 
 def _rr_reading(check_id):

@@ -408,6 +408,67 @@ def test_generators_match_fraction_oracles():
                 _assert_trusted_invariants(g)
 
 
+# every randint(a, b) the generators once made, now rng.choice over range(a, b + 1)
+_DRAWN_RANGES = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (-2, 2)]
+
+
+def test_choice_over_a_range_takes_the_randint_stream():
+    """The generators draw with rng.choice over constant tuples and must keep
+    the draws of the randint formulation; this pins that on the running Python."""
+    assert pa._UPTO == tuple(tuple(range(n + 1)) for n in range(4))
+    assert pa._SHEAR == tuple(range(-2, 3))
+    assert pa._NONZERO_3 == tuple(_NONZERO_3) and pa._NONZERO_2 == tuple(_NONZERO_2)
+    for seed in range(200):
+        for a, b in _DRAWN_RANGES:
+            rng, twin = Random(seed), Random(seed)
+            seq = tuple(range(a, b + 1))
+            got = [rng.choice(seq) for _ in range(20)]
+            assert got == [twin.randint(a, b) for _ in range(20)]
+            assert rng.getstate() == twin.getstate()
+        rng, twin = Random(seed), Random(seed)
+        got = [rng.choice(pa._SIXTHS) for _ in range(20)]
+        assert got == [6 // twin.randint(1, 3) for _ in range(20)]
+        assert rng.getstate() == twin.getstate()
+
+
+def _randint_law_a1(rng, T, trials):
+    """Oracle: _law_a1's loop with randint level draws and Fraction operators."""
+    fails = 0
+    for _ in range(trials):
+        m1, m2 = rng.randint(0, 2), rng.randint(0, 2)
+        P = _fraction_random_a1_operator(rng, T, m1)
+        Q = _fraction_random_a1_operator(rng, T, m2)
+        fails += not pa.a1_check(pa.op_mul(P, Q), m1 + m2)
+    return fails
+
+
+def test_law_a1_matches_randint_oracle(monkeypatch):
+    """Same products and levels, same failure count, Random left in the same
+    state.  The recording a1_check fails about a third of its calls, so the
+    count compares more than zeros."""
+    seen = []
+
+    def recording(P, m):
+        seen.append((P.num, P.den, P.x_precision, P.d_bound, m))
+        return (len(P.num) + m) % 3 != 0
+
+    monkeypatch.setattr(pa, "a1_check", recording)
+    total = 0
+    for seed in range(30):
+        T, trials = (10, 12, 16)[seed % 3], 1 + 7 * seed
+        rng, twin = Random(seed), Random(seed)
+        (entry,) = pa._law_a1(rng, T, trials, None)
+        got = seen[:]
+        del seen[:]
+        want = _randint_law_a1(twin, T, trials)
+        assert entry.actual == want
+        assert got == seen and len(got) == trials
+        assert rng.getstate() == twin.getstate()
+        del seen[:]
+        total += want
+    assert total > 0
+
+
 @st.composite
 def _operators(draw):
     """Operators with mixed denominators, T in 2..20 and d_bound in 0..6.
@@ -1133,14 +1194,14 @@ def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatc
     from T = 3 every drawn key has x-degree <= 2 < T and a nonzero numerator,
     so no term is dropped and every draw is nonzero with budgets T and
     d_bound 2, those of the generic triple."""
-    real_from_pairs = pa._from_pairs
+    real_trusted = pa.TruncatedOperator._trusted
     seen = []
 
-    def recording(pairs, x_precision, d_bound):
-        seen.append(dict(pairs))
-        return real_from_pairs(pairs, x_precision, d_bound)
+    def recording(cls, num, den, x_precision, d_bound):
+        seen.append((dict(num), den))
+        return real_trusted(num, den, x_precision, d_bound)
 
-    monkeypatch.setattr(pa, "_from_pairs", recording)
+    monkeypatch.setattr(pa.TruncatedOperator, "_trusted", classmethod(recording))
     for x_precision in (-1, 0, 1, 2):
         with pytest.raises(ValueError, match="x_precision >= 3"):
             pa.random_operator(Random(x_precision), x_precision)
@@ -1150,11 +1211,11 @@ def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatc
         for _ in range(200):
             P = pa.random_operator(rng, x_precision)
             assert (P.x_precision, P.d_bound) == (x_precision, 2)
-            assert len(P.num) == len(seen[-1]) > 0
+            assert len(P.num) == len(seen[-1][0]) > 0
     assert all(
-        k[0] + k[1] <= 2 and n != 0 and d > 0
-        for pairs in seen
-        for k, (n, d) in pairs.items()
+        k[0] + k[1] <= 2 and n != 0 and den > 0
+        for num, den in seen
+        for k, n in num.items()
     )
 
 
