@@ -458,13 +458,12 @@ def test_law_a1_matches_randint_oracle(monkeypatch):
         T, trials = (10, 12, 16)[seed % 3], 1 + 7 * seed
         rng, twin = Random(seed), Random(seed)
         (entry,) = pa._law_a1(rng, T, trials, None)
-        got = seen[:]
-        del seen[:]
+        got, seen[:] = seen[:], []
         want = _randint_law_a1(twin, T, trials)
         assert entry.actual == want
         assert got == seen and len(got) == trials
         assert rng.getstate() == twin.getstate()
-        del seen[:]
+        seen.clear()
         total += want
     assert total > 0
 
