@@ -688,6 +688,18 @@ def _sheared_normalized_pairs(rng: Random, x_precision: int, count: int):
         yield special_change(P, b, c, d), special_change(Q, b, c, d)
 
 
+def _check_trials_and_seed(trials: int, seed: int) -> None:
+    """ValueError for no trials, which would pass unchecked, or a negative seed.
+
+    Random(-s) draws what Random(s) draws, so a negative seed would rerun
+    the draws of another seed under its own name.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+
+
 def normalized_shape_preserved_under_special_change(
     trials: int = 50, seed: int = 42, x_precision: int = 12
 ) -> bool:
@@ -697,8 +709,7 @@ def normalized_shape_preserved_under_special_change(
     random nonzero shear parameters.  Returns True only if the shape
     survives in every trial.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials_and_seed(trials, seed)
     pairs = _sheared_normalized_pairs(Random(seed), x_precision, trials)
     return all(is_normalized_pair(P, Q) for P, Q in pairs)
 
@@ -707,6 +718,11 @@ def _agree(A: TruncatedOperator, B: TruncatedOperator) -> bool:
     """Same terms below the common x-precision of A and B."""
     t = min(A.x_precision, B.x_precision)
     return A.truncate(t) == B.truncate(t)
+
+
+def _same_terms_and_budgets(A: TruncatedOperator, B: TruncatedOperator) -> bool:
+    """A and B are the same operator at the same x-precision and d_bound."""
+    return (A.num, A.den, A.x_precision, A.d_bound) == (B.num, B.den, B.x_precision, B.d_bound)
 
 
 def _law_relations(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
@@ -748,39 +764,47 @@ def _law_associativity(rng: Random, T: int, trials: int, basis) -> List[CheckEnt
 
 
 def _law_order_and_symbol(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
-    # order and symbol are not multilinear, so they stay sampled
-    sub_fail = eq_fail = sym_fail = eq_seen = 0
-    for _ in range(trials):
-        P = random_operator(rng, T)
-        Q = random_operator(rng, T)
-        prod = op_mul(P, Q)
-        bo = bold_ord(prod)
-        total = bold_ord(P) + bold_ord(Q)
-        if bo > total:
-            sub_fail += 1
-        ss = op_mul(symbol(P), symbol(Q))
-        if not ss.is_zero:
-            eq_seen += 1
-            if bo != total:
-                eq_fail += 1
-            if not _agree(symbol(prod), ss):
-                sym_fail += 1
+    # Every random_operator draw is a combination of basis, and op_mul is
+    # bilinear at fixed budgets.  If each basis product M N is homogeneous
+    # of order ord M + ord N, then every term of PQ has order at most
+    # ord P + ord Q and the slice at that order is sigma(P) sigma(Q); where
+    # that is nonzero the orders add and sigma(PQ) = sigma(P) sigma(Q).  So
+    # the basis products decide both laws for every rational P and Q.
+    orders = [bold_ord(M) for M in basis]
+    # op_mul reads only terms and budgets, so where symbol(M) is M in both,
+    # op_mul(symbol(M), symbol(N)) is the basis product M N itself
+    own = [_same_terms_and_budgets(symbol(M), M) for M in basis]
+    sub_fail = eq_fail = sym_fail = 0
+    for M, om, m_own in zip(basis, orders, own):
+        for N, on, n_own in zip(basis, orders, own):
+            prod = op_mul(M, N)
+            bo = bold_ord(prod)
+            sub_fail += bo > om + on
+            eq_fail += bo != om + on
+            sym_fail += not (m_own and n_own and symbol(prod) == prod)
+    work = f"{len(basis) ** 2} products of the {len(basis)} basis monomials"
     # strict drop at the truncation frontier: both symbols are pure
     # x-monomials whose product falls outside every trusted window
     hp = TruncatedOperator.monomial((T - 1, 0, 0, 0), T)
     hq = TruncatedOperator.monomial((0, T - 1, 0, 0), T)
     return [
-        check("pdo.order_subadditive", "ord(PQ) <= ord(P) + ord(Q)", 0, sub_fail, "derived"),
+        check(
+            "pdo.order_subadditive",
+            f"ord(PQ) <= ord(P) + ord(Q): {work}",
+            0,
+            sub_fail,
+            "derived",
+        ),
         check(
             "pdo.order_additive_nonzero_symbols",
-            f"equality branch hit {eq_seen} times",
+            f"ord(PQ) = ord(P) + ord(Q) when sigma(P) sigma(Q) != 0: {work}",
             0,
             eq_fail,
             "derived",
         ),
         check(
             "pdo.symbol_multiplicative",
-            "sigma(PQ) = sigma(P) sigma(Q) when nonzero",
+            f"sigma(PQ) = sigma(P) sigma(Q) when nonzero: {work}, each homogeneous",
             0,
             sym_fail,
             "derived",
@@ -795,28 +819,64 @@ def _law_order_and_symbol(rng: Random, T: int, trials: int, basis) -> List[Check
     ]
 
 
+def _graded_monic_span(x_precision: int):
+    """(span, tops) for the draws of _random_graded_monic, at its budgets (T, 4), T >= 3.
+
+    A draw is c d1^k d2^l (k <= 2, 1 <= l <= 2) plus tail terms
+    x1^i1 x2^i2 d1^k1 d2^k2 with i1 + i2 <= 2, k1 <= 2 and k2 < l.  tops
+    are the six d1^k d2^l; span is the 36 tail monomials (k2 <= 1) and the
+    three tops of l = 2, the 39 monomials every draw is a combination of.
+    """
+
+    def mono(key: Key) -> TruncatedOperator:
+        return TruncatedOperator._trusted({key: 1}, 1, x_precision, 4)
+
+    tops = [mono((0, 0, k, l)) for l in (1, 2) for k in range(3)]
+    tails = [
+        mono(key)
+        for key in itertools.product(range(3), range(3), range(3), range(2))
+        if key[0] + key[1] <= 2
+    ]
+    return tails + tops[3:], tops
+
+
 def _law_graded_order(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+    # A draw is c top + tail, each tail term of d2-degree below the top's.
+    # op_mul is bilinear at fixed budgets, so if no product of two span
+    # monomials A, B has a term above d2-degree d2(A) + d2(B) (the
+    # d2-filtration), everything in PQ but c c' top top' lies below the
+    # d2-degree l + l' of top top'.  The top d2-slice of PQ is then c c'
+    # times that of top top', and the 36 top pairs decide both laws.
+    span, tops = _graded_monic_span(T)
+    d2 = [next(iter(A.num))[3] for A in span]
+    filt_fail = sum(
+        any(key[3] > da + db for key in op_mul(A, B).num)
+        for A, da in zip(span, d2)
+        for B, db in zip(span, d2)
+    )
     gamma_fail = ht_fail = 0
-    for _ in range(trials):
-        P = _random_graded_monic(rng, T)
-        Q = _random_graded_monic(rng, T)
-        prod = op_mul(P, Q)
+    for P in tops:
         kp, lp = ord_gamma(P)
-        kq, lq = ord_gamma(Q)
-        if ord_gamma(prod) != (kp + kq, lp + lq):
-            gamma_fail += 1
-        if not _agree(ht_2(prod), op_mul(ht_2(P), ht_2(Q))):
-            ht_fail += 1
+        for Q in tops:
+            kq, lq = ord_gamma(Q)
+            prod = op_mul(P, Q)
+            gamma_fail += ord_gamma(prod) != (kp + kq, lp + lq)
+            ht_fail += not _agree(ht_2(prod), op_mul(ht_2(P), ht_2(Q)))
+    work = f"d2-filtration on {len(span) ** 2} monomial pairs, {len(tops) ** 2} top pairs"
     return [
         check(
             "pdo.gamma_order_additive",
-            "graded order adds on monic-leading pairs",
+            f"graded order adds on monic-leading pairs: {work}",
             0,
-            gamma_fail,
+            filt_fail + gamma_fail,
             "derived",
         ),
         check(
-            "pdo.highest_term_multiplicative", "top d2-coefficients multiply", 0, ht_fail, "derived"
+            "pdo.highest_term_multiplicative",
+            f"top d2-coefficients multiply: {work}",
+            0,
+            filt_fail + ht_fail,
+            "derived",
         ),
     ]
 
@@ -830,7 +890,13 @@ def _law_a1(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
         if not a1_check(op_mul(P, Q), m1 + m2):
             a1_fail += 1
     return [
-        check("pdo.a1_closure", "growth levels add under multiplication", 0, a1_fail, "derived")
+        check(
+            "pdo.a1_closure",
+            f"growth levels add under multiplication, {trials} sampled pairs",
+            0,
+            a1_fail,
+            "derived",
+        )
     ]
 
 
@@ -878,14 +944,14 @@ def _law_ring_map(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
 
 
 def _law_quasi_elliptic(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+    count = max(trials // 5, 20)
     qe_fail = sum(
-        not is_quasi_elliptic_pair(P, Q)
-        for P, Q in _sheared_normalized_pairs(rng, T, max(trials // 5, 20))
+        not is_quasi_elliptic_pair(P, Q) for P, Q in _sheared_normalized_pairs(rng, T, count)
     )
     return [
         check(
             "pdo.quasi_elliptic_preserved",
-            "shear changes keep pairs quasi-elliptic",
+            f"shear changes keep pairs quasi-elliptic, {count} sampled sheared pairs",
             0,
             qe_fail,
             "derived",
@@ -1013,13 +1079,14 @@ def run_property_suite(
     Each law in _LAWS maps (rng, T, trials, basis) to its entries, with
     basis = _random_operator_basis(T); the laws run in order off one
     Random(seed), so a law that draws starts where the last one stopped.
-    trials sizes the sampled loops.  Associativity, the substitution ring
-    map and its commutators are decided at one generic point each;
-    precision soundness and component reassembly run over basis.  d_bound
-    is only recorded: every generator fixes its own derivative bound.
+    trials sizes the two sampled loops, A1 closure and quasi-ellipticity
+    under shears.  Associativity, the substitution ring map and its
+    commutators are decided at one generic point each; order and symbol,
+    precision soundness and component reassembly run over basis, and the
+    graded order and ht_2 over the monomials of _graded_monic_span.
+    d_bound is only recorded: every generator fixes its own derivative bound.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials_and_seed(trials, seed)
     if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a draw; below it, draws decide
         raise PrecisionError(
             f"the property suite needs x_precision >= 10, got {x_precision}: a product of two "

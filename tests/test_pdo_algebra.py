@@ -378,7 +378,7 @@ def _fraction_random_normalized_pair(rng, x_precision):
 def test_generators_match_fraction_oracles():
     """Same terms in the same order, same budgets, and the Random left in the same state.
 
-    The draws are part of the report: eq_seen is printed in a reference string.
+    The draws are what the seed names: a report entry reads one seed's draws.
     Below T = 3 random_operator refuses before it draws.
     """
     for seed in range(200):
@@ -878,6 +878,26 @@ def test_suite_refuses_zero_trials():
             pa.normalized_shape_preserved_under_special_change(trials=trials)
 
 
+def _refusing_random(seed):
+    pytest.fail(f"Random({seed}) was made before the seed was checked")
+
+
+def test_suite_refuses_negative_seed(monkeypatch):
+    """Random(-s) draws what Random(s) draws, so -7 would rerun seed 7 under
+    another name; the refusal comes before any Random is made."""
+    monkeypatch.setattr(pa, "Random", _refusing_random)
+    for seed in (-1, -7, -42):
+        with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed}"):
+            pa.run_property_suite(trials=20, seed=seed)
+
+
+def test_normalized_shape_refuses_negative_seed(monkeypatch):
+    monkeypatch.setattr(pa, "Random", _refusing_random)
+    for seed in (-1, -7, -42):
+        with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed}"):
+            pa.normalized_shape_preserved_under_special_change(trials=20, seed=seed)
+
+
 def test_suite_refuses_precision_below_ten():
     # a product of two draws has order >= -4, precision T - 2 and derivative
     # bound 4: bold_ord decides it for every draw exactly when T >= 10
@@ -1042,6 +1062,7 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
 
 
 _REAL_COMPONENT = pa.homogeneous_component
+_REAL_MUL = pa.op_mul
 # grades of the basis at T = 12
 _BASIS_GRADES = [(k[0] + k[1]) - (k[2] + k[3]) for k in _basis_keys(12)]
 
@@ -1073,30 +1094,203 @@ def test_reassembly_certificate_catches_a_wrong_component(monkeypatch, component
     assert _run_law(pa._law_reassembly)["pdo.component_reassembly"].actual == want
 
 
-def test_equality_branch_is_hit_on_every_draw():
-    """Every product of two random_operator draws has a nonzero symbol
-    product, so the order checks' branch count equals trials."""
+def _sampled_order_and_symbol_failures(rng, x_precision, trials):
+    """Oracle: the sampled order and symbol loop the suite used to run.
+
+    Returns (subadditivity, additivity, symbol) failures and the number of
+    pairs whose symbol product was nonzero.
+    """
+    sub_fail = eq_fail = sym_fail = eq_seen = 0
+    for _ in range(trials):
+        P = pa.random_operator(rng, x_precision)
+        Q = pa.random_operator(rng, x_precision)
+        prod = pa.op_mul(P, Q)
+        bo = pa.bold_ord(prod)
+        total = pa.bold_ord(P) + pa.bold_ord(Q)
+        sub_fail += bo > total
+        ss = pa.op_mul(pa.symbol(P), pa.symbol(Q))
+        if not ss.is_zero:
+            eq_seen += 1
+            eq_fail += bo != total
+            sym_fail += not pa._agree(pa.symbol(prod), ss)
+    return sub_fail, eq_fail, sym_fail, eq_seen
+
+
+def _sampled_graded_order_failures(rng, x_precision, trials):
+    """Oracle: the sampled graded-order and ht_2 loop the suite used to run."""
+    gamma_fail = ht_fail = 0
+    for _ in range(trials):
+        P = pa._random_graded_monic(rng, x_precision)
+        Q = pa._random_graded_monic(rng, x_precision)
+        prod = pa.op_mul(P, Q)
+        (kp, lp), (kq, lq) = pa.ord_gamma(P), pa.ord_gamma(Q)
+        gamma_fail += pa.ord_gamma(prod) != (kp + kq, lp + lq)
+        ht_fail += not pa._agree(pa.ht_2(prod), pa.op_mul(pa.ht_2(P), pa.ht_2(Q)))
+    return gamma_fail, ht_fail
+
+
+_ORDER_IDS = (
+    "pdo.order_subadditive",
+    "pdo.order_additive_nonzero_symbols",
+    "pdo.symbol_multiplicative",
+)
+_GRADED_IDS = ("pdo.gamma_order_additive", "pdo.highest_term_multiplicative")
+
+
+def test_order_and_graded_certificates_agree_with_sampled_oracles():
+    """Both certificates pass and draw nothing; the old 500-pair loops find
+    no failure either, and every pair they drew had a nonzero symbol product."""
     for x_precision in (10, 12, 16):
-        for seed in range(20):
-            entry = _run_law(pa._law_order_and_symbol, seed, 5, x_precision)[
-                "pdo.order_additive_nonzero_symbols"
-            ]
-            assert entry.reference == "equality branch hit 5 times"
+        rng, basis = Random(0), pa._random_operator_basis(x_precision)
+        got = {
+            e.check_id: e.actual
+            for law in (pa._law_order_and_symbol, pa._law_graded_order)
+            for e in law(rng, x_precision, 500, basis)
+        }
+        assert rng.getstate() == Random(0).getstate()
+        assert [got[i] for i in _ORDER_IDS + _GRADED_IDS] == [0] * 5
+        for seed in range(5):
+            rng = Random(seed)
+            assert _sampled_order_and_symbol_failures(rng, x_precision, 500) == (0, 0, 0, 500)
+            assert _sampled_graded_order_failures(rng, x_precision, 500) == (0, 0)
+
+
+_ORDER_WORK = "1296 products of the 36 basis monomials"
+_GRADED_WORK = "d2-filtration on 1521 monomial pairs, 36 top pairs"
+
+
+def test_certified_laws_state_their_work():
+    """The five certified entries name their fixed work, whatever the seed,
+    trials and precision; the two sampled ones name their sample counts."""
+    want = {
+        "pdo.order_subadditive": f"ord(PQ) <= ord(P) + ord(Q): {_ORDER_WORK}",
+        "pdo.order_additive_nonzero_symbols": (
+            f"ord(PQ) = ord(P) + ord(Q) when sigma(P) sigma(Q) != 0: {_ORDER_WORK}"
+        ),
+        "pdo.symbol_multiplicative": (
+            f"sigma(PQ) = sigma(P) sigma(Q) when nonzero: {_ORDER_WORK}, each homogeneous"
+        ),
+        "pdo.gamma_order_additive": f"graded order adds on monic-leading pairs: {_GRADED_WORK}",
+        "pdo.highest_term_multiplicative": f"top d2-coefficients multiply: {_GRADED_WORK}",
+    }
+    laws = (pa._law_order_and_symbol, pa._law_graded_order, pa._law_a1, pa._law_quasi_elliptic)
+    for seed, x_precision, trials in itertools.product(range(2), (10, 12, 16), (1, 99, 500)):
+        by_id = {
+            i: e.reference
+            for law in laws
+            for i, e in _run_law(law, seed, trials, x_precision).items()
+        }
+        assert {i: by_id[i] for i in want} == want
+        assert by_id["pdo.a1_closure"] == (
+            f"growth levels add under multiplication, {trials} sampled pairs"
+        )
+        assert by_id["pdo.quasi_elliptic_preserved"] == (
+            "shear changes keep pairs quasi-elliptic, "
+            f"{max(trials // 5, 20)} sampled sheared pairs"
+        )
 
 
 def test_symbol_check_catches_a_wrong_grade(monkeypatch):
+    """A symbol one grade too high is zero on every homogeneous operator, so
+    no basis operator is its own symbol and every basis product fails."""
     real_bold_ord = pa.bold_ord
     monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, 1 - real_bold_ord(P)))
-    assert _run_law(pa._law_order_and_symbol, trials=40)["pdo.symbol_multiplicative"].actual > 0
+    got = _run_law(pa._law_order_and_symbol)
+    assert [got[i].actual for i in _ORDER_IDS] == [0, 0, 36**2]
 
 
 def test_order_check_catches_an_off_by_one_order(monkeypatch):
+    """ord + 1 on every operator: a product reads one more than its true
+    order and the sum two more, so every product breaks additivity, none
+    subadditivity, and the symbols (at the true grade) still hold."""
     real_bold_ord = pa.bold_ord
-    # symbol keeps the true grade, so the equality branch is still reached
     monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, -real_bold_ord(P)))
     monkeypatch.setattr(pa, "bold_ord", lambda P: real_bold_ord(P) + 1)
-    got = _run_law(pa._law_order_and_symbol, trials=40)
-    assert got["pdo.order_additive_nonzero_symbols"].actual > 0
+    got = _run_law(pa._law_order_and_symbol)
+    assert [got[i].actual for i in _ORDER_IDS] == [0, 36**2, 0]
+
+
+def _mul_with_an_x1_on_d1_x1(P, Q):
+    """op_mul, except that d1 . x1 at the basis d_bound 2 gives x1 d1 + 1 + x1:
+    the extra term is one grade below, so that one product is not homogeneous
+    while its order stays 0."""
+    prod = _REAL_MUL(P, Q)
+    d1, x1 = {(0, 0, 1, 0): 1}, {(1, 0, 0, 0): 1}
+    if P.d_bound == 2 and (P.num, P.den, Q.num, Q.den) == (d1, 1, x1, 1):
+        return prod + pa.TruncatedOperator._trusted(x1, 1, prod.x_precision, prod.d_bound)
+    return prod
+
+
+def test_symbol_check_catches_an_inhomogeneous_product(monkeypatch):
+    monkeypatch.setattr(pa, "op_mul", _mul_with_an_x1_on_d1_x1)
+    got = _run_law(pa._law_order_and_symbol)
+    assert [got[i].actual for i in _ORDER_IDS] == [0, 0, 1]
+
+
+def _mul_with_a_d2_on_x1_x2(P, Q):
+    """op_mul, except that x1 . x2 at the graded draws' d_bound 4 gives
+    x1 x2 d2: one product of the span breaks the d2-filtration."""
+    prod = _REAL_MUL(P, Q)
+    x1, x2 = {(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1}
+    if P.d_bound == 4 and (P.num, P.den, Q.num, Q.den) == (x1, 1, x2, 1):
+        return pa.TruncatedOperator._trusted({(1, 1, 0, 1): 1}, 1, prod.x_precision, prod.d_bound)
+    return prod
+
+
+_REAL_ORD_GAMMA = pa.ord_gamma
+
+
+def _ord_gamma_off_above_two(P):
+    """ord_gamma, with k one too high once the top d2-degree exceeds 2."""
+    k, l = _REAL_ORD_GAMMA(P)
+    return (k + 1, l) if l > 2 else (k, l)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, want",
+    [
+        # one span pair breaks the filtration that both laws rest on
+        ("op_mul", _mul_with_a_d2_on_x1_x2, [1, 1]),
+        # top pairs with lp + lq > 2: 3 x 3 for each of (1, 2), (2, 1), (2, 2)
+        ("ord_gamma", _ord_gamma_off_above_two, [27, 0]),
+    ],
+    ids=["filtration", "top-pairs"],
+)
+def test_graded_certificate_catches_a_mutant(monkeypatch, name, mutant, want):
+    monkeypatch.setattr(pa, name, mutant)
+    got = _run_law(pa._law_graded_order)
+    assert [got[i].actual for i in _GRADED_IDS] == want
+
+
+@pytest.mark.parametrize("x_precision", [3, 10, 12, 16])
+def test_graded_monic_draws_lie_in_the_certified_span(x_precision):
+    """The premise of the graded certificate: each draw is its top d1^k d2^l
+    (coefficient 1) plus tail terms of d2-degree below l from span, all at
+    budgets (T, 4)."""
+    span, tops = pa._graded_monic_span(x_precision)
+    for A in span + tops:
+        assert (len(A.num), A.den, A.x_precision, A.d_bound) == (1, 1, x_precision, 4)
+        assert list(A.num.values()) == [1]
+    keys = [key for A in span for key in A.num]
+    span_keys, top_keys = set(keys), {key for A in tops for key in A.num}
+    assert len(keys) == len(span_keys) == 39 and len(tops) == len(top_keys) == 6
+    assert top_keys == {(0, 0, k, l) for k in range(3) for l in (1, 2)}
+    tails = {
+        (i1, i2, k1, k2)
+        for i1, i2, k1, k2 in itertools.product(range(3), range(3), range(3), range(2))
+        if i1 + i2 <= 2
+    }
+    assert span_keys == tails | {(0, 0, k, 2) for k in range(3)}
+    for seed in range(200):
+        rng = Random(seed)
+        for _ in range(5):
+            P = pa._random_graded_monic(rng, x_precision)
+            assert (P.x_precision, P.d_bound) == (x_precision, 4)
+            l = max(key[3] for key in P.num)
+            ((top, n),) = [(key, n) for key, n in P.num.items() if key[3] == l]
+            assert top in top_keys and n == P.den
+            tail = [key for key in P.num if key != top]
+            assert all(key in span_keys and key[3] < l for key in tail)
 
 
 def _sampled_associativity_failures(rng, x_precision, trials):
@@ -1218,7 +1412,6 @@ def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatc
     )
 
 
-_REAL_MUL = pa.op_mul
 _LEFT, _RIGHT = (2, 0, 0, 2), (0, 2, 2, 0)
 
 
