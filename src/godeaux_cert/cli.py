@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--primes", help="comma-separated primes, each 1 mod 5")
     p.add_argument("--coeffs", help="12 comma-separated integer coefficients")
-    p.add_argument("--trials", type=int, help="randomized trial count")
+    p.add_argument("--trials", type=int, help="at least 1; recorded in the report, sizes no check")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
     p.add_argument(
         "--no-timestamp",

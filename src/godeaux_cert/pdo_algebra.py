@@ -290,17 +290,11 @@ def bold_ord(P: TruncatedOperator):
 
 
 def homogeneous_component(P: TruncatedOperator, m: int) -> TruncatedOperator:
-    """Terms with (x-degree) - (derivative degree) equal to m."""
-    return TruncatedOperator._trusted(
-        {
-            k: n
-            for k, n in P.num.items()
-            if (k[0] + k[1]) - (k[2] + k[3]) == m
-        },
-        P.den,
-        P.x_precision,
-        P.d_bound,
-    )
+    """Terms with (x-degree) - (derivative degree) equal to m; P itself if that is all of them."""
+    num = {k: n for k, n in P.num.items() if (k[0] + k[1]) - (k[2] + k[3]) == m}
+    if len(num) == len(P.num):
+        return P
+    return TruncatedOperator._trusted(num, P.den, P.x_precision, P.d_bound)
 
 
 def symbol(P: TruncatedOperator) -> TruncatedOperator:
@@ -571,35 +565,14 @@ def parse_operator(
 # stream.  A term at or beyond x_precision is dropped after its draws, so the
 # stream does not depend on the precision.  _UPTO[n] is 0..n.
 _UPTO = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3))
-_NONZERO_3 = (-3, -2, -1, 1, 2, 3)
 _NONZERO_2 = (-2, -1, 1, 2)
 _SHEAR = (-2, -1, 0, 1, 2)
-# A coefficient n/d with d in 1..3 is stored as n * (6 // d) over 6, and
-# _trusted reduces it; choice(_SIXTHS) is 6 // d for d drawn as randint(1, 3).
-_SIXTHS = (6, 3, 2)
 
 
-def random_operator(rng: Random, x_precision: int) -> TruncatedOperator:
-    """Random nonzero operator: 1-4 terms, x-degree and d-degree at most 2, so x_precision >= 3."""
-    if x_precision < 3:
-        raise ValueError(f"random_operator needs x_precision >= 3, got {x_precision}")
-    choice = rng.choice
-    num: Dict[Key, int] = {}
-    for _ in range(choice((1, 2, 3, 4))):
-        i1 = choice(_UPTO[2])
-        i2 = choice(_UPTO[2 - i1])
-        k1 = choice(_UPTO[2])
-        k2 = choice(_UPTO[2 - k1])
-        num[(i1, i2, k1, k2)] = choice(_NONZERO_3) * choice(_SIXTHS)
-    return TruncatedOperator._trusted(num, 6, x_precision, 2)
+def _monomial_basis(x_precision: int) -> List[TruncatedOperator]:
+    """The 36 monomials x1^i1 x2^i2 d1^k1 d2^k2 with i1 + i2 <= 2 and k1 + k2 <= 2.
 
-
-def _random_operator_basis(x_precision: int) -> List[TruncatedOperator]:
-    """The operators every random_operator draw is built from.
-
-    The 36 monomials x1^i1 x2^i2 d1^k1 d2^k2 with i1 + i2 <= 2 and
-    k1 + k2 <= 2 (those of x-degree below x_precision) at d_bound 2, whose
-    rational combinations are its draws.
+    Those of x-degree below x_precision, each at budgets (x_precision, 2).
     """
     return [
         TruncatedOperator._trusted({key: 1}, 1, x_precision, 2)
@@ -616,43 +589,10 @@ _GENERIC_BOUND = 2**64
 def _generic_operator(rng: Random, basis: List[TruncatedOperator]) -> TruncatedOperator:
     """One dense operator: each of the 36 monomials of basis gets a coefficient from [1, 2^64).
 
-    basis is _random_operator_basis(T).  The budgets are those of every
-    random_operator draw: x_precision T and d_bound 2.
+    basis is _monomial_basis(T), and the budgets are its own: x_precision T and d_bound 2.
     """
     num = {key: rng.randrange(1, _GENERIC_BOUND) for B in basis for key in B.num}
     return TruncatedOperator._trusted(num, 1, basis[0].x_precision, 2)
-
-
-def _random_a1_operator(rng: Random, x_precision: int, m: int) -> TruncatedOperator:
-    """Random operator of growth level m; its x-degrees reach 6, so it may be zero below T = 7."""
-    choice = rng.choice
-    num: Dict[Key, int] = {}
-    for _ in range(choice((1, 2, 3, 4))):
-        k1 = choice(_UPTO[2])
-        k2 = choice(_UPTO[2 - k1])
-        i1 = max(k1 + k2 - m, 0) + choice(_UPTO[2])
-        i2 = choice(_UPTO[2])
-        n = choice(_NONZERO_3) * choice(_SIXTHS)
-        if i1 + i2 < x_precision:
-            num[(i1, i2, k1, k2)] = n
-    return TruncatedOperator._trusted(num, 6, x_precision, 2)
-
-
-def _random_graded_monic(rng: Random, x_precision: int) -> TruncatedOperator:
-    """Monic operator with a constant top d2-coefficient and random tail."""
-    choice = rng.choice
-    k = choice(_UPTO[2])
-    l = choice((1, 2))
-    num: Dict[Key, int] = {(0, 0, k, l): 6}
-    for _ in range(choice(_UPTO[3])):
-        k2 = choice(_UPTO[l - 1])
-        k1 = choice(_UPTO[2])
-        i1 = choice(_UPTO[2])
-        i2 = choice(_UPTO[2 - i1])
-        n = choice(_NONZERO_3) * choice(_SIXTHS)
-        if i1 + i2 < x_precision:
-            num[(i1, i2, k1, k2)] = n
-    return TruncatedOperator._trusted(num, 6, x_precision, max(k + l, 4))
 
 
 def _monic_with_tail(rng: Random, top: Key, s_max: int, x_precision: int):
@@ -725,7 +665,7 @@ def _same_terms_and_budgets(A: TruncatedOperator, B: TruncatedOperator) -> bool:
     return (A.num, A.den, A.x_precision, A.d_bound) == (B.num, B.den, B.x_precision, B.d_bound)
 
 
-def _law_relations(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+def _law_relations(rng: Random, T: int, basis) -> List[CheckEntry]:
     d1 = TruncatedOperator.monomial((0, 0, 1, 0), T)
     x1 = TruncatedOperator.monomial((1, 0, 0, 0), T)
     euler = parse_operator("x1 d1", T)
@@ -747,7 +687,7 @@ def _law_relations(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     ]
 
 
-def _law_associativity(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+def _law_associativity(rng: Random, T: int, basis) -> List[CheckEntry]:
     # With both budgets fixed op_mul is bilinear and truncate linear, so each
     # coefficient of (PQ)R - P(QR) is a trilinear polynomial in the 108
     # coefficients of P, Q and R on the basis; one generic triple decides it.
@@ -763,10 +703,10 @@ def _law_associativity(rng: Random, T: int, trials: int, basis) -> List[CheckEnt
     ]
 
 
-def _law_order_and_symbol(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
-    # Every random_operator draw is a combination of basis, and op_mul is
-    # bilinear at fixed budgets.  If each basis product M N is homogeneous
-    # of order ord M + ord N, then every term of PQ has order at most
+def _law_order_and_symbol(rng: Random, T: int, basis) -> List[CheckEntry]:
+    # Let P and Q be combinations of basis; op_mul is bilinear at fixed
+    # budgets.  If each basis product M N is homogeneous of order
+    # ord M + ord N, then every term of PQ has order at most
     # ord P + ord Q and the slice at that order is sigma(P) sigma(Q); where
     # that is nonzero the orders add and sigma(PQ) = sigma(P) sigma(Q).  So
     # the basis products decide both laws for every rational P and Q.
@@ -820,12 +760,12 @@ def _law_order_and_symbol(rng: Random, T: int, trials: int, basis) -> List[Check
 
 
 def _graded_monic_span(x_precision: int):
-    """(span, tops) for the draws of _random_graded_monic, at its budgets (T, 4), T >= 3.
+    """(span, tops) for the graded monic operators at budgets (T, 4), T >= 3.
 
-    A draw is c d1^k d2^l (k <= 2, 1 <= l <= 2) plus tail terms
+    Such an operator is c d1^k d2^l (k <= 2, 1 <= l <= 2) plus tail terms
     x1^i1 x2^i2 d1^k1 d2^k2 with i1 + i2 <= 2, k1 <= 2 and k2 < l.  tops
     are the six d1^k d2^l; span is the 36 tail monomials (k2 <= 1) and the
-    three tops of l = 2, the 39 monomials every draw is a combination of.
+    three tops of l = 2, the 39 monomials every one of them is a combination of.
     """
 
     def mono(key: Key) -> TruncatedOperator:
@@ -840,8 +780,8 @@ def _graded_monic_span(x_precision: int):
     return tails + tops[3:], tops
 
 
-def _law_graded_order(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
-    # A draw is c top + tail, each tail term of d2-degree below the top's.
+def _law_graded_order(rng: Random, T: int, basis) -> List[CheckEntry]:
+    # A graded monic operator is c top + tail, each tail term of d2-degree below the top's.
     # op_mul is bilinear at fixed budgets, so if no product of two span
     # monomials A, B has a term above d2-degree d2(A) + d2(B) (the
     # d2-filtration), everything in PQ but c c' top top' lies below the
@@ -881,18 +821,32 @@ def _law_graded_order(rng: Random, T: int, trials: int, basis) -> List[CheckEntr
     ]
 
 
-def _law_a1(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
-    a1_fail = 0
-    for _ in range(trials):
-        m1, m2 = rng.choice(_UPTO[2]), rng.choice(_UPTO[2])
-        P = _random_a1_operator(rng, T, m1)
-        Q = _random_a1_operator(rng, T, m2)
-        if not a1_check(op_mul(P, Q), m1 + m2):
-            a1_fail += 1
+def _law_a1(rng: Random, T: int, basis) -> List[CheckEntry]:
+    # An operator of growth level m, in the span checked here, is a combination
+    # at budgets (T, 2) of the 90 monomials x1^i1 x2^i2 d1^k1 d2^k2 with
+    # i1 <= 4, i2 <= 2 and k1 + k2 <= 2 whose grade k1 + k2 - i1 - i2 is at
+    # most m; T >= 10 keeps all of them.  op_mul is bilinear, so if P_g Q_h has
+    # level g + h for dense P_g and Q_h on the monomials of grades g and h,
+    # every product of levels m1 and m2 has level m1 + m2.  Each coefficient of
+    # P_g Q_h is bilinear in their coefficients; P and Q are drawn apart, since
+    # in P_g P_g a defect of M N could cancel one of N M.
+    grades: Dict[int, List[Key]] = {}
+    for key in itertools.product(range(5), range(3), range(3), range(3)):
+        if key[2] + key[3] <= 2:
+            grades.setdefault(key[2] + key[3] - key[0] - key[1], []).append(key)
+
+    def dense(keys: List[Key]) -> TruncatedOperator:
+        return TruncatedOperator._trusted(
+            {key: rng.randrange(1, _GENERIC_BOUND) for key in keys}, 1, T, 2
+        )
+
+    P, Q = ({g: dense(keys) for g, keys in sorted(grades.items())} for _ in range(2))
+    a1_fail = sum(not a1_check(op_mul(P[g], Q[h]), g + h) for g in P for h in Q)
+    work = f"{len(P) * len(Q)} grade pairs of {sum(map(len, grades.values()))} monomials"
     return [
         check(
             "pdo.a1_closure",
-            f"growth levels add under multiplication, {trials} sampled pairs",
+            f"growth levels add under multiplication: {work}, miss probability <= 2/(2^64 - 1)",
             0,
             a1_fail,
             "derived",
@@ -900,7 +854,7 @@ def _law_a1(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     ]
 
 
-def _law_ring_map(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+def _law_ring_map(rng: Random, T: int, basis) -> List[CheckEntry]:
     # The ring-map defect is a polynomial once powers of a and e are cleared.
     # A term x1^i1 x2^i2 d^k (i = i1 + i2) maps to N / (a^i e^i1), where N has
     # degree i1 + k in a..e.  PQ has i, k <= 4, so a^4 e^4 phi(PQ) has degree
@@ -943,26 +897,47 @@ def _law_ring_map(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     ]
 
 
-def _law_quasi_elliptic(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
-    count = max(trials // 5, 20)
-    qe_fail = sum(
-        not is_quasi_elliptic_pair(P, Q) for P, Q in _sheared_normalized_pairs(rng, T, count)
+def _law_quasi_elliptic(rng: Random, T: int, basis) -> List[CheckEntry]:
+    # A normalized pair is P = d2^k + tail (k in {2, 3}) and Q = d1 d2^l + tail
+    # (l in {1, 2}), each tail a combination of the 36 monomials
+    # x1^i1 x2^i2 d1^k1 d2^s with i1, i2 <= 2, k1 <= 1 and s below the top's
+    # d2-degree, so s <= 1.  special_change is linear in the operator.  If no
+    # tail image has a term above its own d2-degree, a sheared pair has the
+    # top d2-slices of its sheared tops, and is_quasi_elliptic_pair reads only
+    # those; so the 36 tails and the 2 x 2 top pairs decide every pair.  Image
+    # coefficients are polynomials in (b, c, d) of degree i1 + k1 + s <= 4 for
+    # a tail (x2 is fixed) and <= 3 for a top.  A tail that rises at some shear
+    # is missed only at a zero of one of them; a top slice wrong at some shear,
+    # only at a zero of a product of two (one may be minus 1), of degree <= 6.
+    # So one generic shear decides every b, c and d, c = 0 included.
+    b, c, d = (rng.randrange(1, _GENERIC_BOUND) for _ in range(3))
+
+    def sheared(key: Key) -> TruncatedOperator:
+        return special_change(TruncatedOperator.monomial(key, T), b, c, d)
+
+    tails = list(itertools.product(range(3), range(3), range(2), range(2)))
+    tail_fail = sum(any(k[3] > key[3] for k in sheared(key).num) for key in tails)
+    top_fail = sum(
+        not is_quasi_elliptic_pair(sheared((0, 0, 0, k)), sheared((0, 0, 1, l)))
+        for k in (2, 3)
+        for l in (1, 2)
     )
     return [
         check(
             "pdo.quasi_elliptic_preserved",
-            f"shear changes keep pairs quasi-elliptic, {count} sampled sheared pairs",
+            f"shear changes keep pairs quasi-elliptic: one generic shear of the {len(tails)} "
+            "tail monomials and the 4 top pairs, miss probability <= 6/(2^64 - 1)",
             0,
-            qe_fail,
+            tail_fail + top_fail,
             "derived",
         )
     ]
 
 
-def _law_precision(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+def _law_precision(rng: Random, T: int, basis) -> List[CheckEntry]:
     # Once both precisions and the left d_bound are fixed, op_mul is bilinear
     # and truncate linear, so agreement on every ordered pair of basis
-    # operators proves it for every pair random_operator can draw.
+    # operators proves it for every pair of combinations of basis.
     high_basis = [TruncatedOperator._trusted(B.num, B.den, T + 6, B.d_bound) for B in basis]
     prec_fail = 0
     for P, hi_p in zip(basis, high_basis):
@@ -981,12 +956,12 @@ def _law_precision(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
     ]
 
 
-def _law_reassembly(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
-    # Each basis operator is one term of one grade g, and random_operator's
-    # draws reach only grades -2..2. homogeneous_component is linear in P, so
+def _law_reassembly(rng: Random, T: int, basis) -> List[CheckEntry]:
+    # Each basis operator is one term of one grade g, and every combination of
+    # basis has grades in -2..2 only. homogeneous_component is linear in P, so
     # if it keeps each basis operator at m == g and drops it at every other m,
-    # the components of any draw over its grades hold each of its terms once
-    # and sum back to it. A failure counts one (operator, m) pair.
+    # the components of any combination over its grades hold each of its terms
+    # once and sum back to it. A failure counts one (operator, m) pair.
     reasm_fail = 0
     zero = TruncatedOperator.zero(T)
     for P in basis:
@@ -1006,7 +981,7 @@ def _law_reassembly(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]
     ]
 
 
-def _law_module_action(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+def _law_module_action(rng: Random, T: int, basis) -> List[CheckEntry]:
     act = spectral_module_action(parse_operator("x1 d1", T), (1, 0))
     torsion_fail = 0
     for p1, p2, k in itertools.product(range(3), range(3), range(1, 4)):
@@ -1031,7 +1006,7 @@ def _law_module_action(rng: Random, T: int, trials: int, basis) -> List[CheckEnt
     ]
 
 
-def _law_normalized_examples(rng: Random, T: int, trials: int, basis) -> List[CheckEntry]:
+def _law_normalized_examples(rng: Random, T: int, basis) -> List[CheckEntry]:
     P0 = parse_operator("d2^2", T)
     Q0 = parse_operator("d1 d2", T)
     return [
@@ -1074,24 +1049,24 @@ _LAWS = (
 def run_property_suite(
     trials: int = 500, seed: int = 42, x_precision: int = 12, d_bound: int = 6
 ) -> List[CheckEntry]:
-    """Randomized, generic-point and constructed checks of the ring and order calculus.
+    """Generic-point and constructed checks of the ring and order calculus.
 
-    Each law in _LAWS maps (rng, T, trials, basis) to its entries, with
-    basis = _random_operator_basis(T); the laws run in order off one
-    Random(seed), so a law that draws starts where the last one stopped.
-    trials sizes the two sampled loops, A1 closure and quasi-ellipticity
-    under shears.  Associativity, the substitution ring map and its
-    commutators are decided at one generic point each; order and symbol,
-    precision soundness and component reassembly run over basis, and the
-    graded order and ht_2 over the monomials of _graded_monic_span.
-    d_bound is only recorded: every generator fixes its own derivative bound.
+    Each law in _LAWS maps (rng, T, basis) to its entries, with
+    basis = _monomial_basis(T); the laws run in order off one Random(seed),
+    so a law that draws starts where the last one stopped.  No law samples:
+    associativity, the substitution ring map and its commutators, A1 closure
+    and quasi-ellipticity under shears are decided at one generic point
+    each; order and symbol, precision soundness and component reassembly run
+    over basis, and the graded order and ht_2 over the monomials of
+    _graded_monic_span.  trials is only validated and d_bound only recorded:
+    no entry depends on either.
     """
     _check_trials_and_seed(trials, seed)
-    if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a draw; below it, draws decide
+    if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a basis operator
         raise PrecisionError(
             f"the property suite needs x_precision >= 10, got {x_precision}: a product of two "
-            "random operators has precision T - 2, derivative bound 4 and order >= -4, so "
-            "its order is decidable for every draw only when T >= 10"
+            "basis operators has precision T - 2, derivative bound 4 and order >= -4, so "
+            "its order is decidable for every such product only when T >= 10"
         )
-    rng, basis = Random(seed), _random_operator_basis(x_precision)
-    return [entry for law in _LAWS for entry in law(rng, x_precision, trials, basis)]
+    rng, basis = Random(seed), _monomial_basis(x_precision)
+    return [entry for law in _LAWS for entry in law(rng, x_precision, basis)]

@@ -134,10 +134,20 @@ def test_symbol_examples():
         assert S.is_zero and (S.x_precision, S.d_bound) == (x_precision, 0)
 
 
+def test_symbol_of_a_basis_monomial_is_the_monomial_itself():
+    """A homogeneous operator is its own symbol and its own component at its
+    grade: the very object, not a rebuilt copy."""
+    for x_precision in (10, 12, 16):
+        for M in pa._monomial_basis(x_precision):
+            ((i1, i2, k1, k2),) = M.num
+            assert pa.symbol(M) is M
+            assert pa.homogeneous_component(M, i1 + i2 - k1 - k2) is M
+
+
 def test_component_reassembly():
     rng = Random(7)
     for _ in range(50):
-        P = pa.random_operator(rng, T)
+        P = _fraction_random_operator(rng, T)
         grades = {(k[0] + k[1]) - (k[2] + k[3]) for k in P.coeffs}
         total = pa.TruncatedOperator.zero(T)
         for m in grades:
@@ -247,7 +257,7 @@ def test_change_variables_matches_generator_products():
     keys = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     gens = [pa.TruncatedOperator.monomial(k, T40) for k in keys]
     for _ in range(200):
-        P = pa.random_operator(rng, T40)
+        P = _fraction_random_operator(rng, T40)
         a, e = (Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for _ in "ae")
         b, c, d = (Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in "bcd")
         imgs = [pa.change_variables(g, a, b, c, d, e) for g in gens]
@@ -315,7 +325,11 @@ _NONZERO_2 = [n for n in range(-2, 3) if n]
 
 
 def _fraction_random_operator(rng, x_precision):
-    """Oracle: random_operator with Fraction coefficients through the constructor."""
+    """Random operator: 1-4 terms of x- and d-degree at most 2, at budgets (T, 2).
+
+    Its coefficients are n/d with n in +-1..3 and d in 1..3, so from T = 3 it
+    is nonzero and a rational combination of _monomial_basis(T).
+    """
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
         i1 = rng.randint(0, 2)
@@ -328,7 +342,7 @@ def _fraction_random_operator(rng, x_precision):
 
 
 def _fraction_random_a1_operator(rng, x_precision, m):
-    """Oracle: _random_a1_operator with Fraction coefficients through the constructor."""
+    """Random operator of growth level m; its x-degrees reach 6, so it may be zero below T = 7."""
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
         k1 = rng.randint(0, 2)
@@ -342,7 +356,7 @@ def _fraction_random_a1_operator(rng, x_precision, m):
 
 
 def _fraction_random_graded_monic(rng, x_precision):
-    """Oracle: _random_graded_monic with Fraction coefficients through the constructor."""
+    """Monic operator d1^k d2^l (k <= 2, 1 <= l <= 2) plus a random tail below d2-degree l."""
     k = rng.randint(0, 2)
     l = rng.randint(1, 2)
     coeffs = {(0, 0, k, l): Fraction(1)}
@@ -379,37 +393,22 @@ def test_generators_match_fraction_oracles():
     """Same terms in the same order, same budgets, and the Random left in the same state.
 
     The draws are what the seed names: a report entry reads one seed's draws.
-    Below T = 3 random_operator refuses before it draws.
     """
     for seed in range(200):
         T = (1, 2, 3, 12)[seed % 4]
-        cases = [
-            (pa._random_a1_operator, _fraction_random_a1_operator, (T, seed % 3)),
-            (pa._random_graded_monic, _fraction_random_graded_monic, (T,)),
-            (pa._random_normalized_pair, _fraction_random_normalized_pair, (T,)),
-        ]
-        if T < 3:
-            rng = Random(seed)
-            with pytest.raises(ValueError, match="x_precision >= 3"):
-                pa.random_operator(rng, T)
-            assert rng.getstate() == Random(seed).getstate()
-        else:
-            cases.append((pa.random_operator, _fraction_random_operator, (T,)))
-        for gen, oracle, args in cases:
-            rng, twin = Random(seed), Random(seed)
-            got, want = gen(rng, *args), oracle(twin, *args)
-            assert rng.getstate() == twin.getstate()
-            got = got if isinstance(got, tuple) else (got,)
-            want = want if isinstance(want, tuple) else (want,)
-            for g, w in zip(got, want, strict=True):
-                assert g.coeffs == w.coeffs
-                assert list(g.coeffs) == list(w.coeffs)
-                assert (g.x_precision, g.d_bound) == (w.x_precision, w.d_bound)
-                _assert_trusted_invariants(g)
+        rng, twin = Random(seed), Random(seed)
+        got = pa._random_normalized_pair(rng, T)
+        want = _fraction_random_normalized_pair(twin, T)
+        assert rng.getstate() == twin.getstate()
+        for g, w in zip(got, want, strict=True):
+            assert g.coeffs == w.coeffs
+            assert list(g.coeffs) == list(w.coeffs)
+            assert (g.x_precision, g.d_bound) == (w.x_precision, w.d_bound)
+            _assert_trusted_invariants(g)
 
 
-# every randint(a, b) the generators once made, now rng.choice over range(a, b + 1)
-_DRAWN_RANGES = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (-2, 2)]
+# every randint(a, b) the shear-pair generators once made, now rng.choice over range(a, b + 1)
+_DRAWN_RANGES = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (-2, 2)]
 
 
 def test_choice_over_a_range_takes_the_randint_stream():
@@ -417,7 +416,7 @@ def test_choice_over_a_range_takes_the_randint_stream():
     the draws of the randint formulation; this pins that on the running Python."""
     assert pa._UPTO == tuple(tuple(range(n + 1)) for n in range(4))
     assert pa._SHEAR == tuple(range(-2, 3))
-    assert pa._NONZERO_3 == tuple(_NONZERO_3) and pa._NONZERO_2 == tuple(_NONZERO_2)
+    assert pa._NONZERO_2 == tuple(_NONZERO_2)
     for seed in range(200):
         for a, b in _DRAWN_RANGES:
             rng, twin = Random(seed), Random(seed)
@@ -425,47 +424,41 @@ def test_choice_over_a_range_takes_the_randint_stream():
             got = [rng.choice(seq) for _ in range(20)]
             assert got == [twin.randint(a, b) for _ in range(20)]
             assert rng.getstate() == twin.getstate()
-        rng, twin = Random(seed), Random(seed)
-        got = [rng.choice(pa._SIXTHS) for _ in range(20)]
-        assert got == [6 // twin.randint(1, 3) for _ in range(20)]
-        assert rng.getstate() == twin.getstate()
 
 
 def _randint_law_a1(rng, T, trials):
-    """Oracle: _law_a1's loop with randint level draws and Fraction operators."""
+    """Oracle: the sampled A1 loop the suite used to run, with randint level
+    draws and Fraction operators.  Each draw must lie in the 90-monomial span
+    of the grade certificate: i1 <= 4, i2 <= 2, k1 + k2 <= 2, grade <= m."""
     fails = 0
     for _ in range(trials):
         m1, m2 = rng.randint(0, 2), rng.randint(0, 2)
         P = _fraction_random_a1_operator(rng, T, m1)
         Q = _fraction_random_a1_operator(rng, T, m2)
+        for R, m in ((P, m1), (Q, m2)):
+            assert (R.x_precision, R.d_bound) == (T, 2)
+            assert all(
+                i1 <= 4 and i2 <= 2 and k1 + k2 <= 2 and k1 + k2 - i1 - i2 <= m
+                for i1, i2, k1, k2 in R.num
+            )
         fails += not pa.a1_check(pa.op_mul(P, Q), m1 + m2)
     return fails
 
 
-def test_law_a1_matches_randint_oracle(monkeypatch):
-    """Same products and levels, same failure count, Random left in the same
-    state.  The recording a1_check fails about a third of its calls, so the
-    count compares more than zeros."""
-    seen = []
+def test_law_a1_matches_randint_oracle():
+    """The grade certificate and the 500-pair loop it replaced both read no failure."""
+    for seed, x_precision in itertools.product(range(5), (10, 12, 16)):
+        assert _run_law(pa._law_a1, seed, x_precision)["pdo.a1_closure"].actual == 0
+        assert _randint_law_a1(Random(seed), x_precision, 500) == 0
 
-    def recording(P, m):
-        seen.append((P.num, P.den, P.x_precision, P.d_bound, m))
-        return (len(P.num) + m) % 3 != 0
 
-    monkeypatch.setattr(pa, "a1_check", recording)
-    total = 0
-    for seed in range(30):
-        T, trials = (10, 12, 16)[seed % 3], 1 + 7 * seed
-        rng, twin = Random(seed), Random(seed)
-        (entry,) = pa._law_a1(rng, T, trials, None)
-        got, seen[:] = seen[:], []
-        want = _randint_law_a1(twin, T, trials)
-        assert entry.actual == want
-        assert got == seen and len(got) == trials
-        assert rng.getstate() == twin.getstate()
-        seen.clear()
-        total += want
-    assert total > 0
+def test_law_quasi_elliptic_matches_sampled_shear_oracle():
+    """The generic-shear certificate and the 100-pair loop it replaced both read no failure."""
+    for seed, x_precision in itertools.product(range(5), (10, 12, 16)):
+        got = _run_law(pa._law_quasi_elliptic, seed, x_precision)
+        assert got["pdo.quasi_elliptic_preserved"].actual == 0
+        _, pairs, _ = _old_normalized_shape_loop(100, seed, x_precision)
+        assert all(pa.is_quasi_elliptic_pair(P, Q) for P, Q in pairs)
 
 
 @st.composite
@@ -578,7 +571,7 @@ def test_pair_predicates_match_plain_definitions_on_generated_pairs():
     for _ in range(100):
         P, Q = pa._random_normalized_pair(rng, T)
         [(P2, Q2)] = pa._sheared_normalized_pairs(rng, T, 1)
-        M = pa._random_graded_monic(rng, T)
+        M = _fraction_random_graded_monic(rng, T)
         for A, B in ((P, Q), (P2, Q2), (Q, P), (M, Q), (P, M)):
             assert pa.is_monic(A) == _plain_is_monic(A)
             assert pa.is_quasi_elliptic_pair(A, B) == _plain_is_quasi_elliptic_pair(A, B)
@@ -910,7 +903,7 @@ def test_suite_refuses_precision_below_ten():
 
 
 def _basis_keys(x_precision):
-    """Keys random_operator can draw at this precision, from its loop bounds."""
+    """Keys _fraction_random_operator can draw at this precision, from its loop bounds."""
     return {
         (i1, i2, k1, k2)
         for i1 in range(3)
@@ -921,39 +914,36 @@ def _basis_keys(x_precision):
     }
 
 
-def test_random_operator_basis_shape():
+def test_monomial_basis_shape():
     for x_precision in range(1, 21):
-        basis = pa._random_operator_basis(x_precision)
+        basis = pa._monomial_basis(x_precision)
         assert [(B.den, B.d_bound) for B in basis] == [(1, 2)] * len(basis)
         assert all(list(B.num.values()) == [1] for B in basis)
         keys = [key for B in basis for key in B.num]
         assert len(keys) == len(set(keys)) and set(keys) == _basis_keys(x_precision)
         assert {B.x_precision for B in basis} == {x_precision}
-    assert len(pa._random_operator_basis(12)) == 36
+    assert len(pa._monomial_basis(12)) == 36
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
 def test_random_operator_lies_in_basis_span(seed, x_precision):
-    """The premise of the basis certificates in run_property_suite; below T = 3 a refusal."""
+    """The premise of the basis certificates in run_property_suite: every draw
+    is a combination of _monomial_basis(T) at its budgets, nonzero from T = 3."""
     rng = Random(seed)
-    if x_precision < 3:
-        with pytest.raises(ValueError, match="x_precision >= 3"):
-            pa.random_operator(rng, x_precision)
-        return
     keys = _basis_keys(x_precision)
     for _ in range(20):
-        P = pa.random_operator(rng, x_precision)
+        P = _fraction_random_operator(rng, x_precision)
         assert (P.x_precision, P.d_bound) == (x_precision, 2)
-        assert P.num and set(P.num) <= keys
+        assert set(P.num) <= keys and (P.num or x_precision < 3)
 
 
 def _sampled_precision_failures(rng, x_precision, trials):
     """Oracle: the sampled precision-soundness loop the suite used to run."""
     fail = 0
     for _ in range(trials):
-        P = pa.random_operator(rng, x_precision)
-        Q = pa.random_operator(rng, x_precision)
+        P = _fraction_random_operator(rng, x_precision)
+        Q = _fraction_random_operator(rng, x_precision)
         low = pa.op_mul(P, Q)
         hi_p = pa.TruncatedOperator._trusted(P.num, P.den, x_precision + 6, P.d_bound)
         hi_q = pa.TruncatedOperator._trusted(Q.num, Q.den, x_precision + 6, Q.d_bound)
@@ -966,7 +956,7 @@ def _sampled_reassembly_failures(rng, x_precision, trials):
     """Oracle: the sampled component-reassembly loop the suite used to run."""
     fail = 0
     for _ in range(trials):
-        P = pa.random_operator(rng, x_precision)
+        P = _fraction_random_operator(rng, x_precision)
         total = pa.TruncatedOperator.zero(x_precision)
         for m in {(k[0] + k[1]) - (k[2] + k[3]) for k in P.num}:
             total = total + pa.homogeneous_component(P, m)
@@ -975,9 +965,9 @@ def _sampled_reassembly_failures(rng, x_precision, trials):
     return fail
 
 
-def _run_law(law, seed=42, trials=1, x_precision=T):
+def _run_law(law, seed=42, x_precision=T):
     """The entries of one law run alone off Random(seed), by check id."""
-    entries = law(Random(seed), x_precision, trials, pa._random_operator_basis(x_precision))
+    entries = law(Random(seed), x_precision, pa._monomial_basis(x_precision))
     return {e.check_id: e for e in entries}
 
 
@@ -1020,8 +1010,8 @@ def test_suite_is_its_laws_in_table_order_off_one_random(monkeypatch):
     monkeypatch.setattr(pa, "Random", RecordedRandom)
     for seed in range(5):
         for x_precision in (10, 12, 16):
-            rng, basis = Random(seed), pa._random_operator_basis(x_precision)
-            runs = [law(rng, x_precision, 5, basis) for law in pa._LAWS]
+            rng, basis = Random(seed), pa._monomial_basis(x_precision)
+            runs = [law(rng, x_precision, basis) for law in pa._LAWS]
             assert [[e.check_id for e in run] for run in runs] == list(_LAW_IDS.values())
             made.clear()
             suite = pa.run_property_suite(trials=5, seed=seed, x_precision=x_precision)
@@ -1102,8 +1092,8 @@ def _sampled_order_and_symbol_failures(rng, x_precision, trials):
     """
     sub_fail = eq_fail = sym_fail = eq_seen = 0
     for _ in range(trials):
-        P = pa.random_operator(rng, x_precision)
-        Q = pa.random_operator(rng, x_precision)
+        P = _fraction_random_operator(rng, x_precision)
+        Q = _fraction_random_operator(rng, x_precision)
         prod = pa.op_mul(P, Q)
         bo = pa.bold_ord(prod)
         total = pa.bold_ord(P) + pa.bold_ord(Q)
@@ -1120,8 +1110,8 @@ def _sampled_graded_order_failures(rng, x_precision, trials):
     """Oracle: the sampled graded-order and ht_2 loop the suite used to run."""
     gamma_fail = ht_fail = 0
     for _ in range(trials):
-        P = pa._random_graded_monic(rng, x_precision)
-        Q = pa._random_graded_monic(rng, x_precision)
+        P = _fraction_random_graded_monic(rng, x_precision)
+        Q = _fraction_random_graded_monic(rng, x_precision)
         prod = pa.op_mul(P, Q)
         (kp, lp), (kq, lq) = pa.ord_gamma(P), pa.ord_gamma(Q)
         gamma_fail += pa.ord_gamma(prod) != (kp + kq, lp + lq)
@@ -1141,11 +1131,11 @@ def test_order_and_graded_certificates_agree_with_sampled_oracles():
     """Both certificates pass and draw nothing; the old 500-pair loops find
     no failure either, and every pair they drew had a nonzero symbol product."""
     for x_precision in (10, 12, 16):
-        rng, basis = Random(0), pa._random_operator_basis(x_precision)
+        rng, basis = Random(0), pa._monomial_basis(x_precision)
         got = {
             e.check_id: e.actual
             for law in (pa._law_order_and_symbol, pa._law_graded_order)
-            for e in law(rng, x_precision, 500, basis)
+            for e in law(rng, x_precision, basis)
         }
         assert rng.getstate() == Random(0).getstate()
         assert [got[i] for i in _ORDER_IDS + _GRADED_IDS] == [0] * 5
@@ -1160,8 +1150,8 @@ _GRADED_WORK = "d2-filtration on 1521 monomial pairs, 36 top pairs"
 
 
 def test_certified_laws_state_their_work():
-    """The five certified entries name their fixed work, whatever the seed,
-    trials and precision; the two sampled ones name their sample counts."""
+    """The seven certified entries name their fixed work, and the two decided
+    at a generic point their miss bound, whatever the seed and precision."""
     want = {
         "pdo.order_subadditive": f"ord(PQ) <= ord(P) + ord(Q): {_ORDER_WORK}",
         "pdo.order_additive_nonzero_symbols": (
@@ -1172,22 +1162,31 @@ def test_certified_laws_state_their_work():
         ),
         "pdo.gamma_order_additive": f"graded order adds on monic-leading pairs: {_GRADED_WORK}",
         "pdo.highest_term_multiplicative": f"top d2-coefficients multiply: {_GRADED_WORK}",
+        "pdo.a1_closure": (
+            "growth levels add under multiplication: 81 grade pairs of 90 monomials, "
+            "miss probability <= 2/(2^64 - 1)"
+        ),
+        "pdo.quasi_elliptic_preserved": (
+            "shear changes keep pairs quasi-elliptic: one generic shear of the 36 tail "
+            "monomials and the 4 top pairs, miss probability <= 6/(2^64 - 1)"
+        ),
     }
     laws = (pa._law_order_and_symbol, pa._law_graded_order, pa._law_a1, pa._law_quasi_elliptic)
-    for seed, x_precision, trials in itertools.product(range(2), (10, 12, 16), (1, 99, 500)):
+    for seed, x_precision in itertools.product(range(2), (10, 12, 16)):
         by_id = {
-            i: e.reference
-            for law in laws
-            for i, e in _run_law(law, seed, trials, x_precision).items()
+            i: e.reference for law in laws for i, e in _run_law(law, seed, x_precision).items()
         }
         assert {i: by_id[i] for i in want} == want
-        assert by_id["pdo.a1_closure"] == (
-            f"growth levels add under multiplication, {trials} sampled pairs"
+
+
+def test_pdo_entries_do_not_depend_on_trials():
+    """No law samples, so trials is only validated: 1 and 500 give the same entries."""
+    for seed, x_precision in itertools.product(range(3), (10, 12, 16)):
+        one, many = (
+            [repr(e) for e in pa.run_property_suite(trials, seed, x_precision)]
+            for trials in (1, 500)
         )
-        assert by_id["pdo.quasi_elliptic_preserved"] == (
-            "shear changes keep pairs quasi-elliptic, "
-            f"{max(trials // 5, 20)} sampled sheared pairs"
-        )
+        assert one == many
 
 
 def test_symbol_check_catches_a_wrong_grade(monkeypatch):
@@ -1284,7 +1283,7 @@ def test_graded_monic_draws_lie_in_the_certified_span(x_precision):
     for seed in range(200):
         rng = Random(seed)
         for _ in range(5):
-            P = pa._random_graded_monic(rng, x_precision)
+            P = _fraction_random_graded_monic(rng, x_precision)
             assert (P.x_precision, P.d_bound) == (x_precision, 4)
             l = max(key[3] for key in P.num)
             ((top, n),) = [(key, n) for key, n in P.num.items() if key[3] == l]
@@ -1297,7 +1296,7 @@ def _sampled_associativity_failures(rng, x_precision, trials):
     """Oracle: the sampled associativity loop the suite used to run."""
     fail = 0
     for _ in range(trials):
-        P, Q, R = (pa.random_operator(rng, x_precision) for _ in range(3))
+        P, Q, R = (_fraction_random_operator(rng, x_precision) for _ in range(3))
         if not pa._agree(pa.op_mul(pa.op_mul(P, Q), R), pa.op_mul(P, pa.op_mul(Q, R))):
             fail += 1
     return fail
@@ -1319,8 +1318,8 @@ def _sampled_ring_map_failures(rng, x_precision, trials):
             rng.randint(-2, 2),
             rng.choice(pa._NONZERO_2),
         ]
-        P = pa.random_operator(rng, x_precision)
-        Q = pa.random_operator(rng, x_precision)
+        P = _fraction_random_operator(rng, x_precision)
+        Q = _fraction_random_operator(rng, x_precision)
         lhs = pa.change_variables(pa.op_mul(P, Q), *params)
         rhs = pa.op_mul(pa.change_variables(P, *params), pa.change_variables(Q, *params))
         if not pa._agree(lhs, rhs):
@@ -1360,7 +1359,7 @@ def test_generic_certificates_agree_with_sampled_oracles():
 def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precision):
     """The generic triple stands for every draw only if op_mul treats each term
     pair alike: no kernel may branch on the support, say on len(P.num)."""
-    basis = pa._random_operator_basis(x_precision)
+    basis = pa._monomial_basis(x_precision)
     rng = Random(x_precision)
     P, Q = (pa._generic_operator(rng, basis) for _ in range(2))
     for G in (P, Q):
@@ -1380,36 +1379,6 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
     want = {key: n for key, n in acc.items() if n}
     assert (prod.num, prod.den) == (want, 1)
     assert (prod.x_precision, prod.d_bound) == (x_precision - 2, 4)
-
-
-def test_random_operator_never_falls_back_to_one_from_precision_three(monkeypatch):
-    """There is no one(T) fallback: below T = 3 random_operator refuses, and
-    from T = 3 every drawn key has x-degree <= 2 < T and a nonzero numerator,
-    so no term is dropped and every draw is nonzero with budgets T and
-    d_bound 2, those of the generic triple."""
-    real_trusted = pa.TruncatedOperator._trusted
-    seen = []
-
-    def recording(cls, num, den, x_precision, d_bound):
-        seen.append((dict(num), den))
-        return real_trusted(num, den, x_precision, d_bound)
-
-    monkeypatch.setattr(pa.TruncatedOperator, "_trusted", classmethod(recording))
-    for x_precision in (-1, 0, 1, 2):
-        with pytest.raises(ValueError, match="x_precision >= 3"):
-            pa.random_operator(Random(x_precision), x_precision)
-    assert not seen
-    for x_precision in range(3, 21):
-        rng = Random(x_precision)
-        for _ in range(200):
-            P = pa.random_operator(rng, x_precision)
-            assert (P.x_precision, P.d_bound) == (x_precision, 2)
-            assert len(P.num) == len(seen[-1][0]) > 0
-    assert all(
-        k[0] + k[1] <= 2 and n != 0 and den > 0
-        for num, den in seen
-        for k, n in num.items()
-    )
 
 
 _LEFT, _RIGHT = (2, 0, 0, 2), (0, 2, 2, 0)
@@ -1444,7 +1413,7 @@ def _images_without_shear_in_x1(a, b, c, d, e):
 
 
 def test_ring_map_certificate_catches_a_substitution_wrong_only_for_shears(monkeypatch):
-    P = pa._generic_operator(Random(3), pa._random_operator_basis(T))
+    P = pa._generic_operator(Random(3), pa._monomial_basis(T))
     real = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
     monkeypatch.setattr(pa, "_substitution_images", _images_without_shear_in_x1)
     wrong = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
@@ -1454,3 +1423,89 @@ def test_ring_map_certificate_catches_a_substitution_wrong_only_for_shears(monke
         assert got["pdo.change_is_ring_map"].actual == 1
         # only [d2, x1] = c/e breaks
         assert got["pdo.change_commutators"].actual == 1
+
+
+def _a1_grades(P):
+    return {k1 + k2 - i1 - i2 for i1, i2, k1, k2 in P.num}
+
+
+def _mul_with_a_term_above(g, h):
+    """op_mul, except that the product of the A1 certificate's grade-g and
+    grade-h operators gains one term of grade g + h + 1."""
+    extra = g + h + 1
+    key = (0, 0, extra, 0) if extra >= 0 else (-extra, 0, 0, 0)
+
+    def mul(P, Q):
+        prod = _REAL_MUL(P, Q)
+        if (_a1_grades(P), _a1_grades(Q)) == ({g}, {h}):
+            term = pa.TruncatedOperator._trusted({key: 1}, 1, prod.x_precision, prod.d_bound)
+            return prod + term
+        return prod
+
+    return mul
+
+
+@pytest.mark.parametrize("g, h", [(0, 0), (2, -6), (-1, 2)])
+def test_a1_certificate_catches_one_term_above_its_grade(monkeypatch, g, h):
+    monkeypatch.setattr(pa, "op_mul", _mul_with_a_term_above(g, h))
+    for seed in range(3):
+        assert _run_law(pa._law_a1, seed)["pdo.a1_closure"].actual == 1
+
+
+def _mul_with_an_antisymmetric_defect(P, Q):
+    """op_mul plus c d1, with c = P[x1 d1] Q[x2 d2] - P[x2 d2] Q[x1 d1]: bilinear,
+    above the grade of both grade-0 monomials, and zero whenever P is Q."""
+    prod = _REAL_MUL(P, Q)
+    a, b = (1, 0, 1, 0), (0, 1, 0, 1)
+    c = P.num.get(a, 0) * Q.num.get(b, 0) - P.num.get(b, 0) * Q.num.get(a, 0)
+    if c:
+        d1 = {(0, 0, 1, 0): c}
+        return prod + pa.TruncatedOperator._trusted(d1, prod.den, prod.x_precision, prod.d_bound)
+    return prod
+
+
+def test_a1_certificate_catches_a_defect_that_cancels_in_a_square(monkeypatch):
+    """The left and right grade operators are drawn apart: with one operator
+    per grade, P_0 P_0 would hide this defect."""
+    monkeypatch.setattr(pa, "op_mul", _mul_with_an_antisymmetric_defect)
+    for seed in range(3):
+        assert _run_law(pa._law_a1, seed)["pdo.a1_closure"].actual == 1
+
+
+_REAL_SHEAR = pa.special_change
+
+
+def _shear_with_x1_on_d2_powers(P, b, c, d):
+    """special_change, except that the image of each d2^k gains x1 d2^k: no
+    tail rises, but the P tops d2^2 and d2^3 stop being monic."""
+    img = _REAL_SHEAR(P, b, c, d)
+    ((key, _),) = P.num.items()
+    if key[:3] == (0, 0, 0):
+        x1 = {(1, 0, 0, key[3]): 1}
+        return img + pa.TruncatedOperator._trusted(x1, 1, img.x_precision, img.d_bound)
+    return img
+
+
+def _shear_raising_one_tail(P, b, c, d):
+    """special_change, except that the image of x1^2 x2^2 d1 d2 gains d2^2."""
+    img = _REAL_SHEAR(P, b, c, d)
+    if P.num == {(2, 2, 1, 1): 1}:
+        d2 = {(0, 0, 0, 2): 1}
+        return img + pa.TruncatedOperator._trusted(d2, 1, img.x_precision, img.d_bound)
+    return img
+
+
+@pytest.mark.parametrize(
+    "mutant, want",
+    [
+        # both P tops fail against both Q tops
+        (_shear_with_x1_on_d2_powers, 4),
+        (_shear_raising_one_tail, 1),
+    ],
+    ids=["tops", "tail"],
+)
+def test_shear_certificate_catches_a_mutant(monkeypatch, mutant, want):
+    monkeypatch.setattr(pa, "special_change", mutant)
+    for seed in range(3):
+        got = _run_law(pa._law_quasi_elliptic, seed)
+        assert got["pdo.quasi_elliptic_preserved"].actual == want
