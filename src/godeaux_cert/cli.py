@@ -402,9 +402,10 @@ def load_config(args: argparse.Namespace) -> dict:
         _reject_unknown("pdo_budget", budget, cfg["pdo_budget"])
         cfg["pdo_budget"].update(budget)
         cfg.update(raw)
-    if args.primes:
+    # an empty list is an error below, not a request for the defaults
+    if args.primes is not None:
         cfg["primes"] = _parse_int_list(args.primes)
-    if args.coeffs:
+    if args.coeffs is not None:
         cfg["coefficients"] = _parse_int_list(args.coeffs)
     if args.trials is not None:
         cfg["trials"] = args.trials

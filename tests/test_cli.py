@@ -110,6 +110,9 @@ def test_bad_prime_exits_two(capsys):
         (["pdo", "--trials", "40"], {"pdo_budget": {"T": 9}}),
         # Random(-s) draws what Random(s) draws, so a negative seed is refused
         (["pdo", "--trials", "3", "--seed", "-1"], None),
+        # an empty list is refused, not read as "use the defaults"
+        (["surface", "--primes", ""], None),
+        (["surface", "--coeffs", ""], None),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):

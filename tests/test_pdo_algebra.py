@@ -39,6 +39,18 @@ def test_constructor_refuses_non_int_exponents():
             pa.TruncatedOperator({(e, 0, 0, 0): 1}, T)
 
 
+def test_budgets_refuse_float_or_bool():
+    """A float budget rides into products: 12.0 would multiply to x_precision 11.0."""
+    for x_precision in (12.0, True):
+        with pytest.raises(TypeError, match="x_precision must be an int"):
+            pa.TruncatedOperator({(0, 0, 1, 0): 1}, x_precision)
+        with pytest.raises(TypeError, match="x_precision must be an int"):
+            op("x1 d1").truncate(x_precision)
+    for d_bound in (6.0, True):
+        with pytest.raises(TypeError, match="d_bound must be an int"):
+            pa.TruncatedOperator({(0, 0, 1, 0): 1}, T, d_bound)
+
+
 def test_constructor_refuses_floats():
     with pytest.raises(TypeError, match="float"):
         pa.TruncatedOperator({(0, 0, 1, 0): 0.1}, 5)
@@ -371,7 +383,11 @@ def _fraction_random_graded_monic(rng, x_precision):
 
 
 def _fraction_random_normalized_pair(rng, x_precision):
-    """Oracle: _random_normalized_pair with Fraction coefficients through the constructor."""
+    """Normalized pair (d2^k + tail, d1 d2^l + tail), k in {2, 3} and l in {1, 2}.
+
+    Each tail has 0-3 terms x1^i1 x2^i2 d1^k1 d2^s with i1, i2 <= 2, k1 <= 1
+    and s in 0..k-2 for P, 0..l-1 for Q: the span _generic_shear_images covers.
+    """
     k = rng.randint(2, 3)
     l = rng.randint(1, 2)
     p_coeffs = {(0, 0, 0, k): Fraction(1)}
@@ -389,41 +405,14 @@ def _fraction_random_normalized_pair(rng, x_precision):
     return P, Q
 
 
-def test_generators_match_fraction_oracles():
-    """Same terms in the same order, same budgets, and the Random left in the same state.
-
-    The draws are what the seed names: a report entry reads one seed's draws.
-    """
-    for seed in range(200):
-        T = (1, 2, 3, 12)[seed % 4]
-        rng, twin = Random(seed), Random(seed)
-        got = pa._random_normalized_pair(rng, T)
-        want = _fraction_random_normalized_pair(twin, T)
-        assert rng.getstate() == twin.getstate()
-        for g, w in zip(got, want, strict=True):
-            assert g.coeffs == w.coeffs
-            assert list(g.coeffs) == list(w.coeffs)
-            assert (g.x_precision, g.d_bound) == (w.x_precision, w.d_bound)
-            _assert_trusted_invariants(g)
-
-
-# every randint(a, b) the shear-pair generators once made, now rng.choice over range(a, b + 1)
-_DRAWN_RANGES = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (-2, 2)]
-
-
-def test_choice_over_a_range_takes_the_randint_stream():
-    """The generators draw with rng.choice over constant tuples and must keep
-    the draws of the randint formulation; this pins that on the running Python."""
-    assert pa._UPTO == tuple(tuple(range(n + 1)) for n in range(4))
-    assert pa._SHEAR == tuple(range(-2, 3))
-    assert pa._NONZERO_2 == tuple(_NONZERO_2)
-    for seed in range(200):
-        for a, b in _DRAWN_RANGES:
-            rng, twin = Random(seed), Random(seed)
-            seq = tuple(range(a, b + 1))
-            got = [rng.choice(seq) for _ in range(20)]
-            assert got == [twin.randint(a, b) for _ in range(20)]
-            assert rng.getstate() == twin.getstate()
+def _fraction_sheared_normalized_pairs(rng, x_precision, count):
+    """count normalized pairs, each after a shear with b, d in -2..2 and c != 0."""
+    for _ in range(count):
+        P, Q = _fraction_random_normalized_pair(rng, x_precision)
+        b = rng.randint(-2, 2)
+        c = rng.choice(_NONZERO_2)
+        d = rng.randint(-2, 2)
+        yield pa.special_change(P, b, c, d), pa.special_change(Q, b, c, d)
 
 
 def _randint_law_a1(rng, T, trials):
@@ -457,7 +446,7 @@ def test_law_quasi_elliptic_matches_sampled_shear_oracle():
     for seed, x_precision in itertools.product(range(5), (10, 12, 16)):
         got = _run_law(pa._law_quasi_elliptic, seed, x_precision)
         assert got["pdo.quasi_elliptic_preserved"].actual == 0
-        _, pairs, _ = _old_normalized_shape_loop(100, seed, x_precision)
+        _, pairs = _old_normalized_shape_loop(100, seed, x_precision)
         assert all(pa.is_quasi_elliptic_pair(P, Q) for P, Q in pairs)
 
 
@@ -569,8 +558,8 @@ def test_pair_predicates_match_plain_definitions_on_generated_pairs():
     """Normalized pairs, their shears and graded monic operators: mostly positive cases."""
     rng = Random(5)
     for _ in range(100):
-        P, Q = pa._random_normalized_pair(rng, T)
-        [(P2, Q2)] = pa._sheared_normalized_pairs(rng, T, 1)
+        P, Q = _fraction_random_normalized_pair(rng, T)
+        [(P2, Q2)] = _fraction_sheared_normalized_pairs(rng, T, 1)
         M = _fraction_random_graded_monic(rng, T)
         for A, B in ((P, Q), (P2, Q2), (Q, P), (M, Q), (P, M)):
             assert pa.is_monic(A) == _plain_is_monic(A)
@@ -736,39 +725,47 @@ def _old_normalized_shape_loop(trials, seed, x_precision=T):
     """Oracle: the loop normalized_shape_preserved_under_special_change ran on its own.
 
     Returns its verdict and every sheared pair it would have tested had it
-    not stopped at the first failure, with the Random left after all trials.
+    not stopped at the first failure.
     """
-    rng = Random(seed)
-    pairs = []
-    for _ in range(trials):
-        P, Q = _fraction_random_normalized_pair(rng, x_precision)
-        b = rng.randint(-2, 2)
-        c = rng.choice(_NONZERO_2)
-        d = rng.randint(-2, 2)
-        pairs.append((pa.special_change(P, b, c, d), pa.special_change(Q, b, c, d)))
-    return all(pa.is_normalized_pair(P, Q) for P, Q in pairs), pairs, rng
+    pairs = list(_fraction_sheared_normalized_pairs(Random(seed), x_precision, trials))
+    return all(pa.is_normalized_pair(P, Q) for P, Q in pairs), pairs
 
 
 def test_shared_shear_generator_matches_old_loop():
-    for seed in range(50):
-        trials, x_precision = 1 + seed % 7, (6, 12, 16)[seed % 3]
-        verdict, pairs, twin = _old_normalized_shape_loop(trials, seed, x_precision)
+    """The generic-shear decision gives the verdict of the sampled loop it replaced."""
+    for seed, x_precision in itertools.product(range(50), (1, 6, 12, 16)):
+        trials = 1 + seed % 7
+        verdict, _ = _old_normalized_shape_loop(trials, seed, x_precision)
         got = pa.normalized_shape_preserved_under_special_change(trials, seed, x_precision)
-        assert got is verdict
-        rng = Random(seed)
-        shared = list(pa._sheared_normalized_pairs(rng, x_precision, trials))
-        assert rng.getstate() == twin.getstate()
-        for (gp, gq), (wp, wq) in zip(shared, pairs, strict=True):
-            for g, w in ((gp, wp), (gq, wq)):
-                assert (g.num, g.den) == (w.num, w.den)
-                assert list(g.num) == list(w.num)
-                assert (g.x_precision, g.d_bound) == (w.x_precision, w.d_bound)
+        assert got is verdict is False
+
+
+def _shear_only_raising_one_tail(P, b, c, d):
+    """The identity, except that x1^2 x2^2 d1 d2 gains d2^2: every sheared top
+    stays normalized, and one tail rises."""
+    if P.num == {(2, 2, 1, 1): 1}:
+        d2 = {(0, 0, 0, 2): 1}
+        return P + pa.TruncatedOperator._trusted(d2, 1, P.x_precision, P.d_bound)
+    return P
+
+
+@pytest.mark.parametrize(
+    "mutant, want",
+    [(lambda P, b, c, d: P, True), (_shear_only_raising_one_tail, False)],
+    ids=["identity", "tail"],
+)
+def test_normalized_shape_decision_follows_a_mutant_shear(monkeypatch, mutant, want):
+    """A shear that keeps every top normalized passes, unless a tail rises:
+    the function decides the statement, it does not return a constant."""
+    monkeypatch.setattr(pa, "special_change", mutant)
+    for seed in range(3):
+        assert pa.normalized_shape_preserved_under_special_change(20, seed) is want
 
 
 def test_quasi_ellipticity_preserved_by_shear():
     rng = Random(3)
     for _ in range(30):
-        P, Q = pa._random_normalized_pair(rng, T)
+        P, Q = _fraction_random_normalized_pair(rng, T)
         b, c, d = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)
         assert pa.is_quasi_elliptic_pair(
             pa.special_change(P, b, c, d), pa.special_change(Q, b, c, d)
@@ -1312,11 +1309,11 @@ def _sampled_ring_map_failures(rng, x_precision, trials):
     ]
     for _ in range(trials):
         params = [
-            rng.choice(pa._NONZERO_2),
+            rng.choice(_NONZERO_2),
             rng.randint(-2, 2),
             rng.randint(-2, 2),
             rng.randint(-2, 2),
-            rng.choice(pa._NONZERO_2),
+            rng.choice(_NONZERO_2),
         ]
         P = _fraction_random_operator(rng, x_precision)
         Q = _fraction_random_operator(rng, x_precision)
@@ -1361,7 +1358,8 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
     pair alike: no kernel may branch on the support, say on len(P.num)."""
     basis = pa._monomial_basis(x_precision)
     rng = Random(x_precision)
-    P, Q = (pa._generic_operator(rng, basis) for _ in range(2))
+    keys = [key for B in basis for key in B.num]
+    P, Q = (pa._generic_operator(rng, keys, x_precision, 2) for _ in range(2))
     for G in (P, Q):
         assert set(G.num) == _basis_keys(x_precision) and len(G.num) == 36
         assert (G.den, G.x_precision, G.d_bound) == (1, x_precision, 2)
@@ -1413,7 +1411,8 @@ def _images_without_shear_in_x1(a, b, c, d, e):
 
 
 def test_ring_map_certificate_catches_a_substitution_wrong_only_for_shears(monkeypatch):
-    P = pa._generic_operator(Random(3), pa._monomial_basis(T))
+    keys = [key for B in pa._monomial_basis(T) for key in B.num]
+    P = pa._generic_operator(Random(3), keys, T, 2)
     real = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
     monkeypatch.setattr(pa, "_substitution_images", _images_without_shear_in_x1)
     wrong = [pa.change_variables(P, 2, 3, c, 5, 7) for c in (0, 4)]
