@@ -358,7 +358,7 @@ SUITES = tuple(SUITE_FUNCS)
 
 def _parse_int_list(text: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from exc
 

@@ -4,12 +4,11 @@ Primality, fifth roots of unity, projective-space enumeration over a prime
 field, and exact integer and rational linear algebra.  The prime-field
 checks run on plain ints mod q, with one exception: the invariance check
 takes its fifth root of unity as a FieldElement from primitive_fifth_root.
-Otherwise the object layer here (FieldElement, SparsePolynomial,
-ProjectivePoint) is a second, independent representation of F_q and its
-polynomials, kept as the oracle the tests compare those checks against.
-It carries only what those oracles use: field elements add, multiply,
-invert and take non-negative powers; polynomials differentiate and
-evaluate.  All values are immutable and all operations are pure functions.
+Otherwise FieldElement and SparsePolynomial are a second, independent
+representation of F_q and its polynomials, kept for the tests' reference
+scans.  They carry only what those scans use: field elements add, multiply
+and take non-negative powers; polynomials evaluate.  All values are
+immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -75,11 +74,6 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
     def __pow__(self, n: int) -> "FieldElement":
         return FieldElement(pow(self.value, n, self.modulus), self.modulus)
 
@@ -115,14 +109,14 @@ def primitive_fifth_root(q: int) -> FieldElement:
 
 
 class SparsePolynomial:
-    """Map from exponent tuples to nonzero coefficients.
+    """Map from exponent tuples to nonzero coefficients, evaluated at a point.
 
     The coefficient domain is pluggable: ints, Fractions, or FieldElements,
     anything supporting +, * and a unary truth test.  Terms are kept with
-    no zero coefficients.  No check path evaluates these: the tests
-    differentiate them and evaluate them at FieldElement points as an
-    independent oracle for the plain-int mod-q checks, and that is all
-    this class offers.
+    no zero coefficients.  No check path builds one: the tests evaluate a
+    member and its partials at FieldElement points as an independent
+    oracle for the plain-int mod-q checks, and evaluation is all this
+    class offers.
     """
 
     __slots__ = ("terms", "num_vars")
@@ -157,36 +151,6 @@ class SparsePolynomial:
             return point[0] * 0
         return acc
 
-    def partial(self, var_index: int) -> "SparsePolynomial":
-        if not 0 <= var_index < self.num_vars:
-            raise ValueError(f"variable index {var_index} out of range")
-        acc = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var_index]
-            if e == 0:
-                continue
-            key = exps[:var_index] + (e - 1,) + exps[var_index + 1 :]
-            acc[key] = coeff * e
-        return SparsePolynomial(acc, self.num_vars)
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of P^n(F_q), normalized so the first nonzero coordinate is 1."""
-
-    coords: Tuple[FieldElement, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(self.coords)
-        lead = next((c for c in coords if c), None)
-        if lead is None:
-            raise ValueError("all coordinates are zero")
-        inv = lead.inverse()
-        object.__setattr__(self, "coords", tuple(inv * c for c in coords))
-
-    def __repr__(self) -> str:
-        return "(" + ":".join(str(c.value) for c in self.coords) + ")"
-
 
 def iter_projective_coords(q: int, dim: int) -> Iterator[Tuple[int, ...]]:
     """Normalized coordinate tuples of P^dim(F_q) as plain ints.
@@ -198,14 +162,6 @@ def iter_projective_coords(q: int, dim: int) -> Iterator[Tuple[int, ...]]:
         head = (0,) * lead + (1,)
         for tail in itertools.product(range(q), repeat=dim - lead):
             yield head + tail
-
-
-def projective_points(q: int, dim: int) -> Iterator[ProjectivePoint]:
-    _require_prime(q)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    for raw in iter_projective_coords(q, dim):
-        yield ProjectivePoint(tuple(FieldElement(v, q) for v in raw))
 
 
 def projective_count(q: int, dim: int) -> int:

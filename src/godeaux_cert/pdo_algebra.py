@@ -616,11 +616,16 @@ def _generic_shear_images(rng: Random, x_precision: int):
 
 
 def _check_trials_and_seed(trials: int, seed: int) -> None:
-    """ValueError for no trials, which would pass unchecked, or a negative seed.
+    """TypeError for a non-int; ValueError for no trials, which would pass
+    unchecked, or a negative seed.
 
     Random(-s) draws what Random(s) draws, so a negative seed would rerun
-    the draws of another seed under its own name.
+    the draws of another seed under its own name; Random(True) and
+    Random(1.0) draw what Random(1) draws, so a bool or float seed would too.
     """
+    for name, val in (("trials", trials), ("seed", seed)):
+        if type(val) is not int:
+            raise TypeError(f"{name} must be an int, got {val!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:

@@ -1,10 +1,10 @@
 """The invariant quintic family in P^3 and its order-5 symmetry.
 
-Enumerates the 12 admissible degree-5 monomials, builds members of the
-family over prime fields containing fifth roots of unity, and brute-forces
-invariance, freeness of the action, smoothness, and transversality to the
-coordinate planes.  The family-dimension count 11 - 3 = 8 is prime-free
-rational linear algebra.
+Enumerates the 12 admissible degree-5 monomials and, for a member given by
+its 12 coefficients over a prime field containing fifth roots of unity,
+brute-forces invariance, freeness of the action, smoothness, and
+transversality to the coordinate planes.  The family-dimension count
+11 - 3 = 8 is prime-free rational linear algebra.
 
 The singular-point scans test only the partial derivatives: a member f is
 homogeneous of degree 5, so Euler's identity sum_v z_v df/dz_v = 5 f makes
@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .exact_arith import (
-    FieldElement,
-    ProjectivePoint,
-    SparsePolynomial,
     _require_prime,
     iter_projective_coords,
     primitive_fifth_root,
@@ -96,16 +93,6 @@ def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[int, ...]:
     if not any(coeffs):
         raise ValueError("all coefficients vanish mod the chosen prime")
     return coeffs
-
-
-def build_quintic(a: Sequence[int], q: int) -> SparsePolynomial:
-    """The member sum(a_i * z^{n_i}) of the family over F_q.
-
-    Coefficients are ints in [0, q); evaluating at FieldElement points
-    reduces mod q, which is how the tests use this view as an oracle.
-    """
-    _require_prime(q)
-    return SparsePolynomial({exps: c for c, exps in _int_terms(a, q)}, 4)
 
 
 def invariance_check(a: Sequence[int], g: GroupElement, q: int) -> bool:
@@ -238,15 +225,3 @@ def invariant_hyperplanes() -> Tuple[Tuple[int, int, int, int], ...]:
     hyperplane is fixed.
     """
     return _COORDINATE_POINTS
-
-
-def brute_force_fixed_points(g: GroupElement, q: int) -> Tuple[Tuple[int, ...], ...]:
-    """Every fixed point of g on P^3(F_q), found by scanning every point."""
-    eps = primitive_fifth_root(q)
-    out = []
-    for raw in iter_projective_coords(q, 3):
-        c = tuple(FieldElement(v, q) for v in raw)
-        moved = ProjectivePoint(tuple(eps ** w * x for w, x in zip(g.weights, c)))
-        if moved == ProjectivePoint(c):
-            out.append(raw)
-    return tuple(out)

@@ -69,51 +69,58 @@ def test_bad_prime_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Each case's id is its key, so adding a case renames no other.  The first
+# 36 keep the positional ids they were first collected under.
+_MALFORMED_INPUTS = {
+    "args0-None": (["surface", "--primes", "21"], None),
+    "args1-config1": (["surface"], {"primes": "11"}),
+    "args2-config2": (["surface"], {"coefficients": "1"}),
+    "args3-None": (["pdo", "--trials", "0"], None),
+    "args4-None": (["pdo", "--trials", "-3"], None),
+    "args5-config5": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 2}}),
+    "args6-config6": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 6}}),
+    "args7-config7": (["pdo"], {"trials": None}),
+    "args8-config8": (["pdo"], {"trials": True}),
+    "args9-config9": (["pdo"], {"trials": 2.7}),
+    "args10-config10": (["pdo", "--trials", "3"], {"seed": None}),
+    "args11-config11": (["pdo", "--trials", "3"], {"pdo_budget": 5}),
+    "args12-config12": (["pdo", "--trials", "3"], {"pdo_budget": {"t": 16}}),
+    "args13-config13": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 16.0}}),
+    "args14-config14": (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": "6"}}),
+    "args15-config15": (["surface"], {"primes": [[11]]}),
+    "args16-config16": (["surface"], {"primes": [11.5]}),
+    "args17-config17": (["surface"], {"prime": [31]}),
+    "args18-config18": (["surface"], {"coefficients": [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, False]}),
+    "args19-None": (["surface", "--primes", "11,11"], None),
+    "args20-config20": (["surface"], {"primes": [31, 11, 31]}),
+    "args21-config21": (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": -5}}),
+    "args22-None": (["surface", "--primes", ","], None),
+    "args23-config23": (["surface"], {"primes": []}),
+    "args24-config24": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 0}}),
+    "args25-config25": (["pdo", "--trials", "3"], {"pdo_budget": {"T": -3}}),
+    "args26-None": (["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"], None),
+    "args27-None": (["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"], None),
+    # too small to decide an order: bold_ord raises UndecidableOrderError
+    "args28-config28": (["pdo"], {"pdo_budget": {"T": 7}}),
+    "args29-config29": (["pdo", "--trials", "100"], {"pdo_budget": {"T": 8}}),
+    # below T = 10 the suite refuses before its first draw; at seed 42 these
+    # three used to exit 0, as their draws happened to decide every order
+    "args30-config30": (["pdo", "--trials", "40"], {"pdo_budget": {"T": 7}}),
+    "args31-config31": (["pdo", "--trials", "40"], {"pdo_budget": {"T": 8}}),
+    "args32-config32": (["pdo", "--trials", "40"], {"pdo_budget": {"T": 9}}),
+    # Random(-s) draws what Random(s) draws, so a negative seed is refused
+    "args33-None": (["pdo", "--trials", "3", "--seed", "-1"], None),
+    # an empty list is refused, not read as "use the defaults"
+    "args34-None": (["surface", "--primes", ""], None),
+    "args35-None": (["surface", "--coeffs", ""], None),
+    # an empty item is refused, not skipped
+    "primes_empty_item": (["surface", "--primes", "11,,31"], None),
+    "primes_trailing_comma": (["surface", "--primes", "11,31,"], None),
+}
+
+
 @pytest.mark.parametrize(
-    "args, config",
-    [
-        (["surface", "--primes", "21"], None),
-        (["surface"], {"primes": "11"}),
-        (["surface"], {"coefficients": "1"}),
-        (["pdo", "--trials", "0"], None),
-        (["pdo", "--trials", "-3"], None),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 2}}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 6}}),
-        (["pdo"], {"trials": None}),
-        (["pdo"], {"trials": True}),
-        (["pdo"], {"trials": 2.7}),
-        (["pdo", "--trials", "3"], {"seed": None}),
-        (["pdo", "--trials", "3"], {"pdo_budget": 5}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"t": 16}}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 16.0}}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": "6"}}),
-        (["surface"], {"primes": [[11]]}),
-        (["surface"], {"primes": [11.5]}),
-        (["surface"], {"prime": [31]}),
-        (["surface"], {"coefficients": [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, False]}),
-        (["surface", "--primes", "11,11"], None),
-        (["surface"], {"primes": [31, 11, 31]}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": -5}}),
-        (["surface", "--primes", ","], None),
-        (["surface"], {"primes": []}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"T": 0}}),
-        (["pdo", "--trials", "3"], {"pdo_budget": {"T": -3}}),
-        (["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"], None),
-        (["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"], None),
-        # too small to decide an order: bold_ord raises UndecidableOrderError
-        (["pdo"], {"pdo_budget": {"T": 7}}),
-        (["pdo", "--trials", "100"], {"pdo_budget": {"T": 8}}),
-        # below T = 10 the suite refuses before its first draw; at seed 42 these
-        # three used to exit 0, as their draws happened to decide every order
-        (["pdo", "--trials", "40"], {"pdo_budget": {"T": 7}}),
-        (["pdo", "--trials", "40"], {"pdo_budget": {"T": 8}}),
-        (["pdo", "--trials", "40"], {"pdo_budget": {"T": 9}}),
-        # Random(-s) draws what Random(s) draws, so a negative seed is refused
-        (["pdo", "--trials", "3", "--seed", "-1"], None),
-        # an empty list is refused, not read as "use the defaults"
-        (["surface", "--primes", ""], None),
-        (["surface", "--coeffs", ""], None),
-    ],
+    "args, config", list(_MALFORMED_INPUTS.values()), ids=list(_MALFORMED_INPUTS)
 )
 def test_malformed_input_exits_two(tmp_path, capsys, args, config):
     if config is not None:

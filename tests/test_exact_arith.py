@@ -7,16 +7,15 @@ from hypothesis import given, strategies as st
 
 from godeaux_cert.exact_arith import (
     FieldElement,
-    ProjectivePoint,
     SparsePolynomial,
     integer_determinant,
     is_prime,
     iter_projective_coords,
     primitive_fifth_root,
     projective_count,
-    projective_points,
     rational_matrix_rank,
 )
+from oracles import fraction_det
 
 
 def test_is_prime_small():
@@ -31,28 +30,15 @@ def test_field_arithmetic_basics():
     assert a + b == 4
     assert a * b == 1
     assert a + b * -1 == 10
-    assert (a * b.inverse()).value == (7 * pow(8, 9, 11)) % 11
     assert a ** 5 == pow(7, 5, 11)
     assert a * -1 == 4
     assert 3 + a == a + 3 == 10 and 2 * a == 3
     assert a.value == 7 and FieldElement(-4, 11).value == 7
 
 
-def test_field_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, 11).inverse()
-
-
 def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         FieldElement(1, 15)
-
-
-@given(st.integers(0, 10), st.integers(1, 10))
-def test_field_inverse_roundtrip(a, b):
-    x = FieldElement(b, 11)
-    y = FieldElement(a, 11)
-    assert (y * x.inverse()) * x == y
 
 
 def test_primitive_fifth_root_known_values():
@@ -77,57 +63,22 @@ def test_sparse_polynomial_drops_zero_terms():
     assert p.terms == {(0, 1): 2}
 
 
-def test_partial_derivative():
-    p = SparsePolynomial({(3, 1): 2, (0, 2): 5}, 2)
-    assert p.partial(0).terms == {(2, 1): 6}
-    assert p.partial(1).terms == {(3, 0): 2, (0, 1): 10}
-
-
-def _naive_partial(p: SparsePolynomial, v: int) -> SparsePolynomial:
-    acc = {}
-    for exps, c in p.terms.items():
-        if exps[v]:
-            key = exps[:v] + (exps[v] - 1,) + exps[v + 1 :]
-            acc[key] = acc.get(key, 0) + c * exps[v]
-    return SparsePolynomial(acc, p.num_vars)
-
-
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.integers(-5, 5),
-        max_size=6,
-    ),
-    st.integers(0, 1),
-)
-def test_partial_matches_naive(terms, v):
-    p = SparsePolynomial(terms, 2)
-    got, want = p.partial(v), _naive_partial(p, v)
-    assert (got.num_vars, got.terms) == (want.num_vars, want.terms)
-
-
 def test_eval_over_field():
     q = 11
     p = SparsePolynomial({(5, 0): FieldElement(1, q), (0, 5): FieldElement(1, q)}, 2)
     assert p.eval((FieldElement(2, q), FieldElement(3, q))) == (2 ** 5 + 3 ** 5) % q
 
 
-def test_projective_point_normalization():
-    q = 11
-    p = ProjectivePoint((FieldElement(0, q), FieldElement(3, q), FieldElement(6, q)))
-    assert [c.value for c in p.coords] == [0, 1, 2]
-    with pytest.raises(ValueError):
-        ProjectivePoint((FieldElement(0, q), FieldElement(0, q)))
-
-
 def test_projective_enumeration_counts():
     assert sum(1 for _ in iter_projective_coords(11, 3)) == projective_count(11, 3) == 1464
-    assert sum(1 for _ in projective_points(11, 2)) == 133
+    assert sum(1 for _ in iter_projective_coords(11, 2)) == projective_count(11, 2) == 133
 
 
 def test_projective_enumeration_no_duplicates():
-    pts = list(projective_points(11, 2))
+    # every tuple leads with a 1, so distinct tuples are distinct points
+    pts = list(iter_projective_coords(11, 2))
     assert len(set(pts)) == len(pts)
+    assert all(next(x for x in p if x) == 1 for p in pts)
 
 
 def test_rational_matrix_rank():
@@ -178,27 +129,6 @@ def test_rational_matrix_rank_matches_fraction_elimination(m):
     assert rational_matrix_rank(m) == _fraction_rank(m)
 
 
-def _fraction_det(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, n):
-            f = a[r][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 @given(
     st.lists(
         st.lists(st.integers(-4, 4), min_size=4, max_size=4),
@@ -207,7 +137,7 @@ def _fraction_det(m):
     )
 )
 def test_integer_determinant_matches_fraction_elimination(m):
-    assert integer_determinant(m) == _fraction_det(m)
+    assert integer_determinant(m) == fraction_det(m)
 
 
 def test_integer_determinant_needs_square():

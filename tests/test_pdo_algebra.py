@@ -888,6 +888,18 @@ def test_normalized_shape_refuses_negative_seed(monkeypatch):
             pa.normalized_shape_preserved_under_special_change(trials=20, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "func", [pa.run_property_suite, pa.normalized_shape_preserved_under_special_change]
+)
+def test_trials_and_seed_refuse_bools_and_floats(monkeypatch, func):
+    """Random(True) and Random(1.0) draw what Random(1) draws, and a bool or
+    float trials count would pass unnoticed; each is refused before any draw."""
+    monkeypatch.setattr(pa, "Random", _refusing_random)
+    for name, val in (("trials", True), ("trials", 2.5), ("seed", True), ("seed", 1.0)):
+        with pytest.raises(TypeError, match=f"{name} must be an int, got {val!r}"):
+            func(**{"trials": 20, "seed": 1, name: val})
+
+
 def test_suite_refuses_precision_below_ten():
     # a product of two draws has order >= -4, precision T - 2 and derivative
     # bound 4: bold_ord decides it for every draw exactly when T >= 10

@@ -1,14 +1,13 @@
 """Lattice model: roots, Gram data, divisor counting, orbit partition."""
 
-import itertools
 import operator
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from godeaux_cert import picard_lattice as pl
 from godeaux_cert import rr_engine
+from oracles import fraction_det
 
 
 def test_vector_validation():
@@ -85,28 +84,7 @@ def test_pairing_of_root_sums_is_integral(u, v):
 
 def test_gram_determinant_unimodular():
     gram = pl.gram_matrix(pl.SIMPLE_ROOTS)
-    assert abs(_fraction_det(gram)) == 1
-
-
-def _fraction_det(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, n):
-            f = a[r][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    assert abs(fraction_det(gram)) == 1
 
 
 def test_simple_roots_are_roots():

@@ -5,15 +5,9 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from godeaux_cert.exact_arith import (
-    FieldElement,
-    SparsePolynomial,
-    _require_prime,
-    iter_projective_coords,
-    primitive_fifth_root,
-    projective_points,
-)
+from godeaux_cert.exact_arith import FieldElement
 from godeaux_cert import quintic_family as qf
+from oracles import field_member, field_route_singular, fixed_points
 
 FERMAT = (1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0)
 
@@ -37,26 +31,6 @@ def test_enumeration_is_exhaustive():
                 n = (n1, n2, n3, 5 - n1 - n2 - n3)
                 w = sum((i + 1) * v for i, v in enumerate(n)) % 5
                 assert (n in qf._MONOMIAL_ORDER) == (w == 0)
-
-
-def test_build_quintic_fermat():
-    f = qf.build_quintic(FERMAT, 11)
-    assert set(f.terms) == {(5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5)}
-    assert all(c == 1 for c in f.terms.values())
-
-
-def test_build_quintic_single_term():
-    a = [0] * 12
-    a[1] = 1
-    f = qf.build_quintic(a, 11)
-    assert set(f.terms) == {(3, 0, 1, 1)}
-
-
-def test_build_quintic_rejects_zero():
-    with pytest.raises(ValueError):
-        qf.build_quintic([0] * 12, 11)
-    with pytest.raises(ValueError):
-        qf.build_quintic([11] * 12, 11)  # all zero after reduction
 
 
 def test_invariance_generator_always_true():
@@ -88,42 +62,10 @@ def test_group_element_reduces_weights_and_refuses_three():
         qf.GroupElement((1, 2, 3))
 
 
-def _fixed_points(g, q):
-    """Fixed points of g on P^3(F_q): the 4 coordinate points, as unit tuples.
-
-    Only elements with pairwise distinct weights are accepted; a repeated
-    weight fixes a positive-dimensional locus and falls outside the free
-    families handled here.
-    """
-    _require_prime(q)
-    if g.weights == (0, 0, 0, 0):
-        raise ValueError("identity fixes everything")
-    if len(set(g.weights)) != 4:
-        raise ValueError(f"weights {g.weights} are not pairwise distinct")
-    return qf._COORDINATE_POINTS
-
-
-def test_fixed_points_are_coordinate_points():
-    assert _fixed_points(qf.GroupElement.generator(), 11) == (
-        (1, 0, 0, 0),
-        (0, 1, 0, 0),
-        (0, 0, 1, 0),
-        (0, 0, 0, 1),
-    )
-
-
 def test_fixed_points_match_brute_force():
-    g = qf.GroupElement.generator()
-    assert set(qf.brute_force_fixed_points(g, 11)) == set(_fixed_points(g, 11))
-    g2 = qf.GroupElement((2, 4, 1, 3))
-    assert set(qf.brute_force_fixed_points(g2, 11)) == set(_fixed_points(g2, 11))
-
-
-def test_fixed_points_rejects_identity_and_repeats():
-    with pytest.raises(ValueError):
-        _fixed_points(qf.GroupElement((0, 0, 0, 0)), 11)
-    with pytest.raises(ValueError):
-        _fixed_points(qf.GroupElement((1, 1, 2, 3)), 11)
+    # the free-action table evaluates at exactly the points the scan finds
+    for weights in ((1, 2, 3, 4), (2, 4, 1, 3)):
+        assert fixed_points(qf.GroupElement(weights), 11) == qf._COORDINATE_POINTS
 
 
 def test_free_action_fermat_true():
@@ -134,6 +76,13 @@ def test_free_action_fermat_true():
 def test_free_action_refuses_eleven_coefficients():
     with pytest.raises(ValueError, match="need 12 coefficients, got 11"):
         qf.free_action_check([1] * 11, 11)
+
+
+def test_free_action_refuses_vanishing_coefficients():
+    with pytest.raises(ValueError, match="all coefficients vanish"):
+        qf.free_action_check([0] * 12, 11)
+    with pytest.raises(ValueError, match="all coefficients vanish"):
+        qf.free_action_check([11] * 12, 11)  # all zero after reduction
 
 
 def test_free_action_fails_without_pure_power():
@@ -153,10 +102,10 @@ def test_free_action_routes_agree(a):
 @given(st.sampled_from((11, 31)), st.lists(st.integers(0, 30), min_size=12, max_size=12))
 def test_free_action_matches_field_element_route(q, a):
     assume(any(v % q for v in a))
-    f = qf.build_quintic(a, q)
+    f = field_member(a, q)
     points = [
         tuple(FieldElement(v, q) for v in pt)
-        for pt in _fixed_points(qf.GroupElement.generator(), q)
+        for pt in fixed_points(qf.GroupElement.generator(), q)
     ]
     assert qf.free_action_check(a, q) == all(f.eval(p) for p in points)
 
@@ -166,7 +115,7 @@ def _prod_route_free_action(a, q):
     coeffs = [v % q for v in a]
     return all(
         sum(c * math.prod(map(pow, pt, exps)) for c, exps in zip(coeffs, qf._MONOMIAL_ORDER)) % q
-        for pt in _fixed_points(qf.GroupElement.generator(), q)
+        for pt in fixed_points(qf.GroupElement.generator(), q)
     )
 
 
@@ -192,29 +141,10 @@ def test_smoothness_rejects_degenerate_member():
     assert not qf.smoothness_check(a, 11)
 
 
-def _field_route_singular(a, q, plane=None):
-    """Independent oracle: FieldElement evaluation of f and of every partial.
-
-    With plane=None the member is scanned over P^3; with a 1-based plane
-    index, its restriction to that coordinate plane is scanned over P^2.
-    """
-    f = qf.build_quintic(a, q)
-    if plane is not None:
-        drop = plane - 1
-        f = SparsePolynomial(
-            {e[:drop] + e[drop + 1 :]: c for e, c in f.terms.items() if e[drop] == 0}, 3
-        )
-    partials = [f.partial(v) for v in range(f.num_vars)]
-    for p in projective_points(q, f.num_vars - 1):
-        if not f.eval(p.coords) and all(not d.eval(p.coords) for d in partials):
-            return True
-    return False
-
-
 def test_smoothness_agrees_with_field_route():
     cases = [FERMAT, [1] * 12, [1, 2, 0, 0, 3, 0, 0, 1, 4, 1, 0, 0]]
     for a in cases:
-        assert qf.smoothness_check(a, 11) == (not _field_route_singular(a, 11))
+        assert qf.smoothness_check(a, 11) == (not field_route_singular(a, 11))
 
 
 def _singular_at_ones(free):
@@ -245,9 +175,9 @@ _SINGULAR = st.lists(st.integers(0, 10), min_size=8, max_size=8).map(_singular_a
 def test_partials_only_scan_matches_field_route(a):
     """The scan reads only the partials; the oracle also evaluates f."""
     assume(any(a))
-    assert qf.smoothness_check(a, 11) == (not _field_route_singular(a, 11))
+    assert qf.smoothness_check(a, 11) == (not field_route_singular(a, 11))
     for plane in range(1, 5):
-        assert qf.transversality_check(a, plane, 11) == (not _field_route_singular(a, 11, plane))
+        assert qf.transversality_check(a, plane, 11) == (not field_route_singular(a, 11, plane))
 
 
 def test_singular_scans_reject_q5():
@@ -307,4 +237,4 @@ def test_invariant_hyperplane_count_matches_brute_force():
     # point c to be fixed by g: so the invariant hyperplanes of P^3(F_q)
     # are counted by the fixed points.
     g = qf.GroupElement.generator()
-    assert len(qf.brute_force_fixed_points(g, 11)) == len(qf.invariant_hyperplanes()) == 4
+    assert len(fixed_points(g, 11)) == len(qf.invariant_hyperplanes()) == 4
