@@ -6,17 +6,20 @@ Exit codes: 0 when every executed check passes, 1 when any check fails,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from random import Random
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+# pdo_algebra, the largest module, loads in suite_pdo and argparse in
+# build_parser, so a command starts only what it runs.
 from . import __version__, diophantine, picard_lattice, quintic_family, rr_engine
-from . import pdo_algebra
 from .exact_arith import is_prime
 from .report import CheckEntry, VerificationReport, check
+
+if TYPE_CHECKING:
+    import argparse
 
 DEFAULT_PRIMES = (11, 31, 41)
 FERMAT_COEFFS = (1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0)
@@ -335,6 +338,8 @@ def suite_surface(cfg: dict) -> List[CheckEntry]:
 
 
 def suite_pdo(cfg: dict) -> List[CheckEntry]:
+    from . import pdo_algebra
+
     budget = cfg["pdo_budget"]
     return pdo_algebra.run_property_suite(
         trials=cfg["trials"],
@@ -443,6 +448,8 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="godeaux-cert",
         description="Exact finite certification checks for a family of "
@@ -512,7 +519,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run_and_report(args: argparse.Namespace, cfg: dict) -> int:
     try:
         report = run(args.command, cfg)
-    except (pdo_algebra.PrecisionError, pdo_algebra.UndecidableOrderError) as exc:
+    except Exception as exc:
+        # only a loaded pdo_algebra can have refused the budget; this loads nothing
+        pdo = sys.modules.get(f"{__package__}.pdo_algebra")
+        if pdo is None or not isinstance(exc, (pdo.PrecisionError, pdo.UndecidableOrderError)):
+            raise
         T = cfg["pdo_budget"]["T"]
         print(f"error: pdo_budget.T = {T} is too small: {exc}", file=sys.stderr)
         return 2

@@ -19,16 +19,34 @@ from functools import lru_cache
 from typing import Iterator, List, Mapping, Sequence, Tuple
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below psi_13
+# (Sorenson and Webster, Math. Comp. 86 (2017)); psi_12 passes bases 2..37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime; n at or above psi_13 is refused with ValueError."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

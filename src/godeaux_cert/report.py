@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Iterable, List
 
@@ -104,6 +103,8 @@ class VerificationReport:
     def to_dict(self, timestamp: bool = True) -> dict:
         meta = dict(self.metadata)
         if timestamp:
+            from datetime import datetime, timezone  # only a timestamped report needs it
+
             meta["timestamp"] = datetime.now(timezone.utc).isoformat()
         counts = self.counts
         return {

@@ -5,6 +5,7 @@
 - fixed_points: a plain-int scan of P^3(F_q) for the fixed points of a
   symmetry, the oracle for the coordinate-point table.
 - fraction_det: Fraction elimination, the oracle for Bareiss determinants.
+- trial_division_prime: the oracle for the Miller-Rabin is_prime.
 """
 
 import functools
@@ -94,3 +95,16 @@ def fraction_det(m):
             if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+def trial_division_prime(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True

@@ -549,3 +549,54 @@ def test_cold_and_warm_runs_agree(tmp_path):
             stdout=subprocess.DEVNULL,
         )
         assert out.read_bytes() == warm.encode(), command
+
+
+def _fresh_interpreter(code, *args, timeout=60):
+    """Run code in a new interpreter that imports the package from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, *code, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+_LOADED_AFTER = """
+import json, sys
+from godeaux_cert import cli
+if len(sys.argv) > 1:
+    cli.main(sys.argv[1:])
+lazy = ("godeaux_cert.pdo_algebra", "argparse", "datetime")
+print(json.dumps([m for m in lazy if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["lattice"], ["argparse"]),
+        (["pdo"], ["godeaux_cert.pdo_algebra", "argparse"]),
+    ],
+    ids=["import", "lattice", "pdo"],
+)
+def test_a_command_loads_only_what_it_runs(argv, loaded):
+    """Importing cli loads neither pdo_algebra, argparse nor datetime; only
+    pdo (and all) load pdo_algebra, and an untimestamped run no datetime."""
+    proc = _fresh_interpreter(["-c", _LOADED_AFTER], *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
+@pytest.mark.parametrize(
+    "prime, message",
+    [
+        # 999999999989^2 is 1 mod 5: trial division would count to 10^12
+        ("999999999978000000000121", "is not prime"),
+        ("3317044064679887385961981", "is too large"),
+    ],
+)
+def test_huge_prime_exits_two_promptly(prime, message):
+    proc = _fresh_interpreter(["-m", "godeaux_cert.cli", "lattice", "--primes", prime], timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {prime} {message}")

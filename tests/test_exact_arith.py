@@ -15,13 +15,49 @@ from godeaux_cert.exact_arith import (
     projective_count,
     rational_matrix_rank,
 )
-from oracles import fraction_det
+from oracles import fraction_det, trial_division_prime
+
+# psi_12, the least strong pseudoprime to the prime bases 2..37, and psi_13,
+# the least to 2..41 (Sorenson and Webster, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_is_prime_small():
     assert [n for n in range(2, 50) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
     ]
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(-5, 10**5) if is_prime(n) != trial_division_prime(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        PSI_12,  # passes bases 2..37; base 41 catches it
+        999999999989**2,
+        (2**31 - 1) * (10**12 + 39),
+        PSI_13 - 1,  # even, and the largest number still decided
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes_and_large_composites(n):
+    assert not is_prime(n)
+
+
+# the largest prime below 10^12, the least above it, and two Mersenne primes
+@pytest.mark.parametrize("n", [999999999989, 10**12 + 39, 2**31 - 1, 2**61 - 1])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+@pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**30])
+def test_is_prime_refuses_numbers_from_psi_13_on(n):
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(n)
 
 
 def test_field_arithmetic_basics():
