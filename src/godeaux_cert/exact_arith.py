@@ -218,6 +218,30 @@ def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
+def _leading_minors(matrix: Sequence[Sequence[int]]) -> List[int]:
+    """Leading principal minors of a square integer matrix, up to the first zero.
+
+    One fraction-free (Bareiss) elimination without row exchanges: after step
+    k the pivot a[k][k] is the (k+1)-st leading minor.  A zero pivot ends the
+    list, as the step after it would divide by zero.
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    minors: List[int] = []
+    prev = 1
+    for k in range(n):
+        top = a[k]
+        pivot = top[k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for row in a[k + 1 :]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - row[k] * top[j]) // prev
+        prev = pivot
+    return minors
+
+
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix (Bareiss elimination)."""
     n = len(matrix)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import rr_engine
-from .exact_arith import integer_determinant
+from .exact_arith import _leading_minors, integer_determinant
 from .report import CheckEntry, check
 
 TORSION_ORDER = 5
@@ -151,7 +151,12 @@ def divisor_candidates() -> List[PicardClass]:
 
 
 def divisors() -> Tuple[PicardClass, ...]:
-    """The 1200 classes D = K + E, built once."""
+    """The 1200 classes D = K + E, built once.
+
+    The five torsion tags of a root are adjacent.  suite_rr shares one pairing
+    and one chi value per run of adjacent classes with one (k, E), so it shares
+    fully because of this order; it stays correct in any order.
+    """
     return _divisors()
 
 
@@ -214,7 +219,7 @@ def lattice_checks() -> List[CheckEntry]:
             "lattice.negation_closure",
             "roots closed under negation",
             True,
-            all(tuple(-x for x in r.c) in coords for r in roots),
+            all(tuple(map(operator.neg, r.c)) in coords for r in roots),
             "trivial",
         ),
     ]
@@ -232,8 +237,7 @@ def lattice_checks() -> List[CheckEntry]:
             "derived",
         )
     )
-    neg = [[-x for x in row] for row in gram]
-    minors = [integer_determinant([row[: k + 1] for row in neg[: k + 1]]) for k in range(8)]
+    minors = _leading_minors([list(map(operator.neg, row)) for row in gram])
     entries.append(
         check(
             "lattice.negative_definite",

@@ -139,7 +139,7 @@ def test_deeply_nested_config_exits_two(tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert run_cli(["monomials", "--config", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert captured.err == f"error: config file {path} nests JSON too deeply\n"
     assert "[PASS]" not in captured.out
 
 
@@ -399,9 +399,53 @@ def test_hilbert_condition_matches_per_curve_pairing(monkeypatch):
     assert _rr_reading("rr.hilbert_condition") == want
 
 
+def _chi_failures_oracle():
+    """Oracle: chi(O(D)) != 0 counted over every divisor, each on its own numerics."""
+    god = cli.rr_engine.GODEAUX
+    return sum(
+        cli.rr_engine.chi_divisor(god, D.numerics) != 0 for D in cli.picard_lattice.divisors()
+    )
+
+
+def test_divisor_runs_match_per_divisor_oracle(monkeypatch):
+    """suite_rr pairs and evaluates chi once per run of divisors with one
+    (k, E); its readings must equal checking every divisor on its own, also
+    when a class is split and when a failing class sits next to a passing one."""
+    pl = cli.picard_lattice
+    r0, r1 = pl.e8_roots()[:2]
+    divisors = (
+        pl.PicardClass(1, r0, 0),
+        pl.PicardClass(1, r1, 0),  # splits the class (1, r0)
+        pl.PicardClass(1, r0, 2),
+        # (2, r0) fails chi and Hilbert; it shares its root with the run above,
+        # is two long, and pairs to 2 with every curve where (1, r1) pairs to 1
+        pl.PicardClass(2, r0, 3),
+        pl.PicardClass(2, r0, 4),
+        pl.PicardClass(1, r1, 1),
+    )
+    monkeypatch.setattr(pl, "divisors", lambda: divisors)
+    curves = pl.canonical_curves()
+    want_chi, want_hilbert = _chi_failures_oracle(), _hilbert_failures_oracle(curves)
+    assert (want_chi, want_hilbert) == (2, 2 * len(curves))
+    calls = Counter()
+    real = cli.rr_engine.prespectral_hilbert_check
+
+    def counted(*args, **kwargs):
+        calls["hilbert"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.rr_engine, "prespectral_hilbert_check", counted)
+    entries = {e.check_id: e.actual for e in cli.suite_rr({})}
+    assert entries["rr.chi_vanishes"] == want_chi
+    assert entries["rr.hilbert_condition"] == want_hilbert
+    assert calls["hilbert"] == len(divisors) * len(curves)
+
+
 def test_warm_rr_suite_pairs_each_divisor_once(monkeypatch):
-    """The four curves are all numerically K, so a warm suite_rr makes 1,200
-    pairings, not 1,200 x 4; the first call also fills each D.numerics."""
+    """The five torsion tags of a root share one pairing, and the four curves
+    are all numerically K, so a warm suite_rr makes one pairing per divisor
+    class: 240, not 1,200 x 4; the first call also fills each class's
+    D.numerics."""
     cli.suite_rr({})
     calls = Counter()
     real_pair = cli.picard_lattice.PicardClass.pair
@@ -412,7 +456,7 @@ def test_warm_rr_suite_pairs_each_divisor_once(monkeypatch):
 
     monkeypatch.setattr(cli.picard_lattice.PicardClass, "pair", counted)
     cli.suite_rr({})
-    assert calls["pair"] == 1200
+    assert calls["pair"] == 240
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -439,6 +483,17 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert run_cli(["monomials", "--config", str(cfg)]) == 2
     cfg.write_text("{not json")
     assert run_cli(["monomials", "--config", str(cfg)]) == 2
+
+
+def test_config_that_is_not_json_is_named(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    # empty, malformed, and not UTF-8
+    for data in (b"", b"{not json", b"\xff"):
+        cfg.write_bytes(data)
+        assert run_cli(["monomials", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config file {cfg} is not valid JSON: ")
+        assert "[PASS]" not in captured.out
 
 
 def test_json_report_deterministic(tmp_path):

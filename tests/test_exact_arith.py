@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from godeaux_cert.exact_arith import (
     FieldElement,
     SparsePolynomial,
+    _leading_minors,
     integer_determinant,
     is_prime,
     iter_projective_coords,
@@ -179,3 +180,31 @@ def test_integer_determinant_matches_fraction_elimination(m):
 def test_integer_determinant_needs_square():
     with pytest.raises(ValueError):
         integer_determinant([[1, 2, 3], [4, 5, 6]])
+
+
+@st.composite
+def _square_matrices(draw):
+    """n x n integer matrices, n = 1..6; half have a zero leading minor, at a
+    drawn k, made by setting row k's leading k entries to a combination of the
+    rows above (all zero for k = 1)."""
+    n = draw(st.integers(1, 6))
+    rows = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    m = draw(st.lists(rows, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        m[k - 1][:k] = [sum(c * m[i][j] for i, c in enumerate(coeffs)) for j in range(k)]
+    return m
+
+
+@given(_square_matrices())
+# the 1 x 1 minor is 0; a row exchange would go on to the full minor -1
+@example([[0, 1], [1, 0]])
+def test_leading_minors_match_determinants_up_to_the_first_zero(m):
+    want = []
+    for k in range(1, len(m) + 1):
+        want.append(integer_determinant([row[:k] for row in m[:k]]))
+        if want[-1] == 0:
+            break
+    assert _leading_minors(m) == want
+
