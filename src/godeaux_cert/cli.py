@@ -376,10 +376,12 @@ def _parse_int_list(text: str) -> tuple:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def _json_int(name: str, val) -> int:
-    """val itself when it is a JSON integer; a bool does not count."""
+def _json_int(name: str, val, least: Optional[int] = None) -> int:
+    """val itself when it is a JSON integer (a bool does not count) at or above least."""
     if isinstance(val, bool) or not isinstance(val, int):
         raise ValueError(f"{name} must be an integer, got {json.dumps(val)}")
+    if least is not None and val < least:
+        raise ValueError(f"{name} must be at least {least}, got {val}")
     return val
 
 
@@ -443,17 +445,11 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"prime {q} is not 1 mod 5; no order-5 symmetry exists")
         if not any(v % q for v in cfg["coefficients"]):
             raise ValueError(f"every coefficient vanishes mod the prime {q}")
-    cfg["trials"] = _json_int("trials", cfg["trials"])
-    if cfg["trials"] < 1:
-        raise ValueError(f"trials must be at least 1, got {cfg['trials']}")
-    cfg["seed"] = _json_int("seed", cfg["seed"])
-    if cfg["seed"] < 0:
-        # Random(-s) draws what Random(s) draws, so the report would name a seed it did not use
-        raise ValueError(f"seed must be at least 0, got {cfg['seed']}")
-    for key, low in (("T", 1), ("d_bound", 0)):
-        val = _json_int(f"pdo_budget.{key}", cfg["pdo_budget"][key])
-        if val < low:
-            raise ValueError(f"pdo_budget.{key} must be at least {low}, got {val}")
+    cfg["trials"] = _json_int("trials", cfg["trials"], 1)
+    # Random(-s) draws what Random(s) draws, so the report would name a seed it did not use
+    cfg["seed"] = _json_int("seed", cfg["seed"], 0)
+    for key, least in (("T", 1), ("d_bound", 0)):
+        _json_int(f"pdo_budget.{key}", cfg["pdo_budget"][key], least)
     return cfg
 
 

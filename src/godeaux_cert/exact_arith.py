@@ -1,7 +1,9 @@
 """Exact arithmetic substrate.
 
 Primality, fifth roots of unity, projective-space enumeration over a prime
-field, and exact integer and rational linear algebra.  The prime-field
+field, and exact integer and rational linear algebra, all read off one
+fraction-free elimination.  A modulus or a number tested for primality
+that is not an int is refused with TypeError.  The prime-field
 checks run on plain ints mod q, with one exception: the invariance check
 takes its fifth root of unity as a FieldElement from primitive_fifth_root.
 Otherwise FieldElement and SparsePolynomial are a second, independent
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below psi_13
@@ -25,8 +27,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
 
+def _require_int(name: str, value, least: Optional[int] = None) -> None:
+    """TypeError unless value is an int (a bool or a float is not); ValueError below least."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime; n at or above psi_13 is refused with ValueError."""
+    _require_int("n", n)
     if n >= _MR_LIMIT:
         raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
     if n < 2:
@@ -50,7 +61,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 11.0 must not hit the entry for 11
 def _require_prime(q: int) -> None:
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
@@ -189,20 +200,24 @@ def projective_count(q: int, dim: int) -> int:
 def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[int, int, List[List[int]]]:
     """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-    Returns (rank, sign of the row permutation, echelon rows).  Columns
-    without a pivot are skipped; every division is exact because each
-    stored entry is a minor of the pivot columns.
+    Returns (rank, row exchanges, echelon rows).  Columns without a pivot
+    are skipped; every division is exact because each stored entry is a
+    minor of the pivot columns.  A row is exchanged in only for a zero
+    diagonal entry, so an n x n matrix is reduced to rank n with no exchange
+    exactly when its leading minors are all nonzero, and then the k-th pivot
+    is the k-th leading minor: all are positive exactly when the rank is n,
+    no row was exchanged and every pivot is positive.
     """
     a = [list(row) for row in rows]
     ncols = len(a[0]) if a else 0
-    rank, sign, prev = 0, 1, 1
+    rank, exchanges, prev = 0, 0, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if pivot is None:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
-            sign = -sign
+            exchanges += 1
         top = a[rank]
         for row in a[rank + 1 :]:
             for j in range(col + 1, ncols):
@@ -210,7 +225,7 @@ def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[int, int, List[List[int]]]:
             row[col] = 0
         prev = top[col]
         rank += 1
-    return rank, sign, a
+    return rank, exchanges, a
 
 
 def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -218,34 +233,18 @@ def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
-def _leading_minors(matrix: Sequence[Sequence[int]]) -> List[int]:
-    """Leading principal minors of a square integer matrix, up to the first zero.
-
-    One fraction-free (Bareiss) elimination without row exchanges: after step
-    k the pivot a[k][k] is the (k+1)-st leading minor.  A zero pivot ends the
-    list, as the step after it would divide by zero.
-    """
-    a = [list(row) for row in matrix]
-    n = len(a)
-    minors: List[int] = []
-    prev = 1
-    for k in range(n):
-        top = a[k]
-        pivot = top[k]
-        minors.append(pivot)
-        if pivot == 0:
-            break
-        for row in a[k + 1 :]:
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - row[k] * top[j]) // prev
-        prev = pivot
-    return minors
+def _leading_minors_positive(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether every leading principal minor of a square integer matrix is positive."""
+    rank, exchanges, a = _echelon(matrix)
+    return rank == len(a) and not exchanges and all(a[k][k] > 0 for k in range(rank))
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    """Exact determinant of an integer matrix (Bareiss elimination); 1 for 0 x 0."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    rank, sign, a = _echelon(matrix)
-    return sign * a[n - 1][n - 1] if rank == n else 0
+    if n == 0:
+        return 1  # the empty product
+    rank, exchanges, a = _echelon(matrix)
+    return (-1) ** exchanges * a[n - 1][n - 1] if rank == n else 0

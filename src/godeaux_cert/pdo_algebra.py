@@ -26,6 +26,7 @@ from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
+from .exact_arith import _require_int
 from .report import CheckEntry, check
 
 Key = Tuple[int, int, int, int]
@@ -48,14 +49,6 @@ def _refuse_float_or_bool(*vals) -> None:
         if isinstance(v, (float, bool)):
             kind = type(v).__name__
             raise TypeError(f"{kind} {v!r} is not an exact number; pass an int or a Fraction")
-
-
-def _check_x_precision(x_precision) -> None:
-    """Refuse a precision that is not an int (a float or bool rides into products) or is below 1."""
-    if type(x_precision) is not int:
-        raise TypeError(f"x_precision must be an int, got {x_precision!r}")
-    if x_precision < 1:
-        raise ValueError("x_precision must be at least 1")
 
 
 class _FractionView(Mapping):
@@ -93,9 +86,9 @@ class TruncatedOperator:
         x_precision: int,
         d_bound: Optional[int] = None,
     ):
-        _check_x_precision(x_precision)
-        if d_bound is not None and type(d_bound) is not int:
-            raise TypeError(f"d_bound must be an int, got {d_bound!r}")
+        _require_int("x_precision", x_precision, 1)
+        if d_bound is not None:
+            _require_int("d_bound", d_bound)
         clean: Dict[Key, Fraction] = {}
         for key, val in coeffs.items():
             i1, i2, k1, k2 = key
@@ -163,7 +156,7 @@ class TruncatedOperator:
 
     def truncate(self, x_precision: int) -> "TruncatedOperator":
         """Forget everything at or above the given x-degree."""
-        _check_x_precision(x_precision)
+        _require_int("x_precision", x_precision, 1)
         if x_precision >= self.x_precision:
             return self  # every stored term is already below it
         return TruncatedOperator._trusted(
@@ -481,8 +474,8 @@ def spectral_module_action(
     by P, then kill every term with positive x-degree.
     """
     p1, p2 = monomial
-    if p1 < 0 or p2 < 0:
-        raise ValueError("monomial exponents must be non-negative")
+    _require_int("p1", p1, 0)
+    _require_int("p2", p2, 0)
     cls = TruncatedOperator._trusted({(0, 0, p1, p2): 1}, 1, P.x_precision, p1 + p2)
     prod = op_mul(cls, P)
     return {
@@ -617,19 +610,12 @@ def _generic_shear_images(rng: Random, x_precision: int):
 
 def _check_trials_and_seed(trials: int, seed: int) -> None:
     """TypeError for a non-int; ValueError for no trials, which would pass
-    unchecked, or a negative seed.
-
-    Random(-s) draws what Random(s) draws, so a negative seed would rerun
-    the draws of another seed under its own name; Random(True) and
-    Random(1.0) draw what Random(1) draws, so a bool or float seed would too.
-    """
-    for name, val in (("trials", trials), ("seed", seed)):
-        if type(val) is not int:
-            raise TypeError(f"{name} must be an int, got {val!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    unchecked, or a negative seed."""
+    # Random(-s) draws what Random(s) draws, so a negative seed would rerun
+    # the draws of another seed under its own name; Random(True) and
+    # Random(1.0) draw what Random(1) draws, so a bool or float seed would too.
+    _require_int("trials", trials, 1)
+    _require_int("seed", seed, 0)
 
 
 def normalized_shape_preserved_under_special_change(
@@ -1040,6 +1026,7 @@ def run_property_suite(
     no entry depends on either.
     """
     _check_trials_and_seed(trials, seed)
+    _require_int("x_precision", x_precision)
     if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a basis operator
         raise PrecisionError(
             f"the property suite needs x_precision >= 10, got {x_precision}: a product of two "

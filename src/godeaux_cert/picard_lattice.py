@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import rr_engine
-from .exact_arith import _leading_minors, integer_determinant
+from .exact_arith import _leading_minors_positive, integer_determinant
 from .report import CheckEntry, check
 
 TORSION_ORDER = 5
@@ -237,13 +237,12 @@ def lattice_checks() -> List[CheckEntry]:
             "derived",
         )
     )
-    minors = _leading_minors([list(map(operator.neg, row)) for row in gram])
     entries.append(
         check(
             "lattice.negative_definite",
             "leading principal minors of negated Gram all positive",
             True,
-            all(m > 0 for m in minors),
+            _leading_minors_positive([list(map(operator.neg, row)) for row in gram]),
             "derived",
         )
     )

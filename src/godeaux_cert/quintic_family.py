@@ -89,7 +89,10 @@ class GroupElement:
 def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[int, ...]:
     if len(a) != 12:
         raise ValueError(f"need 12 coefficients, got {len(a)}")
-    coeffs = tuple(int(x) % q for x in a)
+    for x in a:
+        if type(x) is not int:  # int() would truncate a Fraction or a float
+            raise TypeError(f"coefficient must be an int, got {x!r}")
+    coeffs = tuple([x % q for x in a])
     if not any(coeffs):
         raise ValueError("all coefficients vanish mod the chosen prime")
     return coeffs

@@ -4,7 +4,8 @@
   partials at every point, the oracle for the plain-int singular scans.
 - fixed_points: a plain-int scan of P^3(F_q) for the fixed points of a
   symmetry, the oracle for the coordinate-point table.
-- fraction_det: Fraction elimination, the oracle for Bareiss determinants.
+- fraction_elimination: rank and determinant by Fraction elimination, the
+  oracle for the Bareiss routes.
 - trial_division_prime: the oracle for the Miller-Rabin is_prime.
 """
 
@@ -76,25 +77,31 @@ def fixed_points(g, q):
     return tuple(out)
 
 
-def fraction_det(m):
-    n = len(m)
+def fraction_elimination(m):
+    """(rank, det) of an integer matrix by Gaussian elimination over Q.
+
+    det is the determinant when m is square, 0 below full rank and 1 for
+    the empty matrix: the oracle for the Bareiss rank, determinant and
+    leading minors.
+    """
     a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    rank, det = 0, Fraction(1)
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
             det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, n):
-            f = a[r][col]
+        top = a[rank]
+        det *= top[col]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col] / top[col]
             if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+                a[r] = [x - f * y for x, y in zip(a[r], top)]
+        rank += 1
+    return rank, det
 
 
 def trial_division_prime(n):

@@ -586,26 +586,6 @@ def test_report_bytes_do_not_depend_on_the_bytecode_cache():
     assert texts[0] == texts[1]
 
 
-def test_cold_and_warm_runs_agree(tmp_path):
-    """lattice, counts and rr in a fresh interpreter, where every table is
-    built on first use, print the same bytes as warm in-process runs."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    for command in ("lattice", "counts", "rr"):
-        cfg = cli.load_config(cli.build_parser().parse_args([command]))
-        cli.run(command, cfg)
-        warm = cli.run(command, cfg).to_json(timestamp=False)
-        out = tmp_path / f"{command}.json"
-        subprocess.run(
-            [sys.executable, "-m", "godeaux_cert.cli", command, "--no-timestamp", "--json", str(out)],
-            env=env,
-            check=True,
-            stdout=subprocess.DEVNULL,
-        )
-        assert out.read_bytes() == warm.encode(), command
-
-
 def _fresh_interpreter(code, *args, timeout=60):
     """Run code in a new interpreter that imports the package from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -614,6 +594,21 @@ def _fresh_interpreter(code, *args, timeout=60):
     return subprocess.run(
         [sys.executable, *code, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def test_cold_and_warm_runs_agree(tmp_path):
+    """lattice, counts and rr in a fresh interpreter, where every table is
+    built on first use, print the same bytes as warm in-process runs."""
+    for command in ("lattice", "counts", "rr"):
+        cfg = cli.load_config(cli.build_parser().parse_args([command]))
+        cli.run(command, cfg)
+        warm = cli.run(command, cfg).to_json(timestamp=False)
+        out = tmp_path / f"{command}.json"
+        proc = _fresh_interpreter(
+            ["-m", "godeaux_cert.cli", command], "--no-timestamp", "--json", str(out)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == warm.encode(), command
 
 
 _LOADED_AFTER = """

@@ -8,7 +8,8 @@ from hypothesis import example, given, strategies as st
 from godeaux_cert.exact_arith import (
     FieldElement,
     SparsePolynomial,
-    _leading_minors,
+    _leading_minors_positive,
+    _require_prime,
     integer_determinant,
     is_prime,
     iter_projective_coords,
@@ -16,7 +17,7 @@ from godeaux_cert.exact_arith import (
     projective_count,
     rational_matrix_rank,
 )
-from oracles import fraction_det, trial_division_prime
+from oracles import fraction_elimination, trial_division_prime
 
 # psi_12, the least strong pseudoprime to the prime bases 2..37, and psi_13,
 # the least to 2..41 (Sorenson and Webster, 2017)
@@ -59,6 +60,21 @@ def test_is_prime_accepts_large_primes(n):
 def test_is_prime_refuses_numbers_from_psi_13_on(n):
     with pytest.raises(ValueError, match="too large"):
         is_prime(n)
+
+
+@pytest.mark.parametrize("n", [13.0, True, Fraction(13)])
+def test_is_prime_refuses_non_ints(n):
+    with pytest.raises(TypeError, match="n must be an int"):
+        is_prime(n)
+
+
+def test_a_float_or_bool_modulus_misses_the_cache_entry_of_its_int():
+    _require_prime(11)
+    for q in (11.0, True):
+        with pytest.raises(TypeError, match="must be an int"):
+            _require_prime(q)
+        with pytest.raises(TypeError, match="must be an int"):
+            FieldElement(1, q)
 
 
 def test_field_arithmetic_basics():
@@ -124,24 +140,6 @@ def test_rational_matrix_rank():
     assert rational_matrix_rank([[0, 0], [0, 0]]) == 0
 
 
-def _fraction_rank(m):
-    """Gauss-Jordan rank over Q with Fraction entries: the oracle for the echelon route."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][col] for x in a[rank]]
-        for r in range(len(a)):
-            f = a[r][col]
-            if r != rank and f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
 @st.composite
 def _low_rank_matrices(draw):
     """m x n integer matrices, often rank-deficient: a product (m x k)(k x n)."""
@@ -163,7 +161,7 @@ def _low_rank_matrices(draw):
     )
 )
 def test_rational_matrix_rank_matches_fraction_elimination(m):
-    assert rational_matrix_rank(m) == _fraction_rank(m)
+    assert rational_matrix_rank(m) == fraction_elimination(m)[0]
 
 
 @given(
@@ -174,7 +172,7 @@ def test_rational_matrix_rank_matches_fraction_elimination(m):
     )
 )
 def test_integer_determinant_matches_fraction_elimination(m):
-    assert integer_determinant(m) == fraction_det(m)
+    assert integer_determinant(m) == fraction_elimination(m)[1]
 
 
 def test_integer_determinant_needs_square():
@@ -182,29 +180,41 @@ def test_integer_determinant_needs_square():
         integer_determinant([[1, 2, 3], [4, 5, 6]])
 
 
+def test_integer_determinant_of_the_empty_matrix_is_one():
+    assert integer_determinant([]) == 1 == fraction_elimination([])[1]
+
+
 @st.composite
 def _square_matrices(draw):
-    """n x n integer matrices, n = 1..6; half have a zero leading minor, at a
-    drawn k, made by setting row k's leading k entries to a combination of the
-    rows above (all zero for k = 1)."""
+    """n x n integer matrices, n = 1..6, of three kinds: random ones; ones
+    with a zero leading minor, at a drawn k, made by setting row k's leading
+    k entries to a combination of the rows above (all zero for k = 1); and
+    L U, with L unit lower and U upper triangular with a positive diagonal,
+    whose leading minors are all positive."""
     n = draw(st.integers(1, 6))
     rows = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     m = draw(st.lists(rows, min_size=n, max_size=n))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("random", "zero minor", "positive minors")))
+    if kind == "zero minor":
         k = draw(st.integers(1, n))
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
         m[k - 1][:k] = [sum(c * m[i][j] for i, c in enumerate(coeffs)) for j in range(k)]
+    elif kind == "positive minors":
+        diag = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        lower = [[1 if i == j else m[i][j] * (j < i) for j in range(n)] for i in range(n)]
+        upper = [[diag[i] if i == j else m[i][j] * (j > i) for j in range(n)] for i in range(n)]
+        m = [[sum(lower[i][l] * upper[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
     return m
 
 
 @given(_square_matrices())
-# the 1 x 1 minor is 0; a row exchange would go on to the full minor -1
+# the 1 x 1 minor is 0, and after a row exchange every pivot is 1
 @example([[0, 1], [1, 0]])
+# both leading minors are 1, but the larger first-column entry is the second
+@example([[1, 0], [2, 1]])
 def test_leading_minors_match_determinants_up_to_the_first_zero(m):
-    want = []
-    for k in range(1, len(m) + 1):
-        want.append(integer_determinant([row[:k] for row in m[:k]]))
-        if want[-1] == 0:
-            break
-    assert _leading_minors(m) == want
-
+    """The reading of one elimination agrees with the determinant of every
+    leading block, taken separately."""
+    blocks = ([row[:k] for row in m[:k]] for k in range(1, len(m) + 1))
+    want = all(fraction_elimination(block)[1] > 0 for block in blocks)
+    assert _leading_minors_positive(m) is want

@@ -779,6 +779,10 @@ def test_spectral_module_action():
     assert pa.spectral_module_action(op("x1"), (0, 0)) == {}
     with pytest.raises(ValueError):
         pa.spectral_module_action(op("d1"), (-1, 0))
+    # True would be read as d1, and 1.5 would die inside math.comb
+    for monomial in ((True, 0), (0, True), (1.5, 0), (0, Fraction(1))):
+        with pytest.raises(TypeError, match="p[12] must be an int"):
+            pa.spectral_module_action(op("d1"), monomial)
 
 
 def test_parse_round_trip():
@@ -898,6 +902,15 @@ def test_trials_and_seed_refuse_bools_and_floats(monkeypatch, func):
     for name, val in (("trials", True), ("trials", 2.5), ("seed", True), ("seed", 1.0)):
         with pytest.raises(TypeError, match=f"{name} must be an int, got {val!r}"):
             func(**{"trials": 20, "seed": 1, name: val})
+
+
+def test_suite_refuses_a_precision_that_is_not_an_int(monkeypatch):
+    """True and 9.5 were reported as a precision below 10, and "12" failed
+    the comparison with a bare TypeError; each is refused before any draw."""
+    monkeypatch.setattr(pa, "Random", _refusing_random)
+    for x_precision in (True, 9.5, 12.0, "12"):
+        with pytest.raises(TypeError, match=f"x_precision must be an int, got {x_precision!r}"):
+            pa.run_property_suite(trials=20, x_precision=x_precision)
 
 
 def test_suite_refuses_precision_below_ten():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from godeaux_cert import picard_lattice as pl
 from godeaux_cert import rr_engine
-from oracles import fraction_det
+from oracles import fraction_elimination
 
 
 def test_vector_validation():
@@ -84,7 +84,7 @@ def test_pairing_of_root_sums_is_integral(u, v):
 
 def test_gram_determinant_unimodular():
     gram = pl.gram_matrix(pl.SIMPLE_ROOTS)
-    assert abs(fraction_det(gram)) == 1
+    assert abs(fraction_elimination(gram)[1]) == 1
 
 
 def test_simple_roots_are_roots():
@@ -98,6 +98,20 @@ def test_lattice_checks_all_pass():
     ids = {e.check_id for e in entries}
     assert "lattice.gram_det" in ids
     assert "lattice.picard_rank" in ids
+
+
+def test_lattice_checks_read_a_zero_leading_minor_as_indefinite(monkeypatch):
+    """The negated Gram matrix H + I_6, with H = [[0, 1], [1, 0]], is
+    unimodular but indefinite; its first leading minor is 0, so elimination
+    exchanges a row, after which every pivot is positive."""
+    gram = [[0] * 8 for _ in range(8)]
+    gram[0][1] = gram[1][0] = -1
+    for i in range(2, 8):
+        gram[i][i] = -1
+    monkeypatch.setattr(pl, "gram_matrix", lambda basis: gram)
+    actual = {e.check_id: e.actual for e in pl.lattice_checks()}
+    assert actual["lattice.negative_definite"] is False
+    assert actual["lattice.gram_det"] == 1
 
 
 def test_divisor_candidates_count_and_numerics():

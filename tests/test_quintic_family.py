@@ -1,6 +1,7 @@
 """Invariant quintic family: monomials, symmetry, freeness, smoothness."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,25 @@ from godeaux_cert import quintic_family as qf
 from oracles import field_member, field_route_singular, fixed_points
 
 FERMAT = (1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 1.0, True])
+def test_surface_checks_refuse_non_int_coefficients(bad):
+    """int() read 1/2 as 0 although it is 6 in F_11, and a float or a bool
+    is not an exact integer coefficient."""
+    a = [bad, *FERMAT[1:]]
+    for func in (qf.free_action_check, qf.smoothness_check):
+        with pytest.raises(TypeError, match="coefficient must be an int"):
+            func(a, 11)
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        qf.transversality_check(a, 1, 11)
+
+
+def test_surface_checks_refuse_a_float_prime():
+    assert qf.free_action_check(FERMAT, 11)
+    for func in (qf.free_action_check, qf.smoothness_check):
+        with pytest.raises(TypeError, match="must be an int, got 11.0"):
+            func(FERMAT, 11.0)
 
 
 def test_enumerate_monomials_is_canonical():
