@@ -1022,10 +1022,11 @@ def run_property_suite(
     and quasi-ellipticity under shears are decided at one generic point
     each; order and symbol, precision soundness and component reassembly run
     over basis, and the graded order and ht_2 over the monomials of
-    _graded_monic_span.  trials is only validated and d_bound only recorded:
-    no entry depends on either.
+    _graded_monic_span.  trials and d_bound are only validated: no entry
+    depends on either.
     """
     _check_trials_and_seed(trials, seed)
+    _require_int("d_bound", d_bound, 0)
     _require_int("x_precision", x_precision)
     if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a basis operator
         raise PrecisionError(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .exact_arith import (
+    _require_int,
     _require_prime,
     iter_projective_coords,
     primitive_fifth_root,
@@ -103,13 +104,11 @@ def invariance_check(a: Sequence[int], g: GroupElement, q: int) -> bool:
 
     Each monomial picks up eps^{sum w_j n_j}; the polynomial is invariant
     up to scale iff that scalar is the same across all surviving terms.
+    eps is primitive, so two scalars agree iff their exponents agree mod 5.
     """
-    eps = primitive_fifth_root(q)
-    scalars = {
-        eps ** (sum(w * n for w, n in zip(g.weights, exps)) % 5)
-        for _, exps in _int_terms(a, q)
-    }
-    return len(scalars) == 1
+    primitive_fifth_root(q)  # refuses a q with no order-5 symmetry
+    weights = {sum(map(operator.mul, g.weights, exps)) % 5 for _, exps in _int_terms(a, q)}
+    return len(weights) == 1
 
 
 def free_action_check(a: Sequence[int], q: int) -> bool:
@@ -190,6 +189,7 @@ def transversality_check(a: Sequence[int], plane_index: int, q: int) -> bool:
     plane_index is 1-based.  Terms involving the dropped variable vanish;
     the survivors form a plane quintic checked over P^2(F_q).
     """
+    _require_int("plane_index", plane_index)
     if not 1 <= plane_index <= 4:
         raise ValueError(f"plane_index {plane_index} out of range 1..4")
     drop = plane_index - 1

@@ -2,6 +2,8 @@
 
 - field_route_singular: FieldElement evaluation of a member and of its
   partials at every point, the oracle for the plain-int singular scans.
+- epsilon_power_invariance: FieldElement powers of a fifth root of unity,
+  the oracle for the weight route of invariance_check.
 - fixed_points: a plain-int scan of P^3(F_q) for the fixed points of a
   symmetry, the oracle for the coordinate-point table.
 - fraction_elimination: rank and determinant by Fraction elimination, the
@@ -57,6 +59,21 @@ def field_route_singular(a, q, plane=None):
         if not f.eval(pt) and not any(d.eval(pt) for d in partials):
             return True
     return False
+
+
+def epsilon_power_invariance(a, g, q):
+    """Is the member carried to a multiple of itself by g?
+
+    Each term with a_i != 0 mod q picks up the scalar eps^{sum w_j n_j} in
+    F_q; the member is invariant up to scale when one scalar serves them all.
+    """
+    eps = primitive_fifth_root(q)
+    scalars = {
+        eps ** (sum(w * n for w, n in zip(g.weights, exps)) % 5)
+        for c, exps in zip(a, qf._MONOMIAL_ORDER)
+        if c % q
+    }
+    return len(scalars) == 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""CLI: exit codes, config handling, determinism of JSON reports."""
+"""CLI: exit codes, flag handling, determinism of JSON reports."""
 
 import json
 import marshal
@@ -53,15 +53,11 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
-def test_bad_coeff_count_exits_two(tmp_path, capsys):
+def test_bad_coeff_count_exits_two(capsys):
     assert run_cli(["surface", "--coeffs", "1,2,3"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
     assert "must have 12 entries, got 3" in err
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"coefficients": [1] * 13}))
-    assert run_cli(["surface", "--config", str(path)]) == 2
-    assert "must have 12 entries, got 13" in capsys.readouterr().err
 
 
 def test_bad_prime_exits_two(capsys):
@@ -69,78 +65,33 @@ def test_bad_prime_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
-# Each case's id is its key, so adding a case renames no other.  The first
-# 36 keep the positional ids they were first collected under.
+# Each case's id is its key, so adding a case renames no other.  The argsN
+# ids are the positional ids the cases were first collected under.
 _MALFORMED_INPUTS = {
-    "args0-None": (["surface", "--primes", "21"], None),
-    "args1-config1": (["surface"], {"primes": "11"}),
-    "args2-config2": (["surface"], {"coefficients": "1"}),
-    "args3-None": (["pdo", "--trials", "0"], None),
-    "args4-None": (["pdo", "--trials", "-3"], None),
-    "args5-config5": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 2}}),
-    "args6-config6": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 6}}),
-    "args7-config7": (["pdo"], {"trials": None}),
-    "args8-config8": (["pdo"], {"trials": True}),
-    "args9-config9": (["pdo"], {"trials": 2.7}),
-    "args10-config10": (["pdo", "--trials", "3"], {"seed": None}),
-    "args11-config11": (["pdo", "--trials", "3"], {"pdo_budget": 5}),
-    "args12-config12": (["pdo", "--trials", "3"], {"pdo_budget": {"t": 16}}),
-    "args13-config13": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 16.0}}),
-    "args14-config14": (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": "6"}}),
-    "args15-config15": (["surface"], {"primes": [[11]]}),
-    "args16-config16": (["surface"], {"primes": [11.5]}),
-    "args17-config17": (["surface"], {"prime": [31]}),
-    "args18-config18": (["surface"], {"coefficients": [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, False]}),
-    "args19-None": (["surface", "--primes", "11,11"], None),
-    "args20-config20": (["surface"], {"primes": [31, 11, 31]}),
-    "args21-config21": (["pdo", "--trials", "3"], {"pdo_budget": {"d_bound": -5}}),
-    "args22-None": (["surface", "--primes", ","], None),
-    "args23-config23": (["surface"], {"primes": []}),
-    "args24-config24": (["pdo", "--trials", "3"], {"pdo_budget": {"T": 0}}),
-    "args25-config25": (["pdo", "--trials", "3"], {"pdo_budget": {"T": -3}}),
-    "args26-None": (["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"], None),
-    "args27-None": (["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"], None),
-    # too small to decide an order: bold_ord raises UndecidableOrderError
-    "args28-config28": (["pdo"], {"pdo_budget": {"T": 7}}),
-    "args29-config29": (["pdo", "--trials", "100"], {"pdo_budget": {"T": 8}}),
-    # below T = 10 the suite refuses before its first draw; at seed 42 these
-    # three used to exit 0, as their draws happened to decide every order
-    "args30-config30": (["pdo", "--trials", "40"], {"pdo_budget": {"T": 7}}),
-    "args31-config31": (["pdo", "--trials", "40"], {"pdo_budget": {"T": 8}}),
-    "args32-config32": (["pdo", "--trials", "40"], {"pdo_budget": {"T": 9}}),
+    "args0-None": ["surface", "--primes", "21"],
+    "args3-None": ["pdo", "--trials", "0"],
+    "args4-None": ["pdo", "--trials", "-3"],
+    "args19-None": ["surface", "--primes", "11,11"],
+    "args22-None": ["surface", "--primes", ","],
+    "args26-None": ["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"],
+    "args27-None": ["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"],
     # Random(-s) draws what Random(s) draws, so a negative seed is refused
-    "args33-None": (["pdo", "--trials", "3", "--seed", "-1"], None),
+    "args33-None": ["pdo", "--trials", "3", "--seed", "-1"],
     # an empty list is refused, not read as "use the defaults"
-    "args34-None": (["surface", "--primes", ""], None),
-    "args35-None": (["surface", "--coeffs", ""], None),
+    "args34-None": ["surface", "--primes", ""],
+    "args35-None": ["surface", "--coeffs", ""],
     # an empty item is refused, not skipped
-    "primes_empty_item": (["surface", "--primes", "11,,31"], None),
-    "primes_trailing_comma": (["surface", "--primes", "11,31,"], None),
+    "primes_empty_item": ["surface", "--primes", "11,,31"],
+    "primes_trailing_comma": ["surface", "--primes", "11,31,"],
 }
 
 
-@pytest.mark.parametrize(
-    "args, config", list(_MALFORMED_INPUTS.values()), ids=list(_MALFORMED_INPUTS)
-)
-def test_malformed_input_exits_two(tmp_path, capsys, args, config):
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        args = args + ["--config", str(path)]
+@pytest.mark.parametrize("args", list(_MALFORMED_INPUTS.values()), ids=list(_MALFORMED_INPUTS))
+def test_malformed_input_exits_two(capsys, args):
     # main() is called in-process: an uncaught exception (the traceback a
     # user would see) fails the test before the exit code is compared
     assert run_cli(args) == 2
     assert capsys.readouterr().err.startswith("error:")
-
-
-def test_deeply_nested_config_exits_two(tmp_path, capsys):
-    # json.dumps cannot build this: it recurses as deep as the parser does
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    assert run_cli(["monomials", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: config file {path} nests JSON too deeply\n"
-    assert "[PASS]" not in captured.out
 
 
 def test_wrong_orbit_size_is_a_failed_check(monkeypatch, capsys):
@@ -179,84 +130,88 @@ def test_unwritable_json_path_exits_two(tmp_path, capsys):
     assert "[PASS]" not in captured.out
 
 
-def test_run_that_exits_two_leaves_no_report(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pdo_budget": {"T": 7}}))
+def test_run_that_exits_two_leaves_no_report(tmp_path, monkeypatch):
+    """A run that exits 2 after main has tried the --json path removes the
+    file main created there, and leaves an older file at the path as it was."""
     path = tmp_path / "r.json"
-    assert run_cli(["pdo", "--config", str(cfg), "--json", str(path)]) == 2
+
+    def exits_two(args, cfg):
+        assert path.exists()  # the path was tried before any check ran
+        return 2
+
+    monkeypatch.setattr(cli, "_run_and_report", exits_two)
+    assert run_cli(["monomials", "--json", str(path)]) == 2
     assert not path.exists()
-    # an old report at the path is left as it was
     path.write_text("old report")
-    assert run_cli(["pdo", "--config", str(cfg), "--json", str(path)]) == 2
+    assert run_cli(["monomials", "--json", str(path)]) == 2
     assert path.read_text() == "old report"
-    assert capsys.readouterr().err.startswith("error:")
 
 
-_NOT_INT = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=3),
-    st.lists(st.integers(0, 3), max_size=2),
-    st.just({}),
-)
-_NOT_LIST = _NOT_INT.filter(lambda v: not isinstance(v, list))
-_CONFIG_KEYS = ("primes", "coefficients", "trials", "seed", "pdo_budget")
-# one strategy per way a config can be malformed
-_BAD_CONFIGS = {
-    "not_an_object": st.one_of(
-        st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=3)
-    ),
-    "unknown_key": st.text(min_size=1, max_size=8)
-    .filter(lambda k: k not in _CONFIG_KEYS)
-    .map(lambda k: {"primes": [11], k: 1}),
-    "primes_not_a_list": st.builds(lambda v: {"primes": v}, _NOT_LIST),
-    "primes_empty": st.just({"primes": []}),
-    "prime_not_an_int": st.builds(lambda v: {"primes": [11, v]}, _NOT_INT),
+def _refused_by_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# text that int() refuses and that holds no comma, so it stays one list item
+_NOT_INT = st.text(max_size=4).filter(lambda t: "," not in t and _refused_by_int(t))
+_COEFFS = ["1"] * 12
+
+
+def _coeffs_with(i, item):
+    return ",".join(_COEFFS[:i] + [item] + _COEFFS[i + 1 :])
+
+
+# One strategy per way a flag value can be malformed; each draws the flags
+# after the command.  The --flag=value form keeps a value that starts with
+# "-" from reading as an option.
+_BAD_FLAGS = {
+    "primes_empty": st.just(["--primes="]),
+    "prime_not_an_int": st.builds(lambda v: [f"--primes=11,{v}"], _NOT_INT),
+    "list_item_empty": st.one_of(
+        st.sampled_from(["--primes=,11", "--primes=11,,31", "--primes=11,31,"]),
+        st.builds(lambda i: f"--coeffs={_coeffs_with(i, '')}", st.integers(0, 11)),
+    ).map(lambda flag: [flag]),
+    "prime_repeated": st.builds(lambda q: [f"--primes={q},31,{q}"], st.sampled_from((11, 41))),
     "prime_not_1_mod_5_or_composite": st.builds(
-        lambda q: {"primes": [11, q]},
+        lambda q: [f"--primes=11,{q}"],
         st.integers(-100, 200).filter(lambda q: not (cli.is_prime(q) and q % 5 == 1)),
     ),
-    "prime_repeated": st.builds(lambda q: {"primes": [q, 31, q]}, st.sampled_from((11, 41))),
-    "coefficients_not_a_list": st.builds(lambda v: {"coefficients": v}, _NOT_LIST),
     "coefficients_wrong_count": st.builds(
-        lambda n: {"coefficients": [1] * n}, st.integers(0, 20).filter(lambda n: n != 12)
+        lambda n: [f"--coeffs={','.join(['1'] * n)}"], st.integers(0, 20).filter(lambda n: n != 12)
     ),
     "coefficient_not_an_int": st.builds(
-        lambda i, v: {"coefficients": [1] * i + [v] + [1] * (11 - i)}, st.integers(0, 11), _NOT_INT
+        lambda i, v: [f"--coeffs={_coeffs_with(i, v)}"], st.integers(0, 11), _NOT_INT
     ),
     "coefficients_vanish_mod_a_prime": st.builds(
-        lambda q, k: {"primes": [q], "coefficients": [q * k] * 12},
+        lambda q, k: [f"--primes={q}", f"--coeffs={','.join([str(q * k)] * 12)}"],
         st.sampled_from((11, 31, 41)),
         st.integers(-3, 3),
     ),
-    "trials_not_an_int": st.builds(lambda v: {"trials": v}, _NOT_INT),
-    "trials_below_one": st.builds(lambda v: {"trials": v}, st.integers(-10, 0)),
-    "seed_not_an_int": st.builds(lambda v: {"seed": v}, _NOT_INT),
-    "seed_negative": st.builds(lambda v: {"seed": v}, st.integers(max_value=-1)),
-    "pdo_budget_not_an_object": st.builds(
-        lambda v: {"pdo_budget": v}, _NOT_INT.filter(lambda v: not isinstance(v, dict))
-    ),
-    "pdo_budget_unknown_key": st.text(min_size=1, max_size=8)
-    .filter(lambda k: k not in ("T", "d_bound"))
-    .map(lambda k: {"pdo_budget": {k: 1}}),
-    "T_not_an_int": st.builds(lambda v: {"pdo_budget": {"T": v}}, _NOT_INT),
-    "T_below_one": st.builds(lambda v: {"pdo_budget": {"T": v}}, st.integers(-10, 0)),
-    "d_bound_not_an_int": st.builds(lambda v: {"pdo_budget": {"d_bound": v}}, _NOT_INT),
-    "d_bound_negative": st.builds(lambda v: {"pdo_budget": {"d_bound": v}}, st.integers(-10, -1)),
+    "trials_not_an_int": st.builds(lambda v: [f"--trials={v}"], _NOT_INT),
+    "trials_below_one": st.builds(lambda v: [f"--trials={v}"], st.integers(-10, 0)),
+    "seed_not_an_int": st.builds(lambda v: [f"--seed={v}"], _NOT_INT),
+    "seed_negative": st.builds(lambda v: [f"--seed={v}"], st.integers(max_value=-1)),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_BAD_CONFIGS))
+@pytest.mark.parametrize("kind", sorted(_BAD_FLAGS))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_every_malformed_config_exits_two(tmp_path, capsys, kind, data):
-    config = data.draw(_BAD_CONFIGS[kind])
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert run_cli(["monomials", "--config", str(path)]) == 2
+def test_every_malformed_config_exits_two(capsys, kind, data):
+    """Every malformed value of a flag that configures the run exits 2 with an
+    error line and runs no check; argparse itself refuses a non-int
+    --trials or --seed, after its usage line."""
+    flags = data.draw(_BAD_FLAGS[kind])
+    try:
+        code = run_cli(["monomials", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert captured.err.splitlines()[-1].startswith(("error:", "godeaux-cert: error:"))
     assert "[PASS]" not in captured.out
 
 
@@ -459,43 +414,6 @@ def test_warm_rr_suite_pairs_each_divisor_once(monkeypatch):
     assert calls["pair"] == 240
 
 
-def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "primes": [11],
-                "coefficients": [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0],
-                "trials": 25,
-                "seed": 5,
-                "pdo_budget": {"T": 10, "d_bound": 4},
-            }
-        )
-    )
-    assert run_cli(["pdo", "--config", str(cfg)]) == 0
-    # flag overrides file
-    assert run_cli(["pdo", "--config", str(cfg), "--trials", "10"]) == 0
-
-
-def test_malformed_config_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("[1, 2, 3]")
-    assert run_cli(["monomials", "--config", str(cfg)]) == 2
-    cfg.write_text("{not json")
-    assert run_cli(["monomials", "--config", str(cfg)]) == 2
-
-
-def test_config_that_is_not_json_is_named(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    # empty, malformed, and not UTF-8
-    for data in (b"", b"{not json", b"\xff"):
-        cfg.write_bytes(data)
-        assert run_cli(["monomials", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: config file {cfg} is not valid JSON: ")
-        assert "[PASS]" not in captured.out
-
-
 def test_json_report_deterministic(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
@@ -524,50 +442,42 @@ GOLDEN_RUNS = (
     (
         "golden_all_seed42_trials40_q11.json",
         ["all", "--seed", "42", "--trials", "40", "--primes", "11"],
-        None,
         0,
     ),
-    (
-        "golden_pdo_seed7_trials200_T16.json",
-        ["pdo", "--seed", "7", "--trials", "200"],
-        {"pdo_budget": {"T": 16}},
-        0,
-    ),
-    (
-        "golden_pdo_default.json",
-        ["pdo", "--seed", "42", "--trials", "500"],
-        {"pdo_budget": {"T": 12}},
-        0,
-    ),
+    ("golden_pdo_default.json", ["pdo", "--seed", "42", "--trials", "500"], 0),
     # the Fermat member at the default primes 11, 31 and 41
-    ("golden_surface_default.json", ["surface"], None, 0),
-    # a member singular at (1:1:1:1) by construction; its smoothness checks fail
+    ("golden_surface_default.json", ["surface"], 0),
+    # a member singular at (1:1:1:1) by construction; its smoothness checks
+    # fail.  The = form keeps argparse from reading -1,2,... as an option.
     (
         "golden_surface_singular0_q11_q31.json",
-        ["surface"],
-        {"coefficients": [-1, 2, -1, 5, 4, -5, -8, -1, 6, 7, -3, -5], "primes": [11, 31]},
+        ["surface", "--coeffs=-1,2,-1,5,4,-5,-8,-1,6,7,-3,-5", "--primes", "11,31"],
         1,
     ),
 )
 
 
+def _golden(name):
+    return Path(__file__).with_name(name).read_bytes()
+
+
 def test_report_bytes_match_golden(tmp_path):
     """Full reports of small runs are byte-identical to the recorded ones.
 
-    Each recorded file is the output of `godeaux-cert ARGS --no-timestamp
-    --json PATH`, with `--config` pointing at the listed config when there is
-    one, and the run exits with the listed code; a change that alters any
-    check, value or key order must re-record it.
+    Each recorded file of GOLDEN_RUNS is the output of `godeaux-cert ARGS
+    --no-timestamp --json PATH`, and the run exits with the listed code.  The
+    CLI runs pdo at T = 12; the T = 16 file is the report of cli.run on the
+    flags' config with its pdo_budget T set to 16.  A change that alters any
+    check, value or key order must re-record them.
     """
-    for name, args, config, exit_code in GOLDEN_RUNS:
-        args = args + ["--no-timestamp"]
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            args += ["--config", str(cfg)]
+    for name, args, exit_code in GOLDEN_RUNS:
         out = tmp_path / name
-        assert run_cli(args + ["--json", str(out)]) == exit_code, name
-        assert out.read_bytes() == Path(__file__).with_name(name).read_bytes(), name
+        assert run_cli(args + ["--no-timestamp", "--json", str(out)]) == exit_code, name
+        assert out.read_bytes() == _golden(name), name
+    cfg = cli.load_config(cli.build_parser().parse_args(["pdo", "--seed", "7", "--trials", "200"]))
+    cfg["pdo_budget"]["T"] = 16
+    report = cli.run("pdo", cfg).to_json(timestamp=False)
+    assert report.encode() == _golden("golden_pdo_seed7_trials200_T16.json")
 
 
 def test_report_bytes_do_not_depend_on_the_bytecode_cache():

@@ -913,6 +913,18 @@ def test_suite_refuses_a_precision_that_is_not_an_int(monkeypatch):
             pa.run_property_suite(trials=20, x_precision=x_precision)
 
 
+def test_suite_refuses_a_d_bound_that_is_not_a_natural_number(monkeypatch):
+    """No entry depends on d_bound, so "junk" and -7 ran and passed; each is
+    refused before any draw."""
+    monkeypatch.setattr(pa, "Random", _refusing_random)
+    for d_bound in ("junk", True, 6.0):
+        with pytest.raises(TypeError, match=f"d_bound must be an int, got {d_bound!r}"):
+            pa.run_property_suite(trials=1, seed=0, x_precision=10, d_bound=d_bound)
+    for d_bound in (-1, -7):
+        with pytest.raises(ValueError, match=f"d_bound must be at least 0, got {d_bound}"):
+            pa.run_property_suite(trials=1, seed=0, x_precision=10, d_bound=d_bound)
+
+
 def test_suite_refuses_precision_below_ten():
     # a product of two draws has order >= -4, precision T - 2 and derivative
     # bound 4: bold_ord decides it for every draw exactly when T >= 10
@@ -1201,14 +1213,29 @@ def test_certified_laws_state_their_work():
         assert {i: by_id[i] for i in want} == want
 
 
+# the two entries whose operators print their precision T
+_T_PRINTING = {"pdo.defining_relation", "pdo.euler_square"}
+
+
 def test_pdo_entries_do_not_depend_on_trials():
-    """No law samples, so trials is only validated: 1 and 500 give the same entries."""
-    for seed, x_precision in itertools.product(range(3), (10, 12, 16)):
-        one, many = (
-            [repr(e) for e in pa.run_property_suite(trials, seed, x_precision)]
-            for trials in (1, 500)
-        )
-        assert one == many
+    """No law samples, so trials is only validated: 1 and 500 give the same
+    entries.  Nor does a T >= 10 size a verdict: 10, 12 and 16 give the same
+    entries, but for the two that print T, whose statuses agree."""
+    for seed in range(3):
+        runs = {
+            (trials, T): [repr(e) for e in pa.run_property_suite(trials, seed, T)]
+            for trials, T in itertools.product((1, 500), (10, 12, 16))
+        }
+        for T in (10, 12, 16):
+            assert runs[1, T] == runs[500, T]
+        at_12 = pa.run_property_suite(1, seed, 12)
+        for T in (10, 16):
+            at_T = pa.run_property_suite(1, seed, T)
+            assert [(e.check_id, e.status) for e in at_T] == [
+                (e.check_id, e.status) for e in at_12
+            ]
+            differ = {e.check_id for e, f in zip(at_T, at_12) if repr(e) != repr(f)}
+            assert differ == _T_PRINTING
 
 
 def test_symbol_check_catches_a_wrong_grade(monkeypatch):

@@ -1,6 +1,7 @@
 """Invariant quintic family: monomials, symmetry, freeness, smoothness."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from godeaux_cert.exact_arith import FieldElement
 from godeaux_cert import quintic_family as qf
-from oracles import field_member, field_route_singular, fixed_points
+from oracles import epsilon_power_invariance, field_member, field_route_singular, fixed_points
 
 FERMAT = (1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0)
 
@@ -73,6 +74,20 @@ def test_invariance_fails_for_unbalanced_weights():
     perturbed = list(FERMAT)
     perturbed[1] = 1  # adds z1^3 z3 z4, z1-degree 3 vs 5 and 0
     assert not qf.invariance_check(perturbed, g, 11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((11, 31, 41)),
+    st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=12, max_size=12),
+    st.tuples(*[st.integers(-12, 12)] * 4),
+)
+def test_invariance_matches_epsilon_powers(q, a, weights):
+    """Two terms pick up one scalar exactly when their weighted sums agree
+    mod 5, as eps is primitive: the weight route equals comparing eps powers."""
+    assume(any(v % q for v in a))
+    g = qf.GroupElement(weights)
+    assert qf.invariance_check(a, g, q) == epsilon_power_invariance(a, g, q)
 
 
 def test_group_element_reduces_weights_and_refuses_three():
@@ -234,6 +249,14 @@ def test_transversality_rejects_bad_plane_index():
         qf.transversality_check(FERMAT, 0, 11)
     with pytest.raises(ValueError):
         qf.transversality_check(FERMAT, 5, 11)
+
+
+@pytest.mark.parametrize("plane", [True, 1.0, "1", Fraction(1)])
+def test_transversality_refuses_a_non_int_plane_index(plane):
+    """True was read as plane 1, and 1.0 died in a slice with a bare
+    tuple-index error that named no argument."""
+    with pytest.raises(TypeError, match=re.escape(f"plane_index must be an int, got {plane!r}")):
+        qf.transversality_check(FERMAT, plane, 11)
 
 
 def test_family_dimension():
