@@ -72,6 +72,18 @@ _MALFORMED_INPUTS = {
     "args3-None": ["pdo", "--trials", "0"],
     "args4-None": ["pdo", "--trials", "-3"],
     "args19-None": ["surface", "--primes", "11,11"],
+    # The argsN-configN cases first wrote their value to a config file; they
+    # now give the same value through the flag.  A non-int --trials or
+    # --seed is refused by argparse.
+    "args2-config2": ["surface", "--coeffs", "1"],
+    "args7-config7": ["pdo", "--trials="],
+    "args8-config8": ["pdo", "--trials", "true"],
+    "args9-config9": ["pdo", "--trials", "2.7"],
+    "args10-config10": ["pdo", "--trials", "3", "--seed="],
+    "args15-config15": ["surface", "--primes", "[11]"],
+    "args16-config16": ["surface", "--primes", "11.5"],
+    "args18-config18": ["surface", "--coeffs", "1,0,0,0,0,0,0,1,1,1,0,False"],
+    "args20-config20": ["surface", "--primes", "31,11,31"],
     "args22-None": ["surface", "--primes", ","],
     "args26-None": ["surface", "--coeffs", "0,0,0,0,0,0,0,0,0,0,0,0"],
     "args27-None": ["surface", "--primes", "11", "--coeffs", "11,0,0,0,0,0,0,0,0,0,0,0"],
@@ -90,8 +102,14 @@ _MALFORMED_INPUTS = {
 def test_malformed_input_exits_two(capsys, args):
     # main() is called in-process: an uncaught exception (the traceback a
     # user would see) fails the test before the exit code is compared
-    assert run_cli(args) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    try:
+        code, first = run_cli(args), "error:"
+    except SystemExit as exc:  # argparse prints its usage line first
+        code, first = exc.code, "usage: godeaux-cert"
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(first)
+    assert err.splitlines()[-1].startswith(("error:", "godeaux-cert: error:"))
 
 
 def test_wrong_orbit_size_is_a_failed_check(monkeypatch, capsys):
@@ -164,6 +182,20 @@ def _coeffs_with(i, item):
     return ",".join(_COEFFS[:i] + [item] + _COEFFS[i + 1 :])
 
 
+def _not_a_list(items):
+    """The items written some other way than as one comma-separated list."""
+    return st.one_of(
+        st.sampled_from(" ;:|/").map(lambda sep: sep.join(items)),
+        st.sampled_from(["[]", "()", "{}"]).map(lambda b: b[0] + ",".join(items) + b[1]),
+    )
+
+
+def _unknown_option(name):
+    """True when argparse matches name to no option, not even as an abbreviation."""
+    known = [s for a in cli.build_parser()._actions for s in a.option_strings]
+    return not any(s.startswith(name) for s in known)
+
+
 # One strategy per way a flag value can be malformed; each draws the flags
 # after the command.  The --flag=value form keeps a value that starts with
 # "-" from reading as an option.
@@ -194,6 +226,21 @@ _BAD_FLAGS = {
     "trials_below_one": st.builds(lambda v: [f"--trials={v}"], st.integers(-10, 0)),
     "seed_not_an_int": st.builds(lambda v: [f"--seed={v}"], _NOT_INT),
     "seed_negative": st.builds(lambda v: [f"--seed={v}"], st.integers(max_value=-1)),
+    "primes_not_a_list": _not_a_list(["11", "31"]).map(lambda v: [f"--primes={v}"]),
+    "coefficients_not_a_list": _not_a_list(_COEFFS).map(lambda v: [f"--coeffs={v}"]),
+    # --config among them: the JSON config file is gone
+    "unknown_key": st.one_of(
+        st.just("--config"),
+        st.text("abcdefghijklmnopqrstuvwxyz-_", min_size=1, max_size=8)
+        .map(lambda k: f"--{k}")
+        .filter(_unknown_option),
+    ).map(lambda name: [f"{name}=1"]),
+    # no flag sets the pdo budget; the CLI runs it at T = 12, d_bound = 6
+    "pdo_budget_unknown_key": st.builds(
+        lambda name, v: [f"{name}={v}"],
+        st.sampled_from(["--T", "--x-precision", "--d-bound", "--d_bound", "--pdo-budget"]),
+        st.integers(0, 20),
+    ),
 }
 
 
@@ -201,9 +248,10 @@ _BAD_FLAGS = {
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_malformed_config_exits_two(capsys, kind, data):
-    """Every malformed value of a flag that configures the run exits 2 with an
-    error line and runs no check; argparse itself refuses a non-int
-    --trials or --seed, after its usage line."""
+    """Every malformed value of a flag that configures the run, and every
+    option the parser does not know, exits 2 with an error line and runs no
+    check; argparse itself refuses an unknown option and a non-int --trials
+    or --seed, after its usage line."""
     flags = data.draw(_BAD_FLAGS[kind])
     try:
         code = run_cli(["monomials", *flags])
