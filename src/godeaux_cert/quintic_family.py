@@ -2,8 +2,10 @@
 
 Enumerates the 12 admissible degree-5 monomials and, for a member given by
 its 12 coefficients over a prime field containing fifth roots of unity,
-brute-forces invariance, freeness of the action, smoothness, and
-transversality to the coordinate planes.  The family-dimension count
+checks invariance, freeness of the action, smoothness, and transversality
+to the coordinate planes.  Smoothness and transversality of a member that
+is diagonal mod q (only pure powers survive) are decided in closed form;
+any other member is scanned point by point.  The family-dimension count
 11 - 3 = 8 is prime-free rational linear algebra.
 
 The singular-point scans test only the partial derivatives: a member f is
@@ -147,14 +149,24 @@ def _scan_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int
 
 
 def _singular_point_exists(terms: List[Tuple[int, Tuple[int, ...]]], q: int) -> bool:
-    """Brute force: is some projective point a common zero of all partials?
+    """Is some projective point a common zero of all partials?
 
     By Euler's identity sum_v z_v df/dz_v = 5 f, such a point is a zero of f,
-    hence singular, as long as q != 5 (the callers refuse q = 5).  One power
-    table pw[x][e] = x^e mod q serves every point; each partial keeps only
-    its nonzero exponents, and its sum is reduced mod q once.
+    hence singular, as long as q != 5 (the callers refuse q = 5).
+
+    Closed form for a diagonal member, sum c_v z_v^5: each partial is
+    5 c_v z_v^4 with 5 c_v != 0, so a common zero has z_v = 0 for every
+    present variable.  Such a point exists, over F_q and over its algebraic
+    closure alike, exactly when some variable is absent, and then that
+    coordinate point is one.
+
+    Any other member is scanned over the F_q-points.  One power table
+    pw[x][e] = x^e mod q serves every point; each partial keeps only its
+    nonzero exponents, and its sum is reduced mod q once.
     """
     nvars = len(terms[0][1])
+    if all(5 in exps for _, exps in terms):
+        return len(terms) < nvars
     partials = [
         [
             (c * exps[v], [(u, e - (u == v)) for u, e in enumerate(exps) if e - (u == v)])

@@ -502,6 +502,13 @@ GOLDEN_RUNS = (
         ["surface", "--coeffs=-1,2,-1,5,4,-5,-8,-1,6,7,-3,-5", "--primes", "11,31"],
         1,
     ),
+    # a diagonal member whose z1^5 coefficient vanishes mod 11 only: the
+    # closed form's singular verdicts at q = 11, smooth at q = 31
+    (
+        "golden_surface_diagonal_vanishing_q11_q31.json",
+        ["surface", "--coeffs=11,0,0,0,0,0,0,1,1,1,0,0", "--primes", "11,31"],
+        1,
+    ),
 )
 
 

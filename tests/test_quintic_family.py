@@ -215,6 +215,58 @@ def test_partials_only_scan_matches_field_route(a):
         assert qf.transversality_check(a, plane, 11) == (not field_route_singular(a, 11, plane))
 
 
+def _diagonal_members():
+    """One member per nonempty support of the pure powers, its other
+    coefficients multiples of 11, and a member dense over Z but diagonal mod 11."""
+    values = (-3, 7, -1, 2)
+    members = []
+    for mask in range(1, 16):
+        a = [11 * (i % 3 - 1) for i in range(12)]
+        for j, idx in enumerate(qf.PURE_POWER_INDICES):
+            a[idx] = values[j] if mask >> j & 1 else -22
+        members.append(a)
+    dense = [11 * (i + 1) for i in range(12)]
+    for j, idx in enumerate(qf.PURE_POWER_INDICES):
+        dense[idx] = values[j]
+    members.append(dense)
+    return members
+
+
+@pytest.mark.parametrize("a", _diagonal_members())
+def test_diagonal_closed_form_matches_field_route(a):
+    """A member diagonal mod q is decided without a scan; the oracle scans."""
+    assert qf.smoothness_check(a, 11) == (not field_route_singular(a, 11))
+    for plane in range(1, 5):
+        assert qf.transversality_check(a, plane, 11) == (not field_route_singular(a, 11, plane))
+
+
+def test_diagonal_members_scan_no_point_and_others_scan_as_before(monkeypatch):
+    """Count the points the singular scans draw from iter_projective_coords."""
+    scanned = [0]
+    real = qf.iter_projective_coords
+
+    def counting(q, dim):
+        for pt in real(q, dim):
+            scanned[0] += 1
+            yield pt
+
+    monkeypatch.setattr(qf, "iter_projective_coords", counting)
+    for q in (11, 31, 41):
+        assert qf.smoothness_check(FERMAT, q)
+        assert all(qf.transversality_check(FERMAT, plane, q) for plane in range(1, 5))
+    assert scanned[0] == 0
+    # dense0 of the benchmark panel is smooth and transversal at q = 11:
+    # every scan runs to the end, 1,464 + 4 * 133 points
+    dense0 = (5, 6, 9, 1, 8, 4, 1, 3, 2, 6, 8, 4)
+    assert qf.smoothness_check(dense0, 11)
+    assert all(qf.transversality_check(dense0, plane, 11) for plane in range(1, 5))
+    assert scanned[0] == 1996
+    # singular0 is singular at (1:1:1:1): its scan stops there
+    scanned[0] = 0
+    assert not qf.smoothness_check((-1, 2, -1, 5, 4, -5, -8, -1, 6, 7, -3, -5), 11)
+    assert 0 < scanned[0] < 1464
+
+
 def test_singular_scans_reject_q5():
     with pytest.raises(ValueError):
         qf.smoothness_check(FERMAT, 5)
