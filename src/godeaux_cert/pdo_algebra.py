@@ -213,14 +213,22 @@ class TruncatedOperator:
         )
 
 
-# one entry per (derivative degree, x-degree) pair met, so as small as the operators
+# one table per (left derivative exponents, right x-exponents, field width) met,
+# so as small as the operators
 @functools.lru_cache(maxsize=None)
-def _leibniz_weights(k: int, j: int) -> Tuple[Tuple[int, int], ...]:
-    """(m, comb(k, m) * perm(j, m)) for m = 0 .. min(k, j).
+def _leibniz_rows(k1: int, k2: int, j1: int, j2: int, b: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(m1 + m2, (m1, m2, m1, m2) packed at width b, weight) for m1, then m2, from 0.
 
-    These are the weights of d^k x^j = sum over m of w_m x^(j-m) d^(k-m).
+    d1^k1 d2^k2 x1^j1 x2^j2 is the sum over m1 <= min(k1, j1), m2 <= min(k2, j2)
+    of comb(k1, m1) perm(j1, m1) comb(k2, m2) perm(j2, m2) times
+    x1^(j1-m1) x2^(j2-m2) d1^(k1-m1) d2^(k2-m2).
     """
-    return tuple((m, math.comb(k, m) * math.perm(j, m)) for m in range(min(k, j) + 1))
+    return tuple(
+        (m1 + m2, (m1 | m2 << b) * (1 | 1 << 2 * b), c1 * math.comb(k2, m2) * math.perm(j2, m2))
+        for m1 in range(min(k1, j1) + 1)
+        for c1 in (math.comb(k1, m1) * math.perm(j1, m1),)
+        for m2 in range(min(k2, j2) + 1)
+    )
 
 
 def _integer_form(form: Mapping) -> Tuple[dict, int]:
@@ -234,8 +242,24 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
 
     Each derivative of the left factor may consume one reliable x-degree of
     the right factor's coefficients, so the result is trusted only below
-    min(T_P, T_Q) - d_P.  The declared derivative bound adds.  Terms at or
-    beyond that x-degree are never formed.
+    t_res = min(T_P, T_Q) - d_P.  The declared derivative bound adds.  Terms
+    at or beyond that x-degree are never formed.
+
+    Inside, a key (i1, i2, k1, k2) is packed into one int with four b-bit
+    fields, i1 + i2 2^b + k1 2^(2b) + k2 2^(3b), where b is the bit length
+    of max(T_P, T_Q, d_P + d_Q + 1).  Every input exponent (x-degree below
+    T_P or T_Q, derivative degree at most d_P or d_Q) and every output
+    exponent (x-degree below t_res, derivative degree at most d_P + d_Q) is
+    below 2^b.  The Leibniz term (m1, m2) of a left key p and a right key q
+    has the key p + q - (m1, m2, m1, m2), all three packed.  Ints are exact,
+    so that is the sum over fields f of (p_f + q_f - m_f) 2^(f b), and each
+    such field of a kept term lies in [0, 2^b): the sum is the term's packed
+    key, with no field carrying into or borrowing from its neighbour.  Only
+    the surviving keys are unpacked.
+
+    The loop runs over P's terms, then Q's, then m1, then m2, and the result
+    keeps its keys in the order they were first met.  That order is part of
+    the contract: report entries that hold an operator print in it.
     """
     t_res = min(P.x_precision, Q.x_precision) - P.d_bound
     if t_res < 1:
@@ -243,29 +267,36 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
             f"budget exhausted: min precision {min(P.x_precision, Q.x_precision)} "
             f"minus left derivative bound {P.d_bound} leaves {t_res}"
         )
-    acc: Dict[Key, int] = {}
-    q_terms = list(Q.num.items())
+    b = max(P.x_precision, Q.x_precision, P.d_bound + Q.d_bound + 1).bit_length()
+    b2, b3 = 2 * b, 3 * b
+    # by the packed derivative exponents k1, k2 of a left term: Q's packed
+    # terms, each with its x-degree, numerator and Leibniz rows against k1, k2
+    q_rows: Dict[int, list] = {}
+    acc: Dict[int, int] = {}
+    get = acc.get
     for (i1, i2, k1, k2), a in P.num.items():
-        for (j1, j2, l1, l2), b in q_terms:
-            # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
-            over = i1 + i2 + j1 + j2 - t_res
-            if not (k1 and j1 or k2 and j2):
-                # no derivative meets its own variable: the only term is m1 = m2 = 0
-                if over < 0:
-                    key = (i1 + j1, i2 + j2, k1 + l1, k2 + l2)
-                    acc[key] = acc.get(key, 0) + a * b
-                continue
-            ab = a * b
-            w2 = _leibniz_weights(k2, j2)
-            for m1, c1 in _leibniz_weights(k1, j1):
-                abc = ab * c1
-                for m2, c2 in w2:
-                    if m1 + m2 <= over:
-                        continue
-                    key = (i1 + j1 - m1, i2 + j2 - m2, k1 - m1 + l1, k2 - m2 + l2)
-                    acc[key] = acc.get(key, 0) + abc * c2
+        pk = i1 | i2 << b | k1 << b2 | k2 << b3
+        rows_k = q_rows.get(pk >> b2)
+        if rows_k is None:
+            rows_k = q_rows[pk >> b2] = []
+            for (j1, j2, l1, l2), c in Q.num.items():
+                qk = j1 | j2 << b | l1 << b2 | l2 << b3
+                rows_k.append((qk, j1 + j2, c, _leibniz_rows(k1, k2, j1, j2, b)))
+        # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
+        over = i1 + i2 - t_res
+        for qk, qx, c, rows in rows_k:
+            base, ac, drop = pk + qk, a * c, over + qx
+            for s, off, w in rows:
+                if s > drop:
+                    key = base - off
+                    acc[key] = get(key, 0) + ac * w
+    mask = (1 << b) - 1
+    num: Dict[Key, int] = {}
+    for key, n in acc.items():
+        if n:
+            num[(key & mask, key >> b & mask, key >> b2 & mask, key >> b3)] = n
     return TruncatedOperator._trusted(
-        {k: n for k, n in acc.items() if n},
+        num,
         P.den * Q.den,
         t_res,
         P.d_bound + Q.d_bound,
@@ -292,6 +323,7 @@ def bold_ord(P: TruncatedOperator):
 
 def homogeneous_component(P: TruncatedOperator, m: int) -> TruncatedOperator:
     """Terms with (x-degree) - (derivative degree) equal to m; P itself if that is all of them."""
+    _require_int("m", m)
     num = {k: n for k, n in P.num.items() if (k[0] + k[1]) - (k[2] + k[3]) == m}
     if len(num) == len(P.num):
         return P
@@ -299,7 +331,9 @@ def homogeneous_component(P: TruncatedOperator, m: int) -> TruncatedOperator:
 
 
 def symbol(P: TruncatedOperator) -> TruncatedOperator:
-    """The homogeneous component of P at grade -ord(P), which is +inf (so zero) for P = 0."""
+    """The homogeneous component of P at grade -ord(P); P itself for P = 0, whose ord is -inf."""
+    if P.is_zero:
+        return P
     return homogeneous_component(P, -bold_ord(P))
 
 
@@ -339,6 +373,7 @@ def is_monic(P: TruncatedOperator) -> bool:
 
 def a1_check(P: TruncatedOperator, m: int) -> bool:
     """Growth condition: every stored term has x-degree >= d-degree - m."""
+    _require_int("m", m)
     return all(
         i1 + i2 >= k1 + k2 - m for (i1, i2, k1, k2) in P.num
     )
@@ -560,16 +595,52 @@ def parse_operator(
     return TruncatedOperator(acc, x_precision, d_bound)
 
 
-def _monomial_basis(x_precision: int) -> List[TruncatedOperator]:
+class _Basis(list):
+    """The basis operators of one suite call, with pair_counts once they are made."""
+
+    __slots__ = ("pair_counts",)
+
+
+def _monomial_basis(x_precision: int) -> _Basis:
     """The 36 monomials x1^i1 x2^i2 d1^k1 d2^k2 with i1 + i2 <= 2 and k1 + k2 <= 2.
 
     Those of x-degree below x_precision, each at budgets (x_precision, 2).
     """
-    return [
+    return _Basis(
         TruncatedOperator._trusted({key: 1}, 1, x_precision, 2)
         for key in itertools.product(range(3), repeat=4)
         if key[0] + key[1] <= 2 and key[2] + key[3] <= 2 and key[0] + key[1] < x_precision
-    ]
+    )
+
+
+def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
+    """Failures of (subadditive order, additive order, symbol, precision) over basis pairs.
+
+    One pass forms each product M N of the ordered pairs of basis once, at
+    budgets (T, 2), and reads all four counts off it; the precision count
+    compares it with the product of M and N at budgets (T + 6, 2), truncated
+    back.  The counts are kept on basis, so the two laws that read them share
+    the pass within one suite call; no product outlives it.
+    """
+    counts = getattr(basis, "pair_counts", None)
+    if counts is not None:
+        return counts
+    orders = [bold_ord(M) for M in basis]
+    # op_mul reads only terms and budgets, so where symbol(M) is M in both,
+    # op_mul(symbol(M), symbol(N)) is the basis product M N itself
+    own = [_same_terms_and_budgets(symbol(M), M) for M in basis]
+    high = [TruncatedOperator._trusted(B.num, B.den, B.x_precision + 6, B.d_bound) for B in basis]
+    sub_fail = eq_fail = sym_fail = prec_fail = 0
+    for M, om, m_own, hi_m in zip(basis, orders, own, high):
+        for N, on, n_own, hi_n in zip(basis, orders, own, high):
+            prod = op_mul(M, N)
+            bo = bold_ord(prod)
+            sub_fail += bo > om + on
+            eq_fail += bo != om + on
+            sym_fail += not (m_own and n_own and symbol(prod) == prod)
+            prec_fail += op_mul(hi_m, hi_n).truncate(prod.x_precision) != prod
+    basis.pair_counts = (sub_fail, eq_fail, sym_fail, prec_fail)
+    return basis.pair_counts
 
 
 # Schwartz-Zippel: a nonzero polynomial of total degree D vanishes at a point
@@ -693,18 +764,7 @@ def _law_order_and_symbol(rng: Random, T: int, basis) -> List[CheckEntry]:
     # ord P + ord Q and the slice at that order is sigma(P) sigma(Q); where
     # that is nonzero the orders add and sigma(PQ) = sigma(P) sigma(Q).  So
     # the basis products decide both laws for every rational P and Q.
-    orders = [bold_ord(M) for M in basis]
-    # op_mul reads only terms and budgets, so where symbol(M) is M in both,
-    # op_mul(symbol(M), symbol(N)) is the basis product M N itself
-    own = [_same_terms_and_budgets(symbol(M), M) for M in basis]
-    sub_fail = eq_fail = sym_fail = 0
-    for M, om, m_own in zip(basis, orders, own):
-        for N, on, n_own in zip(basis, orders, own):
-            prod = op_mul(M, N)
-            bo = bold_ord(prod)
-            sub_fail += bo > om + on
-            eq_fail += bo != om + on
-            sym_fail += not (m_own and n_own and symbol(prod) == prod)
+    sub_fail, eq_fail, sym_fail, _ = _basis_pair_counts(basis)
     work = f"{len(basis) ** 2} products of the {len(basis)} basis monomials"
     # strict drop at the truncation frontier: both symbols are pure
     # x-monomials whose product falls outside every trusted window
@@ -902,13 +962,7 @@ def _law_precision(rng: Random, T: int, basis) -> List[CheckEntry]:
     # Once both precisions and the left d_bound are fixed, op_mul is bilinear
     # and truncate linear, so agreement on every ordered pair of basis
     # operators proves it for every pair of combinations of basis.
-    high_basis = [TruncatedOperator._trusted(B.num, B.den, T + 6, B.d_bound) for B in basis]
-    prec_fail = 0
-    for P, hi_p in zip(basis, high_basis):
-        for Q, hi_q in zip(basis, high_basis):
-            low = op_mul(P, Q)
-            if op_mul(hi_p, hi_q).truncate(low.x_precision) != low:
-                prec_fail += 1
+    prec_fail = _basis_pair_counts(basis)[3]
     return [
         check(
             "pdo.precision_soundness",
@@ -1021,8 +1075,9 @@ def run_property_suite(
     associativity, the substitution ring map and its commutators, A1 closure
     and quasi-ellipticity under shears are decided at one generic point
     each; order and symbol, precision soundness and component reassembly run
-    over basis, and the graded order and ht_2 over the monomials of
-    _graded_monic_span.  trials and d_bound are only validated: no entry
+    over basis, the first two off one shared pass over its pairs
+    (_basis_pair_counts), and the graded order and ht_2 over the monomials
+    of _graded_monic_span.  trials and d_bound are only validated: no entry
     depends on either.
     """
     _check_trials_and_seed(trials, seed)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -183,6 +184,15 @@ def test_a1_check():
     assert pa.a1_check(op("x1^2 d1 d2"), 0)
     assert not pa.a1_check(op("d1 d2"), 1)
     assert pa.a1_check(op("d1 d2"), 2)
+
+
+@pytest.mark.parametrize("m", [True, 1.0, "1", Fraction(1)])
+def test_level_and_grade_refuse_a_non_int(m):
+    """True was read as level or grade 1, and 1.0 ran on as a float."""
+    P = op("x1^2 d1 + x1 d1^2")
+    for func in (pa.a1_check, pa.homogeneous_component):
+        with pytest.raises(TypeError, match=re.escape(f"m must be an int, got {m!r}")):
+            func(P, m)
 
 
 def test_pair_predicates():
@@ -578,9 +588,7 @@ def _assert_trusted_invariants(R):
     assert math.gcd(R.den, *R.num.values()) == 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(_operators(), _operators())
-def test_op_mul_matches_fraction_oracle(P, Q):
+def _assert_op_mul_matches_fraction_oracle(P, Q):
     try:
         want = _fraction_op_mul(P, Q)
     except pa.PrecisionError:
@@ -593,6 +601,12 @@ def test_op_mul_matches_fraction_oracle(P, Q):
     assert list(got.coeffs) == list(want.coeffs)
     assert (got.x_precision, got.d_bound) == (want.x_precision, want.d_bound)
     _assert_trusted_invariants(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operators(), _operators())
+def test_op_mul_matches_fraction_oracle(P, Q):
+    _assert_op_mul_matches_fraction_oracle(P, Q)
 
 
 @st.composite
@@ -633,6 +647,44 @@ def test_op_mul_one_term_path_matches_fraction_oracle(pair):
     assert list(got.coeffs) == list(want.coeffs)
     assert (got.x_precision, got.d_bound) == (want.x_precision, want.d_bound)
     _assert_trusted_invariants(got)
+
+
+# op_mul packs a key into four fields of b bits, b the bit length of
+# max(T_P, T_Q, d_P + d_Q + 1); these precisions sit at and beside powers of two
+_EDGE_PRECISIONS = (15, 16, 17, 31, 32, 33)
+
+
+@st.composite
+def _field_width_edge_pairs(draw):
+    """(P, Q) whose exponents reach the edges of op_mul's packed fields.
+
+    d_P + d_Q is a power of two, x-exponents reach T - 1 and derivative
+    exponents reach the d_bound, so a product term can fill a field exactly.
+    """
+    d_sum = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    d_p = draw(st.integers(0, d_sum))
+    coeff = st.fractions(-9, 9, max_denominator=12).filter(bool)
+
+    def operator(x_precision, d_bound):
+        def edge(top):
+            return draw(st.one_of(st.just(top), st.just(0), st.integers(0, top)))
+
+        coeffs = {}
+        for _ in range(draw(st.integers(1, 5))):
+            i1 = edge(x_precision - 1)
+            k1 = edge(d_bound)
+            coeffs[(i1, edge(x_precision - 1 - i1), k1, edge(d_bound - k1))] = draw(coeff)
+        return pa.TruncatedOperator(coeffs, x_precision, d_bound)
+
+    P = operator(draw(st.sampled_from(_EDGE_PRECISIONS)), d_p)
+    Q = operator(draw(st.sampled_from(_EDGE_PRECISIONS)), d_sum - d_p)
+    return P, Q
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_width_edge_pairs())
+def test_op_mul_matches_fraction_oracle_at_field_width_edges(pair):
+    _assert_op_mul_matches_fraction_oracle(*pair)
 
 
 _params = st.fractions(-3, 3, max_denominator=4)
@@ -1083,6 +1135,35 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
     monkeypatch.setattr(pa, "op_mul", corrupt_mul)
     got = _run_law(pa._law_precision, x_precision=x_precision)
     assert got["pdo.precision_soundness"].actual == 1
+
+
+def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
+    """The order and precision laws share one pass over the 1,296 basis pairs.
+
+    A suite call makes 4,312 products, where a pass per law made 5,608, and a
+    second call makes as many again: no count outlives its basis.
+    """
+    real_mul, calls = pa.op_mul, []
+
+    def counting_mul(P, Q):
+        calls.append(None)
+        return real_mul(P, Q)
+
+    monkeypatch.setattr(pa, "op_mul", counting_mul)
+    for x_precision in (12, 16, 12, 12):
+        calls.clear()
+        pa.run_property_suite(trials=5, seed=42, x_precision=x_precision)
+        assert len(calls) == 4312
+    # whichever law runs first makes the pass: 1,296 products at T and 1,296
+    # at T + 6; the order law also forms the one product of its strict drop
+    order, precision = pa._law_order_and_symbol, pa._law_precision
+    for laws, want in (((order, precision), [2593, 0]), ((precision, order), [2592, 1])):
+        basis, made = pa._monomial_basis(T), []
+        for law in laws:
+            calls.clear()
+            law(Random(0), T, basis)
+            made.append(len(calls))
+        assert made == want
 
 
 _REAL_COMPONENT = pa.homogeneous_component
