@@ -79,6 +79,8 @@ class GroupElement:
     weights: Tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
+        for x in self.weights:
+            _require_int("weight", x)
         w = tuple(x % 5 for x in self.weights)
         if len(w) != 4:
             raise ValueError("need 4 weights")
@@ -89,13 +91,13 @@ class GroupElement:
         return cls((1, 2, 3, 4))
 
 
-def _reduce_coeffs(a: Sequence[int], q: int) -> Tuple[int, ...]:
+def _reduce_coeffs(a: Sequence[int], q: int) -> List[int]:
     if len(a) != 12:
         raise ValueError(f"need 12 coefficients, got {len(a)}")
     for x in a:
         if type(x) is not int:  # int() would truncate a Fraction or a float
             raise TypeError(f"coefficient must be an int, got {x!r}")
-    coeffs = tuple([x % q for x in a])
+    coeffs = [x % q for x in a]
     if not any(coeffs):
         raise ValueError("all coefficients vanish mod the chosen prime")
     return coeffs
@@ -118,11 +120,20 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
 
     Two independent routes: evaluate at the four coordinate points, and
     test the pure-power coefficients a1*a8*a9*a10 != 0.  They must agree.
+    The evaluation reads only the nonzero entries of the monomial-value
+    table, and stops at the first point where f vanishes.
     """
     _require_prime(q)
     coeffs = _reduce_coeffs(a, q)
-    by_eval = all(sum(map(operator.mul, coeffs, row)) % q for row in _monomial_values())
-    by_coeff = all(coeffs[i] for i in PURE_POWER_INDICES)
+    by_eval = True
+    for row in _monomial_support():
+        s = 0
+        for j, v in row:
+            s += coeffs[j] * v
+        if not s % q:
+            by_eval = False
+            break
+    by_coeff = all(map(coeffs.__getitem__, PURE_POWER_INDICES))
     if by_eval != by_coeff:
         raise AssertionError("evaluation route and coefficient criterion disagree")
     return by_eval
@@ -135,6 +146,12 @@ def _monomial_values() -> Tuple[Tuple[int, ...], ...]:
         tuple(math.prod(map(pow, pt, exps)) for exps in _MONOMIAL_ORDER)
         for pt in _COORDINATE_POINTS
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _monomial_support() -> List[List[Tuple[int, int]]]:
+    """Row i holds (position, value) of each nonzero entry of _monomial_values() row i."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in _monomial_values()]
 
 
 def _int_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int, int]]]:

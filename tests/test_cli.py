@@ -349,10 +349,11 @@ def test_a_zero_draw_is_fixed_up_to_a_unit_vector(monkeypatch):
     assert len(seen) == 1001
 
 
-@pytest.mark.parametrize("q", [11, 31, 41])
+@pytest.mark.parametrize("q", [11, 31, 41, 61])
 def test_digits_round_trip(q):
     size = q**12
-    for n in (0, 1, q - 1, q, size // 2, size - 1):
+    rng = Random(q)
+    for n in (0, 1, q - 1, q, size // 2, size - 1, *(rng.randrange(size) for _ in range(5))):
         vec = cli._digits(n, q)
         assert len(vec) == 12 and all(0 <= v < q for v in vec)
         assert sum(v * q**i for i, v in enumerate(vec)) == n

@@ -97,6 +97,16 @@ def test_group_element_reduces_weights_and_refuses_three():
         qf.GroupElement((1, 2, 3))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1", Fraction(1)])
+def test_group_element_refuses_a_non_int_weight(bad):
+    """1.5 % 5 made invariance_check(FERMAT, g, 11) return False, True was
+    read as weight 1, and "1" % 5 raised a string-formatting TypeError."""
+    with pytest.raises(TypeError, match=re.escape(f"weight must be an int, got {bad!r}")):
+        qf.GroupElement((bad, 2, 3, 4))
+    with pytest.raises(TypeError, match="weight must be an int"):
+        qf.GroupElement((1, 2, 3, bad))
+
+
 def test_fixed_points_match_brute_force():
     # the free-action table evaluates at exactly the points the scan finds
     for weights in ((1, 2, 3, 4), (2, 4, 1, 3)):
