@@ -242,19 +242,26 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
 
 def _digits(n: int, q: int) -> List[int]:
     """The 12 base-q digits of 0 <= n < q^12, least significant first."""
-    # unrolled, with no loop, call or append: it runs 1,000 times per prime
-    d0, n = n % q, n // q
-    d1, n = n % q, n // q
-    d2, n = n % q, n // q
-    d3, n = n % q, n // q
-    d4, n = n % q, n // q
-    d5, n = n % q, n // q
-    d6, n = n % q, n // q
-    d7, n = n % q, n // q
-    d8, n = n % q, n // q
-    d9, n = n % q, n // q
-    d10, d11 = n % q, n // q
-    return [d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11]
+    vec = []
+    for _ in range(12):
+        n, v = divmod(n, q)
+        vec.append(v)
+    return vec
+
+
+def _sampled_vectors(seed: int, q: int) -> Iterator[List[int]]:
+    """The 1,000 coefficient vectors over F_q that suite_surface samples.
+
+    One uniform integer below q^12 is one uniform vector of F_q^12; a draw
+    of 0 becomes the unit vector at a drawn position.
+    """
+    rng, size = Random(seed * 100003 + q), q**12
+    for _ in range(1000):
+        n = rng.randrange(size)
+        vec = _digits(n, q)
+        if not n:
+            vec[rng.randrange(12)] = 1
+        yield vec
 
 
 def suite_surface(cfg: dict) -> List[CheckEntry]:
@@ -301,14 +308,8 @@ def suite_surface(cfg: dict) -> List[CheckEntry]:
                     "derived",
                 )
             )
-        # one uniform integer below q^12 is one uniform vector of F_q^12
-        rng, size = Random(seed * 100003 + q), q**12
         disagreements = 0
-        for _ in range(1000):
-            n = rng.randrange(size)
-            vec = _digits(n, q)
-            if not n:
-                vec[rng.randrange(12)] = 1
+        for vec in _sampled_vectors(seed, q):
             try:
                 quintic_family.free_action_check(vec, q)
             except AssertionError:

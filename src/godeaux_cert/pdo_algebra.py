@@ -299,16 +299,12 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
     for key, n in acc.items():
         if n:
             num[(key & mask, key >> b & mask, key >> b2 & mask, key >> b3)] = n
-    den = P.den * Q.den
-    if den != 1:
-        return TruncatedOperator._trusted(num, den, t_res, P.d_bound + Q.d_bound)
-    # a product of integer operators is already reduced: build it directly
-    op = object.__new__(TruncatedOperator)
-    op.num = num
-    op.den = 1
-    op.x_precision = t_res
-    op.d_bound = P.d_bound + Q.d_bound
-    return op
+    return TruncatedOperator._trusted(
+        num,
+        P.den * Q.den,
+        t_res,
+        P.d_bound + Q.d_bound,
+    )
 
 
 def bold_ord(P: TruncatedOperator):

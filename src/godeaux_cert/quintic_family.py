@@ -126,7 +126,7 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
     _require_prime(q)
     coeffs = _reduce_coeffs(a, q)
     by_eval = True
-    for row in _monomial_support():
+    for row in _monomial_values():
         s = 0
         for j, v in row:
             s += coeffs[j] * v
@@ -140,18 +140,14 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _monomial_values() -> Tuple[Tuple[int, ...], ...]:
-    """Row i holds the value of every monomial, in canonical order, at coordinate point i."""
-    return tuple(
-        tuple(math.prod(map(pow, pt, exps)) for exps in _MONOMIAL_ORDER)
-        for pt in _COORDINATE_POINTS
-    )
-
-
-@functools.lru_cache(maxsize=1)
-def _monomial_support() -> List[List[Tuple[int, int]]]:
-    """Row i holds (position, value) of each nonzero entry of _monomial_values() row i."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in _monomial_values()]
+def _monomial_values() -> List[List[Tuple[int, int]]]:
+    """Row i holds (position, value) of each monomial, in canonical order,
+    whose value at coordinate point i is nonzero."""
+    rows = []
+    for pt in _COORDINATE_POINTS:
+        values = (math.prod(map(pow, pt, exps)) for exps in _MONOMIAL_ORDER)
+        rows.append([(j, v) for j, v in enumerate(values) if v])
+    return rows
 
 
 def _int_terms(a: Sequence[int], q: int) -> List[Tuple[int, Tuple[int, int, int, int]]]:
