@@ -467,6 +467,13 @@ def change_variables(
     x2 -> a^-1 x2 so that all canonical commutators are preserved.  The
     substitution is exact: x-images are linear in x, derivative images are
     constant-coefficient, so no precision is spent.
+
+    The image of x^i d^k is X(i1, i2) D(k1, k2), an x-form times a
+    constant-coefficient d-form, which is already in normal order.  So each
+    D(k1, k2) is built once, the scaled D's of the terms that share (i1, i2)
+    are summed, and X(i1, i2) multiplies that sum once: by distributivity the
+    same integer sums as term by term.  The result's key order is
+    unspecified, unlike op_mul's; every caller reads it as a mapping.
     """
     # before the cached _substitution_images, whose hits take 0.5 for Fraction(1, 2), True for 1
     _refuse_float_or_bool(a, b, c, d, e)
@@ -475,25 +482,26 @@ def change_variables(
         _powers(form, max((key[slot] for key in P.num), default=0))
         for slot, (form, _) in enumerate(images)
     ]
-    terms = []
-    for key, num in P.num.items():
-        den = P.den
-        for (_, img_den), n in zip(images, key):
-            den *= img_den**n
-        terms.append((key, num, den))
-    common = math.lcm(*(den for _, _, den in terms))
+    (_, x1_den), (_, x2_den), (_, d1_den), (_, d2_den) = images
+    x_dens = {(i1, i2): x1_den**i1 * x2_den**i2 for i1, i2 in {key[:2] for key in P.num}}
+    d_dens = {(k1, k2): d1_den**k1 * d2_den**k2 for k1, k2 in {key[2:] for key in P.num}}
+    lcm = math.lcm(*(x_dens[key[:2]] * d_dens[key[2:]] for key in P.num))
+    d_forms = {(k1, k2): _convolve(powers[2][k1], powers[3][k2]) for k1, k2 in d_dens}
+    sums: Dict[Tuple[int, int], Form] = {x: {} for x in x_dens}
+    for (i1, i2, k1, k2), num in P.num.items():
+        scale = num * (lcm // (x_dens[i1, i2] * d_dens[k1, k2]))
+        s = sums[i1, i2]
+        for dk, dv in d_forms[k1, k2].items():
+            s[dk] = s.get(dk, 0) + scale * dv
     acc: Dict[Key, int] = {}
-    for (i1, i2, k1, k2), num, den in terms:
-        scale = num * (common // den)
-        ds = _convolve(powers[2][k1], powers[3][k2])
+    for (i1, i2), s in sums.items():
         for (xi1, xi2), xv in _convolve(powers[0][i1], powers[1][i2]).items():
-            sx = scale * xv
-            for (dk1, dk2), dv in ds.items():
+            for (dk1, dk2), dv in s.items():
                 key = (xi1, xi2, dk1, dk2)
-                acc[key] = acc.get(key, 0) + sx * dv
+                acc[key] = acc.get(key, 0) + xv * dv
     return TruncatedOperator._trusted(
         {k: n for k, n in acc.items() if n},
-        common,
+        P.den * lcm,
         P.x_precision,
         P.d_bound,
     )

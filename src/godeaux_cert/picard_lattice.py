@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import rr_engine
-from .exact_arith import _leading_minors_positive, integer_determinant
+from .exact_arith import _leading_minors_positive, _require_int, integer_determinant
 from .report import CheckEntry, check
 
 TORSION_ORDER = 5
@@ -39,6 +39,8 @@ class E8Vector:
         object.__setattr__(self, "c", c)
         if len(c) != 8:
             raise ValueError("need 8 coordinates")
+        for x in c:
+            _require_int("coordinate", x)
         parities = {x % 2 for x in c}
         if len(parities) != 1:
             raise ValueError(f"mixed coordinate parity in {c}")
@@ -119,6 +121,8 @@ class PicardClass:
     t: int
 
     def __post_init__(self) -> None:
+        _require_int("k", self.k)
+        _require_int("t", self.t)
         object.__setattr__(self, "t", self.t % TORSION_ORDER)
 
     def pair(self, other: "PicardClass") -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .exact_arith import _require_int
+
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -25,6 +27,8 @@ class SurfaceInvariants:
     pg: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("chi", "K2", "e", "q", "pg"):
+            _require_int(name, getattr(self, name))
         if 12 * self.chi != self.K2 + self.e:
             raise ValueError(
                 f"Noether identity fails: 12*{self.chi} != {self.K2} + {self.e}"
@@ -51,6 +55,8 @@ class NumericalDivisor:
     dot_K: int
 
     def __post_init__(self) -> None:
+        _require_int("self_int", self.self_int)
+        _require_int("dot_K", self.dot_K)
         if (self.dot_K - self.self_int) % 2 != 0:
             raise ValueError(
                 f"parity violation: D.K = {self.dot_K} and D^2 = {self.self_int} "
@@ -80,6 +86,7 @@ def quotient_invariants(cover: SurfaceInvariants, deg: int) -> SurfaceInvariants
     rejected as evidence the action was not free.  The quotient is taken
     with q = p_g = 0, as for the Godeaux quotient of the quintic.
     """
+    _require_int("deg", deg)
     if deg < 1:
         raise ValueError("deg must be positive")
     for name, val in (("chi", cover.chi), ("K2", cover.K2), ("e", cover.e)):
@@ -121,6 +128,7 @@ def growth_check(C: NumericalDivisor, m_max: int) -> bool:
     chi(O(mC)) for m = 1..m_max is quadratic with leading coefficient 1/2
     exactly when every second difference is 1.
     """
+    _require_int("m_max", m_max)
     if m_max < 3:
         raise ValueError("need m_max >= 3 to pin a quadratic")
     chi = [
@@ -132,6 +140,8 @@ def growth_check(C: NumericalDivisor, m_max: int) -> bool:
 
 def chi_curve_sheaf(degree: int, genus: int) -> int:
     """chi of a degree-d line bundle on a genus-g curve: d - g + 1."""
+    _require_int("degree", degree)
+    _require_int("genus", genus)
     if degree < 0:
         raise ValueError("degree must be non-negative")
     return degree - genus + 1

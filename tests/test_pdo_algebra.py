@@ -1512,6 +1512,41 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
     assert (prod.x_precision, prod.d_bound) == (x_precision - 2, 4)
 
 
+@pytest.mark.parametrize("x_precision", [12, 16])
+def test_change_variables_of_a_dense_operator_is_the_sum_of_its_monomial_images(x_precision):
+    """The ring-map certificate substitutes into a dense 225-term product, so
+    change_variables must treat every term alike there: its image is the sum of
+    the coefficients times the monomial images, in num and in den."""
+    keys = [
+        (i1, i2, k1, k2)
+        for i1 in range(5)
+        for i2 in range(5 - i1)
+        for k1 in range(5)
+        for k2 in range(5 - k1)
+    ]
+    rng = Random(x_precision)
+    P = pa._generic_operator(rng, keys, x_precision, 4)
+    assert len(P.num) == 225 and (P.den, P.d_bound) == (1, 4)
+    params = [rng.randrange(1, 2**64) for _ in range(5)]
+    acc = {}
+    for key, coeff in P.num.items():
+        image = pa.change_variables(pa.TruncatedOperator.monomial(key, x_precision), *params)
+        for k, n in image.num.items():
+            acc[k] = acc.get(k, 0) + Fraction(coeff * n, image.den)
+    want_den = math.lcm(*(v.denominator for v in acc.values()))
+    want = {k: int(v * want_den) for k, v in acc.items() if v}
+    got = pa.change_variables(P, *params)
+    assert (got.num, got.den) == (want, want_den)
+    assert (got.x_precision, got.d_bound) == (x_precision, 4)
+    # Fraction parameters give the d-images denominators too
+    fractions = (Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(7, 4), Fraction(-4, 5))
+    sixth = P.scale(Fraction(1, 6))
+    got = pa.change_variables(sixth, *fractions)
+    want = _fraction_change_variables(sixth, *fractions)
+    assert (got.num, got.den) == (want.num, want.den)
+    _assert_trusted_invariants(got)
+
+
 _LEFT, _RIGHT = (2, 0, 0, 2), (0, 2, 2, 0)
 
 

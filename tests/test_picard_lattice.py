@@ -17,6 +17,13 @@ def test_vector_validation():
         pl.E8Vector((1, 2, 0, 0, 0, 0, 0, 1))  # mixed parity
     with pytest.raises(ValueError):
         pl.E8Vector((2, 0, 0, 0, 0, 0, 0, 0))  # sum 2, not 0 mod 4
+    # a half or a truth value is not a doubled coordinate: (0.5,) * 8 had norm -0.0
+    for c in ((0.5,) * 8, (True,) * 8, (2.0, 2, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(TypeError, match="coordinate must be an int"):
+            pl.E8Vector(c)
+    for k, t in ((1.5, 0), (1, 2.5), (True, 0), (1, False)):
+        with pytest.raises(TypeError, match="must be an int"):
+            pl.PicardClass(k, pl.E8_ZERO, t)
 
 
 def test_root_count_and_norms():

@@ -21,6 +21,9 @@ def test_noether_enforced_in_constructor():
         rr.SurfaceInvariants(chi=1, K2=2, e=11)
     with pytest.raises(ValueError):
         rr.SurfaceInvariants(chi=2, K2=1, e=23, q=0, pg=0)  # chi != 1 - q + pg
+    for args in ((1.0, 1, 11), (1, 1, 11, 0.0), (1, 1, 11, 0, False)):
+        with pytest.raises(TypeError, match="must be an int"):
+            rr.SurfaceInvariants(*args)
 
 
 def test_quotient_invariants():
@@ -34,11 +37,18 @@ def test_quotient_invariants_refuses_degree_zero():
     for deg in (0, -5):
         with pytest.raises(ValueError, match="deg must be positive"):
             rr.quotient_invariants(rr.QUINTIC, deg)
+    for deg in (5.0, True):
+        with pytest.raises(TypeError, match="deg must be an int"):
+            rr.quotient_invariants(rr.QUINTIC, deg)
 
 
 def test_divisor_parity_enforced():
     with pytest.raises(ValueError):
         rr.NumericalDivisor(0, 1)
+    # 1.5 and 1.5 agree mod 2 and gave chi = 1.0
+    for args in ((1.5, 1.5), (1, 1.0), (True, 1)):
+        with pytest.raises(TypeError, match="must be an int"):
+            rr.NumericalDivisor(*args)
 
 
 def test_chi_divisor_examples():
@@ -147,6 +157,8 @@ def test_growth_check():
     assert not rr.growth_check(rr.NumericalDivisor(4, 2), m_max=5)
     with pytest.raises(ValueError):
         rr.growth_check(rr.NumericalDivisor(1, 1), m_max=2)
+    with pytest.raises(TypeError, match="m_max must be an int"):
+        rr.growth_check(rr.NumericalDivisor(1, 1), m_max=10.5)
 
 
 def _fraction_growth_check(C, m_max):
@@ -185,3 +197,6 @@ def test_chi_curve_sheaf():
     assert rr.chi_curve_sheaf(5, 2) == 4  # above canonical degree: h0 = n - g + 1
     with pytest.raises(ValueError):
         rr.chi_curve_sheaf(-1, 2)
+    for args in ((2.5, 2), (2, 2.0), (True, 1)):
+        with pytest.raises(TypeError, match="must be an int"):
+            rr.chi_curve_sheaf(*args)
