@@ -2,8 +2,8 @@
 
 Primality, fifth roots of unity, projective-space enumeration over a prime
 field, and exact integer and rational linear algebra, all read off one
-fraction-free elimination.  A modulus or a number tested for primality
-that is not an int is refused with TypeError.  The prime-field
+fraction-free elimination.  A modulus, a number tested for primality or a
+matrix entry that is not an int is refused with TypeError.  The prime-field
 checks run on plain ints mod q, with one exception: the invariance check
 takes its fifth root of unity as a FieldElement from primitive_fifth_root.
 Otherwise FieldElement and SparsePolynomial are a second, independent
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -33,6 +34,12 @@ def _require_int(name: str, value, least: Optional[int] = None) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _require_rational(name: str, value) -> None:
+    """TypeError unless value is an int or a Fraction (a bool, float, str or Decimal is not)."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__} {value!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -200,7 +207,9 @@ def projective_count(q: int, dim: int) -> int:
 def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[int, int, List[List[int]]]:
     """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-    Returns (rank, row exchanges, echelon rows).  Columns without a pivot
+    Returns (rank, row exchanges, echelon rows).  An entry that is not an
+    int is refused with TypeError, since the floor division below is exact
+    only on ints, and a ragged row with ValueError.  Columns without a pivot
     are skipped; every division is exact because each stored entry is a
     minor of the pivot columns.  A row is exchanged in only for a zero
     diagonal entry, so an n x n matrix is reduced to rank n with no exchange
@@ -210,6 +219,10 @@ def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[int, int, List[List[int]]]:
     """
     a = [list(row) for row in rows]
     ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError(f"ragged matrix: row lengths {[len(row) for row in a]}")
+    for entry in itertools.chain.from_iterable(a):
+        _require_int("matrix entry", entry)
     rank, exchanges, prev = 0, 0, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)

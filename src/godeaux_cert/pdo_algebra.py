@@ -26,7 +26,7 @@ from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .exact_arith import _require_int
+from .exact_arith import _require_int, _require_rational
 from .report import CheckEntry, check
 
 Key = Tuple[int, int, int, int]
@@ -41,14 +41,6 @@ class PrecisionError(ArithmeticError):
 
 class UndecidableOrderError(ArithmeticError):
     """Terms beyond the truncation frontier could change the answer."""
-
-
-def _refuse_float_or_bool(*vals) -> None:
-    """Raise TypeError on a float, a binary approximation, or a bool, a truth value."""
-    for v in vals:
-        if isinstance(v, (float, bool)):
-            kind = type(v).__name__
-            raise TypeError(f"{kind} {v!r} is not an exact number; pass an int or a Fraction")
 
 
 class _FractionView(Mapping):
@@ -96,7 +88,7 @@ class TruncatedOperator:
                 raise TypeError(f"exponents must be ints, got {key!r}")
             if min(i1, i2, k1, k2) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            _refuse_float_or_bool(val)
+            _require_rational("coefficient", val)
             val = Fraction(val)
             if val == 0:
                 continue
@@ -168,7 +160,7 @@ class TruncatedOperator:
         )
 
     def scale(self, c) -> "TruncatedOperator":
-        _refuse_float_or_bool(c)
+        _require_rational("scale", c)
         c = Fraction(c)
         cn = c.numerator
         return TruncatedOperator._trusted(
@@ -437,13 +429,15 @@ def _powers(form: Form, n: int) -> List[Form]:
 
 
 # a property check applies one substitution to several operators in a row
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 0.5 must not hit Fraction(1, 2)'s entry
 def _substitution_images(a, b, c, d, e) -> Tuple[Tuple[Form, int], ...]:
     """Images of x1, x2 (forms on x1, x2) and of d1, d2 (forms on d1, d2).
 
     Each is (integer numerators, denominator); the key (0, 0) is the
     constant.  The forms are shared between calls and must not be mutated.
     """
+    for name, v in zip("abcde", (a, b, c, d, e)):
+        _require_rational(name, v)
     a, b, c, d, e = (Fraction(v) for v in (a, b, c, d, e))
     if a == 0 or e == 0:
         raise ValueError("diagonal parameters a and e must be nonzero")
@@ -475,8 +469,6 @@ def change_variables(
     same integer sums as term by term.  The result's key order is
     unspecified, unlike op_mul's; every caller reads it as a mapping.
     """
-    # before the cached _substitution_images, whose hits take 0.5 for Fraction(1, 2), True for 1
-    _refuse_float_or_bool(a, b, c, d, e)
     images = _substitution_images(a, b, c, d, e)
     powers = [
         _powers(form, max((key[slot] for key in P.num), default=0))
@@ -691,16 +683,6 @@ def _generic_shear_images(rng: Random, x_precision: int):
     return rising, tops
 
 
-def _check_trials_and_seed(trials: int, seed: int) -> None:
-    """TypeError for a non-int; ValueError for no trials, which would pass
-    unchecked, or a negative seed."""
-    # Random(-s) draws what Random(s) draws, so a negative seed would rerun
-    # the draws of another seed under its own name; Random(True) and
-    # Random(1.0) draw what Random(1) draws, so a bool or float seed would too.
-    _require_int("trials", trials, 1)
-    _require_int("seed", seed, 0)
-
-
 def normalized_shape_preserved_under_special_change(
     trials: int = 50, seed: int = 42, x_precision: int = 12
 ) -> bool:
@@ -714,7 +696,10 @@ def normalized_shape_preserved_under_special_change(
     # sheared top pair normalized, every sheared pair is.  A wrong True needs a
     # zero of a rising tail's coefficient (degree <= 4) or of a top's (<= 3),
     # so its probability is at most 4/(2^64 - 1).
-    _check_trials_and_seed(trials, seed)
+    # Random(-s) draws what Random(s) draws, and Random(True) and Random(1.0) what
+    # Random(1) draws: a negative, bool or float seed would rerun another seed's draws.
+    _require_int("trials", trials, 1)
+    _require_int("seed", seed, 0)
     rising, tops = _generic_shear_images(Random(seed), x_precision)
     return not rising and all(is_normalized_pair(P, Q) for P, Q in tops)
 
@@ -1092,7 +1077,8 @@ def run_property_suite(
     of _graded_monic_span.  trials and d_bound are only validated: no entry
     depends on either.
     """
-    _check_trials_and_seed(trials, seed)
+    _require_int("trials", trials, 1)
+    _require_int("seed", seed, 0)  # as in normalized_shape_preserved_under_special_change
     _require_int("d_bound", d_bound, 0)
     _require_int("x_precision", x_precision)
     if x_precision < 10:  # 3 d_bound + 2 (top x-degree) of a basis operator

@@ -180,6 +180,33 @@ def test_integer_determinant_needs_square():
         integer_determinant([[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize(
+    "route, matrix",
+    [
+        # floor division by the previous pivot is exact only on ints: each was read
+        # as rank 1 or as the Fraction itself
+        (
+            rational_matrix_rank,
+            [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]],
+        ),
+        (rational_matrix_rank, [[0.5, 0.3], [0.2, 0.7]]),
+        (integer_determinant, [[Fraction(1, 2)]]),
+        (_leading_minors_positive, [[Fraction(1, 2), 0], [0, 1]]),
+        (rational_matrix_rank, [[True, 0], [0, 1]]),
+    ],
+)
+def test_bareiss_routes_refuse_a_non_int_entry(route, matrix):
+    with pytest.raises(TypeError, match="matrix entry must be an int"):
+        route(matrix)
+
+
+# the first was read as rank 1, ignoring the 4; the second raised a bare IndexError
+@pytest.mark.parametrize("matrix", [[[1], [3, 4]], [[1, 2], [3]]])
+def test_rational_matrix_rank_refuses_a_ragged_matrix(matrix):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rational_matrix_rank(matrix)
+
+
 def test_integer_determinant_of_the_empty_matrix_is_one():
     assert integer_determinant([]) == 1 == fraction_elimination([])[1]
 

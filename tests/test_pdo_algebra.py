@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -52,28 +53,40 @@ def test_budgets_refuse_float_or_bool():
             pa.TruncatedOperator({(0, 0, 1, 0): 1}, T, d_bound)
 
 
+# a float is a binary approximation; a str or a Decimal was read as the number it spells
+INEXACT = (0.5, "1/2", Decimal("0.5"))
+
+
 def test_constructor_refuses_floats():
-    with pytest.raises(TypeError, match="float"):
-        pa.TruncatedOperator({(0, 0, 1, 0): 0.1}, 5)
+    for val in INEXACT:
+        want = f"coefficient must be an int or Fraction, got {type(val).__name__}"
+        with pytest.raises(TypeError, match=want):
+            pa.TruncatedOperator({(0, 0, 1, 0): val}, 5)
     exact = pa.TruncatedOperator({(0, 0, 1, 0): Fraction(1, 10)}, 5)
     assert exact.coeffs[(0, 0, 1, 0)] == Fraction(1, 10)
 
 
 def test_scale_refuses_floats():
-    with pytest.raises(TypeError, match="float"):
-        op("d1").scale(0.1)
+    for val in INEXACT:
+        want = f"scale must be an int or Fraction, got {type(val).__name__}"
+        with pytest.raises(TypeError, match=want):
+            op("d1").scale(val)
     assert op("d1").scale(Fraction(1, 10)) == op("1/10 d1")
 
 
 def test_change_variables_refuses_floats():
     P = op("x1 d2")
-    # the substitution cache would take 0.5 for the Fraction(1, 2) seen first
+    # the substitution cache is typed, so a hit on Fraction(1, 2) cannot let 0.5 through
     half = pa.change_variables(P, Fraction(1, 2), 0, 0, 0, 1)
-    with pytest.raises(TypeError, match="float"):
-        pa.change_variables(P, 0.5, 0, 0, 0, 1)
-    with pytest.raises(TypeError, match="float"):
-        pa.special_change(P, 0, 0.5, 0)
+    for val in INEXACT:
+        kind = type(val).__name__
+        with pytest.raises(TypeError, match=f"a must be an int or Fraction, got {kind}"):
+            pa.change_variables(P, val, 0, 0, 0, 1)
+        with pytest.raises(TypeError, match=f"c must be an int or Fraction, got {kind}"):
+            pa.special_change(P, 0, val, 0)
     assert pa.change_variables(P, Fraction(1, 2), 0, 0, 0, 1) == half
+    # equal values of the two exact types give the same image
+    assert pa.change_variables(P, Fraction(2), 0, 0, 0, 1) == pa.change_variables(P, 2, 0, 0, 0, 1)
 
 
 def test_bool_coefficients_are_refused():
