@@ -10,13 +10,15 @@ Otherwise FieldElement and SparsePolynomial are a second, independent
 representation of F_q and its polynomials, kept for the tests' reference
 scans.  They carry only what those scans use: field elements add, multiply
 and take non-negative powers; polynomials evaluate.  All values are
-immutable and all operations are pure functions.
+immutable and all operations are pure functions.  _Record is the slotted
+base of the package's frozen value classes, in place of dataclasses, which
+would import inspect at start-up.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -40,6 +42,51 @@ def _require_rational(name: str, value) -> None:
     """TypeError unless value is an int or a Fraction (a bool, float, str or Decimal is not)."""
     if type(value) is not int and type(value) is not Fraction:
         raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__} {value!r}")
+
+
+class _Record:
+    """Slotted base of the frozen value classes, with what @dataclass(frozen=True) gave.
+
+    A subclass lists its fields in __slots__ ("__dict__" last if it keeps a
+    cached_property); its __init__ sets them with object.__setattr__ and then
+    calls self.__post_init__().  A record equals only a record of its own class
+    with equal fields, hashes as the tuple of its fields, reprs as
+    Name(field=value, ...) and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if not cls.__slots__:  # an intermediate base such as report._MutableRecord
+            return
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # a C-level getter keeps __eq__ cheap: through cli._class_runs'
+        # groupby keys, a lattice, counts and rr run compares E8Vectors 479 times
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def _values(self) -> tuple:
+        """The fields as a tuple; attrgetter of one name returns the bare value."""
+        key = self._key(self)
+        return key if len(self._fields) > 1 else (key,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -74,12 +121,15 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"modulus {q} is not prime")
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(_Record):
     """Element of the prime field F_q, stored reduced to [0, q)."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
+
+    def __init__(self, value: int, modulus: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_prime(self.modulus)

@@ -14,25 +14,27 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import rr_engine
-from .exact_arith import _leading_minors_positive, _require_int, integer_determinant
+from .exact_arith import _leading_minors_positive, _Record, _require_int, integer_determinant
 from .report import CheckEntry, check
 
 TORSION_ORDER = 5
 
 
-@dataclass(frozen=True)
-class E8Vector:
+class E8Vector(_Record):
     """Vector of the rank-8 lattice in doubled integer coordinates.
 
     True coordinates are c/2; membership requires uniform parity across
     coordinates and coordinate sum divisible by 4.
     """
 
-    c: Tuple[int, ...]
+    __slots__ = ("c",)
+
+    def __init__(self, c: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         c = tuple(self.c)
@@ -109,16 +111,19 @@ def gram_matrix(basis: Sequence[E8Vector]) -> List[List[int]]:
     return [[u.dot(v) for v in basis] for u in basis]
 
 
-@dataclass(frozen=True)
-class PicardClass:
+class PicardClass(_Record):
     """Class k*K + e + t with torsion tag t in Z/5.
 
     The pairing ignores torsion: <(k,e,t),(k',e',t')> = k*k' + e.e'.
     """
 
-    k: int
-    e: E8Vector
-    t: int
+    __slots__ = ("k", "e", "t", "__dict__")  # __dict__ holds the cached numerics
+
+    def __init__(self, k: int, e: E8Vector, t: int) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_int("k", self.k)
@@ -169,11 +174,13 @@ def _divisors() -> Tuple[PicardClass, ...]:
     return tuple(PicardClass(1, e, t) for e in e8_roots() for t in range(TORSION_ORDER))
 
 
-@dataclass(frozen=True)
-class DivisorClassOrbit:
+class DivisorClassOrbit(_Record):
     """One block {K + E + a, K - E + a : a in Z/5} of ten classes, in divisor order."""
 
-    members: Tuple[PicardClass, ...]
+    __slots__ = ("members",)
+
+    def __init__(self, members: Tuple[PicardClass, ...]) -> None:
+        object.__setattr__(self, "members", members)
 
 
 def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:

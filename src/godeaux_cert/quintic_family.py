@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .exact_arith import (
+    _Record,
     _require_int,
     _require_prime,
     iter_projective_coords,
@@ -72,11 +72,14 @@ def enumerate_monomials() -> Tuple[Tuple[int, int, int, int], ...]:
     return listed + tuple(sorted(found.difference(listed)))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """Diagonal symmetry z_j -> eps^{w_j} z_j with weights mod 5."""
 
-    weights: Tuple[int, int, int, int]
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: Tuple[int, int, int, int]) -> None:
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for x in self.weights:

@@ -8,9 +8,10 @@ ones, and a pass/fail/undecidable status.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, List
+from typing import Any, Iterable, List, Optional
+
+from .exact_arith import _Record
 
 # stated: a number quoted from the source construction
 # trivial: immediate arithmetic
@@ -21,14 +22,34 @@ PROVENANCE_TAGS = ("stated", "trivial", "derived", "model-derived", "assumed")
 STATUSES = ("pass", "fail", "undecidable")
 
 
-@dataclass
-class CheckEntry:
-    check_id: str
-    reference: str
-    expected: Any
-    actual: Any
-    provenance: str
-    status: str
+class _MutableRecord(_Record):
+    """A _Record whose fields can be reassigned; like a plain @dataclass, it is unhashable."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class CheckEntry(_MutableRecord):
+    __slots__ = ("check_id", "reference", "expected", "actual", "provenance", "status")
+
+    def __init__(
+        self,
+        check_id: str,
+        reference: str,
+        expected: Any,
+        actual: Any,
+        provenance: str,
+        status: str,
+    ) -> None:
+        self.check_id = check_id
+        self.reference = reference
+        self.expected = expected
+        self.actual = actual
+        self.provenance = provenance
+        self.status = status
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCE_TAGS:
@@ -80,10 +101,14 @@ def _plain(value):
     return repr(value)
 
 
-@dataclass
-class VerificationReport:
-    entries: List[CheckEntry] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+class VerificationReport(_MutableRecord):
+    __slots__ = ("entries", "metadata")
+
+    def __init__(
+        self, entries: Optional[List[CheckEntry]] = None, metadata: Optional[dict] = None
+    ) -> None:
+        self.entries = [] if entries is None else entries
+        self.metadata = {} if metadata is None else metadata
 
     def extend(self, fragment: Iterable[CheckEntry]) -> None:
         self.entries.extend(fragment)

@@ -11,20 +11,22 @@ individual h^i is ever computed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .exact_arith import _require_int
+from .exact_arith import _Record, _require_int
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(_Record):
     """chi(O), K^2, topological Euler characteristic, q, p_g, b_2."""
 
-    chi: int
-    K2: int
-    e: int
-    q: int = 0
-    pg: int = 0
+    __slots__ = ("chi", "K2", "e", "q", "pg")
+
+    def __init__(self, chi: int, K2: int, e: int, q: int = 0, pg: int = 0) -> None:
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "K2", K2)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "pg", pg)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("chi", "K2", "e", "q", "pg"):
@@ -47,12 +49,15 @@ GODEAUX = SurfaceInvariants(chi=1, K2=1, e=11, q=0, pg=0)
 QUINTIC = SurfaceInvariants(chi=5, K2=5, e=55, q=0, pg=4)
 
 
-@dataclass(frozen=True)
-class NumericalDivisor:
+class NumericalDivisor(_Record):
     """Numerical class of a divisor: self-intersection and product with K."""
 
-    self_int: int
-    dot_K: int
+    __slots__ = ("self_int", "dot_K")
+
+    def __init__(self, self_int: int, dot_K: int) -> None:
+        object.__setattr__(self, "self_int", self_int)
+        object.__setattr__(self, "dot_K", dot_K)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_int("self_int", self.self_int)

@@ -582,7 +582,7 @@ import json, sys
 from godeaux_cert import cli
 if len(sys.argv) > 1:
     cli.main(sys.argv[1:])
-lazy = ("godeaux_cert.pdo_algebra", "argparse", "datetime")
+lazy = ("godeaux_cert.pdo_algebra", "argparse", "datetime", "dataclasses", "inspect")
 print(json.dumps([m for m in lazy if m in sys.modules]))
 """
 
@@ -598,7 +598,9 @@ print(json.dumps([m for m in lazy if m in sys.modules]))
 )
 def test_a_command_loads_only_what_it_runs(argv, loaded):
     """Importing cli loads neither pdo_algebra, argparse nor datetime; only
-    pdo (and all) load pdo_algebra, and an untimestamped run no datetime."""
+    pdo (and all) load pdo_algebra, and an untimestamped run no datetime.
+    No command loads dataclasses or inspect, which cost a fresh process
+    about 11 ms of imports."""
     proc = _fresh_interpreter(["-c", _LOADED_AFTER], *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
