@@ -236,11 +236,27 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
     Each derivative of the left factor may consume one reliable x-degree of
     the right factor's coefficients, so the result is trusted only below
     t_res = min(T_P, T_Q) - d_P.  The declared derivative bound adds.  Terms
-    at or beyond that x-degree are never formed.
+    at or beyond that x-degree are never formed.  This is the one-pair case
+    of _product_rows, which holds the only product body.
+    """
+    return next(_product_rows((P,), (Q,)))[0]
 
-    Inside, a key (i1, i2, k1, k2) is packed into one int with four b-bit
-    fields, i1 + i2 2^b + k1 2^(2b) + k2 2^(3b), where b is the bit length
-    of max(T_P, T_Q, d_P + d_Q + 1).  Every input exponent (x-degree below
+
+def _product_rows(As, Bs):
+    """Yield [op_mul(A, B) for B in Bs] for each A in As, one row at a time.
+
+    The factors on each side share their budgets (x_precision, d_bound), so
+    t_res, the field width b and the packed terms of every B are worked out
+    once per call, and the Leibniz rows once per (left k1, k2; right factor).
+    Each product then has its own accumulator; it is op_mul(A, B) in terms,
+    key order and budgets, since op_mul is the one-pair call.  Rows are
+    formed as they are asked for, and the kernel lets go of each one when
+    it starts the next.
+
+    Below, P is any left factor and Q any right one.  Inside, a key
+    (i1, i2, k1, k2) is packed into one int with four b-bit fields,
+    i1 + i2 2^b + k1 2^(2b) + k2 2^(3b), where b is the bit length of
+    max(T_P, T_Q, d_P + d_Q + 1).  Every input exponent (x-degree below
     T_P or T_Q, derivative degree at most d_P or d_Q) and every output
     exponent (x-degree below t_res, derivative degree at most d_P + d_Q) is
     below 2^b.  The Leibniz term (m1, m2) of a left key p and a right key q
@@ -250,53 +266,77 @@ def op_mul(P: TruncatedOperator, Q: TruncatedOperator) -> TruncatedOperator:
     key, with no field carrying into or borrowing from its neighbour.  Only
     the surviving keys are unpacked.
 
-    The loop runs over P's terms, then Q's, then m1, then m2, and the result
-    keeps its keys in the order they were first met.  That order is part of
-    the contract.  Operators print through to_string, which sorts, but the
-    dict that spectral_module_action returns, and so the report entry
-    pdo.module_action_reduction, keeps the product's order, and the
-    Fraction-oracle tests compare it.
+    A product's loop runs over P's terms, then Q's, then m1, then m2, and
+    the result keeps its keys in the order they were first met.  That order
+    is part of the contract.  Operators print through to_string, which
+    sorts, but the dict that spectral_module_action returns, and so the
+    report entry pdo.module_action_reduction, keeps the product's order, and
+    the Fraction-oracle tests compare it.
     """
-    t_res = min(P.x_precision, Q.x_precision) - P.d_bound
+    tp, dp, tq, dq = As[0].x_precision, As[0].d_bound, Bs[0].x_precision, Bs[0].d_bound
+    for A in As:
+        if A.x_precision != tp or A.d_bound != dp:
+            raise ValueError(
+                f"left factors do not share their budgets: ({tp}, {dp}) and "
+                f"({A.x_precision}, {A.d_bound})"
+            )
+    b = max(tp, tq, dp + dq + 1).bit_length()
+    b2, b3, mask = 2 * b, 3 * b, (1 << b) - 1
+    # per right factor: its packed terms, each with x-degree, numerator and j1, j2
+    q_terms: List[list] = []
+    for B in Bs:
+        if B.x_precision != tq or B.d_bound != dq:
+            raise ValueError(
+                f"right factors do not share their budgets: ({tq}, {dq}) and "
+                f"({B.x_precision}, {B.d_bound})"
+            )
+        terms = []
+        for (j1, j2, l1, l2), c in B.num.items():
+            terms.append((j1 | j2 << b | l1 << b2 | l2 << b3, j1 + j2, c, j1, j2))
+        q_terms.append(terms)
+    t_res = min(tp, tq) - dp
     if t_res < 1:
         raise PrecisionError(
-            f"budget exhausted: min precision {min(P.x_precision, Q.x_precision)} "
-            f"minus left derivative bound {P.d_bound} leaves {t_res}"
+            f"budget exhausted: min precision {min(tp, tq)} "
+            f"minus left derivative bound {dp} leaves {t_res}"
         )
-    b = max(P.x_precision, Q.x_precision, P.d_bound + Q.d_bound + 1).bit_length()
-    b2, b3 = 2 * b, 3 * b
-    # by the packed derivative exponents k1, k2 of a left term: Q's packed
-    # terms, each with its x-degree, numerator and Leibniz rows against k1, k2
-    q_rows: Dict[int, list] = {}
-    acc: Dict[int, int] = {}
-    get = acc.get
-    for (i1, i2, k1, k2), a in P.num.items():
-        pk = i1 | i2 << b | k1 << b2 | k2 << b3
-        rows_k = q_rows.get(pk >> b2)
-        if rows_k is None:
-            rows_k = q_rows[pk >> b2] = []
-            for (j1, j2, l1, l2), c in Q.num.items():
-                qk = j1 | j2 << b | l1 << b2 | l2 << b3
-                rows_k.append((qk, j1 + j2, c, _leibniz_rows(k1, k2, j1, j2, b)))
-        # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
-        over = i1 + i2 - t_res
-        for qk, qx, c, rows in rows_k:
-            base, ac, drop = pk + qk, a * c, over + qx
-            for s, off, w in rows:
-                if s > drop:
-                    key = base - off
-                    acc[key] = get(key, 0) + ac * w
-    mask = (1 << b) - 1
-    num: Dict[Key, int] = {}
-    for key, n in acc.items():
-        if n:
-            num[(key & mask, key >> b & mask, key >> b2 & mask, key >> b3)] = n
-    return TruncatedOperator._trusted(
-        num,
-        P.den * Q.den,
-        t_res,
-        P.d_bound + Q.d_bound,
-    )
+    # by the packed derivative exponents k1, k2 of a left term: per right
+    # factor, its packed terms, each with x-degree, numerator and Leibniz rows
+    tables: Dict[int, list] = {}
+    trusted = TruncatedOperator._trusted
+    for A in As:
+        p_terms = []
+        for (i1, i2, k1, k2), a in A.num.items():
+            kk = k1 | k2 << b
+            table = tables.get(kk)
+            if table is None:
+                table = tables[kk] = []
+                for terms in q_terms:
+                    table.append(
+                        [
+                            (qk, qx, c, _leibniz_rows(k1, k2, j1, j2, b))
+                            for qk, qx, c, j1, j2 in terms
+                        ]
+                    )
+            # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
+            p_terms.append((i1 | i2 << b | kk << b2, a, i1 + i2 - t_res, table))
+        row = []
+        for n, B in enumerate(Bs):
+            acc: Dict[int, int] = {}
+            get = acc.get
+            for pk, a, over, table in p_terms:
+                for qk, qx, c, rows in table[n]:
+                    base, ac, drop = pk + qk, a * c, over + qx
+                    for s, off, w in rows:
+                        if s > drop:
+                            key = base - off
+                            acc[key] = get(key, 0) + ac * w
+            num: Dict[Key, int] = {}
+            for key, v in acc.items():
+                if v:
+                    num[(key & mask, key >> b & mask, key >> b2 & mask, key >> b3)] = v
+            row.append(trusted(num, A.den * B.den, t_res, dp + dq))
+        yield row
 
 
 def bold_ord(P: TruncatedOperator):
@@ -624,7 +664,8 @@ def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
     budgets (T, 2), and reads all four counts off it; the precision count
     compares it with the product of M and N at budgets (T + 6, 2), truncated
     back.  The counts are kept on basis, so the two laws that read them share
-    the pass within one suite call; no product outlives it.
+    the pass within one suite call; at most one row of products is alive at
+    once, besides the next while it is formed.
     """
     counts = getattr(basis, "pair_counts", None)
     if counts is not None:
@@ -635,14 +676,15 @@ def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
     own = [_same_terms_and_budgets(symbol(M), M) for M in basis]
     high = [TruncatedOperator._trusted(B.num, B.den, B.x_precision + 6, B.d_bound) for B in basis]
     sub_fail = eq_fail = sym_fail = prec_fail = 0
-    for M, om, m_own, hi_m in zip(basis, orders, own, high):
-        for N, on, n_own, hi_n in zip(basis, orders, own, high):
-            prod = op_mul(M, N)
+    for om, m_own, row, high_row in zip(
+        orders, own, _product_rows(basis, basis), _product_rows(high, high)
+    ):
+        for on, n_own, prod, hi in zip(orders, own, row, high_row):
             bo = bold_ord(prod)
             sub_fail += bo > om + on
             eq_fail += bo != om + on
             sym_fail += not (m_own and n_own and symbol(prod) == prod)
-            prec_fail += op_mul(hi_m, hi_n).truncate(prod.x_precision) != prod
+            prec_fail += hi.truncate(prod.x_precision) != prod
     basis.pair_counts = (sub_fail, eq_fail, sym_fail, prec_fail)
     return basis.pair_counts
 
@@ -830,15 +872,14 @@ def _law_graded_order(rng: Random, T: int, basis) -> List[CheckEntry]:
     span, tops = _graded_monic_span(T)
     d2 = [next(iter(A.num))[3] for A in span]
     filt_fail = sum(
-        any(key[3] > da + db for key in op_mul(A, B).num)
-        for A, da in zip(span, d2)
-        for B, db in zip(span, d2)
+        any(key[3] > da + db for key in AB.num)
+        for da, row in zip(d2, _product_rows(span, span))
+        for db, AB in zip(d2, row)
     )
+    gammas = [ord_gamma(P) for P in tops]
     gamma_fail = ht_fail = 0
-    for P in tops:
-        kp, lp = ord_gamma(P)
-        for Q in tops:
-            kq, lq = ord_gamma(Q)
+    for P, (kp, lp) in zip(tops, gammas):
+        for Q, (kq, lq) in zip(tops, gammas):
             prod = op_mul(P, Q)
             gamma_fail += ord_gamma(prod) != (kp + kq, lp + lq)
             ht_fail += not _agree(ht_2(prod), op_mul(ht_2(P), ht_2(Q)))

@@ -662,14 +662,14 @@ def test_op_mul_one_term_path_matches_fraction_oracle(pair):
     _assert_trusted_invariants(got)
 
 
-# op_mul packs a key into four fields of b bits, b the bit length of
+# the product kernel packs a key into four fields of b bits, b the bit length of
 # max(T_P, T_Q, d_P + d_Q + 1); these precisions sit at and beside powers of two
 _EDGE_PRECISIONS = (15, 16, 17, 31, 32, 33)
 
 
 @st.composite
 def _field_width_edge_pairs(draw):
-    """(P, Q) whose exponents reach the edges of op_mul's packed fields.
+    """(P, Q) whose exponents reach the edges of the product kernel's packed fields.
 
     d_P + d_Q is a power of two, x-exponents reach T - 1 and derivative
     exponents reach the d_bound, so a product term can fill a field exactly.
@@ -698,6 +698,73 @@ def _field_width_edge_pairs(draw):
 @given(_field_width_edge_pairs())
 def test_op_mul_matches_fraction_oracle_at_field_width_edges(pair):
     _assert_op_mul_matches_fraction_oracle(*pair)
+
+
+@st.composite
+def _product_families(draw):
+    """(As, Bs, mixed): 1-4 operators a side, each side at one budget, at
+    small precisions and at the field-width edges; mixed names the side, if
+    any, to which one operator at another budget was added."""
+    coeff = st.fractions(-9, 9, max_denominator=12).filter(bool)
+
+    def edge(top):
+        return draw(st.one_of(st.just(top), st.just(0), st.integers(0, top)))
+
+    def family(x_precision, d_bound):
+        def operator():
+            coeffs = {}
+            for _ in range(draw(st.integers(0, 4))):
+                i1, k1 = edge(x_precision - 1), edge(d_bound)
+                coeffs[(i1, edge(x_precision - 1 - i1), k1, edge(d_bound - k1))] = draw(coeff)
+            return pa.TruncatedOperator(coeffs, x_precision, d_bound)
+
+        return [operator() for _ in range(draw(st.integers(1, 4)))]
+
+    precision = st.one_of(st.integers(1, 6), st.sampled_from(_EDGE_PRECISIONS))
+    d_sum = draw(st.sampled_from((0, 1, 2, 4, 8, 16)))
+    d_p = draw(st.integers(0, d_sum))
+    sides = {
+        "left": family(draw(precision), d_p),
+        "right": family(draw(precision), d_sum - d_p),
+    }
+    mixed = draw(st.sampled_from((None, "left", "right")))
+    if mixed:
+        F = draw(st.sampled_from(sides[mixed]))
+        bump = draw(st.sampled_from(((1, 0), (0, 1))))
+        sides[mixed].append(
+            pa.TruncatedOperator._trusted(
+                F.num, F.den, F.x_precision + bump[0], F.d_bound + bump[1]
+            )
+        )
+    return sides["left"], sides["right"], mixed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_families())
+def test_product_rows_match_fraction_oracle(family):
+    """Row n of _product_rows(As, Bs) is op_mul(As[n], B) for each B, by the
+    Fraction oracle: values, key order and budgets."""
+    As, Bs, mixed = family
+    rows = pa._product_rows(As, Bs)
+    assert iter(rows) is rows  # formed row by row, as asked for
+    if mixed:
+        with pytest.raises(ValueError, match="share their budgets"):
+            next(rows)
+        return
+    try:
+        want = [[_fraction_op_mul(A, B) for B in Bs] for A in As]
+    except pa.PrecisionError:
+        with pytest.raises(pa.PrecisionError):
+            next(rows)
+        return
+    got = list(rows)
+    assert [len(row) for row in got] == [len(Bs)] * len(As)
+    for got_row, want_row in zip(got, want):
+        for AB, oracle in zip(got_row, want_row):
+            assert AB.coeffs == oracle.coeffs
+            assert list(AB.coeffs) == list(oracle.coeffs)
+            assert (AB.x_precision, AB.d_bound) == (oracle.x_precision, oracle.d_bound)
+            _assert_trusted_invariants(AB)
 
 
 _params = st.fractions(-3, 3, max_denominator=4)
@@ -1131,13 +1198,24 @@ def test_basis_certificates_agree_with_sampled_oracles():
             assert _sampled_reassembly_failures(rng, x_precision, 500) == 0
 
 
+_REAL_ROWS = pa._product_rows
+
+
+def _rows_with(mutant):
+    """_product_rows with each product AB replaced by mutant(A, B, AB)."""
+
+    def rows(As, Bs):
+        for A, row in zip(As, _REAL_ROWS(As, Bs)):
+            yield [mutant(A, B, AB) for B, AB in zip(Bs, row)]
+
+    return rows
+
+
 def test_precision_certificate_catches_one_bad_pair(monkeypatch):
     """A wrong high-precision product of one basis pair reads exactly 1."""
-    real_mul = pa.op_mul
     x_precision = 12
 
-    def corrupt_mul(P, Q):
-        prod = real_mul(P, Q)
+    def corrupt(P, Q, prod):
         if (
             P.x_precision == Q.x_precision == x_precision + 6
             and (P.num, P.den, Q.num, Q.den) == ({(2, 0, 0, 2): 1}, 1, {(0, 2, 2, 0): 1}, 1)
@@ -1145,7 +1223,7 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
             return prod + pa.TruncatedOperator.one(prod.x_precision)
         return prod
 
-    monkeypatch.setattr(pa, "op_mul", corrupt_mul)
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(corrupt))
     got = _run_law(pa._law_precision, x_precision=x_precision)
     assert got["pdo.precision_soundness"].actual == 1
 
@@ -1154,15 +1232,16 @@ def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
     """The order and precision laws share one pass over the 1,296 basis pairs.
 
     A suite call makes 4,312 products, where a pass per law made 5,608, and a
-    second call makes as many again: no count outlives its basis.
+    second call makes as many again: no count outlives its basis.  Every
+    product, op_mul's included, comes out of _product_rows.
     """
-    real_mul, calls = pa.op_mul, []
+    calls = []
 
-    def counting_mul(P, Q):
+    def counting(P, Q, prod):
         calls.append(None)
-        return real_mul(P, Q)
+        return prod
 
-    monkeypatch.setattr(pa, "op_mul", counting_mul)
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(counting))
     for x_precision in (12, 16, 12, 12):
         calls.clear()
         pa.run_property_suite(trials=5, seed=42, x_precision=x_precision)
@@ -1352,11 +1431,10 @@ def test_order_check_catches_an_off_by_one_order(monkeypatch):
     assert [got[i].actual for i in _ORDER_IDS] == [0, 36**2, 0]
 
 
-def _mul_with_an_x1_on_d1_x1(P, Q):
-    """op_mul, except that d1 . x1 at the basis d_bound 2 gives x1 d1 + 1 + x1:
+def _x1_on_d1_x1(P, Q, prod):
+    """The product, except that d1 . x1 at the basis d_bound 2 gives x1 d1 + 1 + x1:
     the extra term is one grade below, so that one product is not homogeneous
     while its order stays 0."""
-    prod = _REAL_MUL(P, Q)
     d1, x1 = {(0, 0, 1, 0): 1}, {(1, 0, 0, 0): 1}
     if P.d_bound == 2 and (P.num, P.den, Q.num, Q.den) == (d1, 1, x1, 1):
         return prod + pa.TruncatedOperator._trusted(x1, 1, prod.x_precision, prod.d_bound)
@@ -1364,15 +1442,14 @@ def _mul_with_an_x1_on_d1_x1(P, Q):
 
 
 def test_symbol_check_catches_an_inhomogeneous_product(monkeypatch):
-    monkeypatch.setattr(pa, "op_mul", _mul_with_an_x1_on_d1_x1)
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(_x1_on_d1_x1))
     got = _run_law(pa._law_order_and_symbol)
     assert [got[i].actual for i in _ORDER_IDS] == [0, 0, 1]
 
 
-def _mul_with_a_d2_on_x1_x2(P, Q):
-    """op_mul, except that x1 . x2 at the graded draws' d_bound 4 gives
+def _d2_on_x1_x2(P, Q, prod):
+    """The product, except that x1 . x2 at the graded draws' d_bound 4 gives
     x1 x2 d2: one product of the span breaks the d2-filtration."""
-    prod = _REAL_MUL(P, Q)
     x1, x2 = {(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1}
     if P.d_bound == 4 and (P.num, P.den, Q.num, Q.den) == (x1, 1, x2, 1):
         return pa.TruncatedOperator._trusted({(1, 1, 0, 1): 1}, 1, prod.x_precision, prod.d_bound)
@@ -1392,7 +1469,7 @@ def _ord_gamma_off_above_two(P):
     "name, mutant, want",
     [
         # one span pair breaks the filtration that both laws rest on
-        ("op_mul", _mul_with_a_d2_on_x1_x2, [1, 1]),
+        ("_product_rows", _rows_with(_d2_on_x1_x2), [1, 1]),
         # top pairs with lp + lq > 2: 3 x 3 for each of (1, 2), (2, 1), (2, 2)
         ("ord_gamma", _ord_gamma_off_above_two, [27, 0]),
     ],
@@ -1510,18 +1587,21 @@ def test_op_mul_of_a_dense_pair_is_the_sum_of_its_basis_pair_products(x_precisio
         assert set(G.num) == _basis_keys(x_precision) and len(G.num) == 36
         assert (G.den, G.x_precision, G.d_bound) == (1, x_precision, 2)
         assert all(1 <= n < 2**64 for n in G.num.values())
-    acc = {}
-    for A in basis:
-        ((ka, _),) = A.num.items()
-        for B in basis:
-            ((kb, _),) = B.num.items()
-            AB = pa.op_mul(A, B)
-            assert AB.den == 1
-            for key, n in AB.num.items():
-                acc[key] = acc.get(key, 0) + P.num[ka] * Q.num[kb] * n
+    # the kernel's basis rows, which the certificates read, and op_mul pair by pair
+    rows = list(pa._product_rows(basis, basis))
+    pairwise = [[pa.op_mul(A, B) for B in basis] for A in basis]
     prod = pa.op_mul(P, Q)
-    want = {key: n for key, n in acc.items() if n}
-    assert (prod.num, prod.den) == (want, 1)
+    for products in (rows, pairwise):
+        acc = {}
+        for A, row in zip(basis, products):
+            ((ka, _),) = A.num.items()
+            for B, AB in zip(basis, row):
+                ((kb, _),) = B.num.items()
+                assert AB.den == 1
+                for key, n in AB.num.items():
+                    acc[key] = acc.get(key, 0) + P.num[ka] * Q.num[kb] * n
+        want = {key: n for key, n in acc.items() if n}
+        assert (prod.num, prod.den) == (want, 1)
     assert (prod.x_precision, prod.d_bound) == (x_precision - 2, 4)
 
 
