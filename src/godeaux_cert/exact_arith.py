@@ -10,9 +10,9 @@ Otherwise FieldElement and SparsePolynomial are a second, independent
 representation of F_q and its polynomials, kept for the tests' reference
 scans.  They carry only what those scans use: field elements add, multiply
 and take non-negative powers; polynomials evaluate.  All values are
-immutable and all operations are pure functions.  _Record is the slotted
-base of the package's frozen value classes, in place of dataclasses, which
-would import inspect at start-up.
+immutable and all operations are pure functions.  _Record, the slotted base
+of the package's frozen value classes, stands in for dataclasses, which
+would import inspect at start-up: each record has one __init__.
 """
 
 from __future__ import annotations
@@ -48,18 +48,18 @@ class _Record:
     """Slotted base of the frozen value classes, with what @dataclass(frozen=True) gave.
 
     A subclass lists its fields in __slots__ ("__dict__" last if it keeps a
-    cached_property); its __init__ sets them with object.__setattr__ and then
-    calls self.__post_init__().  A record equals only a record of its own class
-    with equal fields, hashes as the tuple of its fields, reprs as
-    Name(field=value, ...) and refuses assignment and deletion.
+    cached_property); its __init__ checks its arguments, then sets each field
+    once with object.__setattr__.  Only FieldElement's then calls a
+    __post_init__ hook, through which bench/tracer.py counts constructions.
+    A record equals only a record of its own class with equal fields, hashes
+    as the tuple of its fields, reprs as Name(field=value, ...) and refuses
+    assignment and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if not cls.__slots__:  # an intermediate base such as report._MutableRecord
-            return
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         # a C-level getter keeps __eq__ cheap: through cli._class_runs'
         # groupby keys, a lattice, counts and rr run compares E8Vectors 479 times
@@ -188,9 +188,11 @@ def primitive_fifth_root(q: int) -> FieldElement:
     _require_prime(q)
     if q % 5 != 1:
         raise ValueError(f"q = {q} has q mod 5 = {q % 5}; need q = 1 (mod 5)")
-    for g in range(2, q):
-        if pow(g, 5, q) == 1:
-            return FieldElement(g, q)
+    # the first h^((q-1)/5) != 1 has order 5: its powers 1..4 are the roots
+    for h in range(2, q):
+        zeta = pow(h, (q - 1) // 5, q)
+        if zeta != 1:
+            return FieldElement(min(pow(zeta, k, q) for k in range(1, 5)), q)
     raise AssertionError("unreachable: a fifth root exists when q = 1 (mod 5)")
 
 

@@ -33,12 +33,7 @@ class E8Vector(_Record):
     __slots__ = ("c",)
 
     def __init__(self, c: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "c", c)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        c = tuple(self.c)
-        object.__setattr__(self, "c", c)
+        c = tuple(c)
         if len(c) != 8:
             raise ValueError("need 8 coordinates")
         for x in c:
@@ -48,6 +43,7 @@ class E8Vector(_Record):
             raise ValueError(f"mixed coordinate parity in {c}")
         if sum(c) % 4 != 0:
             raise ValueError(f"coordinate sum of {c} not divisible by 4")
+        object.__setattr__(self, "c", c)
 
     def dot(self, other: "E8Vector") -> int:
         """Intersection pairing; negative definite on nonzero vectors.
@@ -120,15 +116,11 @@ class PicardClass(_Record):
     __slots__ = ("k", "e", "t", "__dict__")  # __dict__ holds the cached numerics
 
     def __init__(self, k: int, e: E8Vector, t: int) -> None:
+        _require_int("k", k)
+        _require_int("t", t)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "t", t)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _require_int("k", self.k)
-        _require_int("t", self.t)
-        object.__setattr__(self, "t", self.t % TORSION_ORDER)
+        object.__setattr__(self, "t", t % TORSION_ORDER)
 
     def pair(self, other: "PicardClass") -> int:
         return self.k * other.k + self.e.dot(other.e)

@@ -78,16 +78,12 @@ class GroupElement(_Record):
     __slots__ = ("weights",)
 
     def __init__(self, weights: Tuple[int, int, int, int]) -> None:
-        object.__setattr__(self, "weights", weights)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for x in self.weights:
+        w = tuple(weights)
+        for x in w:
             _require_int("weight", x)
-        w = tuple(x % 5 for x in self.weights)
         if len(w) != 4:
             raise ValueError("need 4 weights")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", tuple(x % 5 for x in w))
 
     @classmethod
     def generator(cls) -> "GroupElement":

@@ -22,17 +22,9 @@ PROVENANCE_TAGS = ("stated", "trivial", "derived", "model-derived", "assumed")
 STATUSES = ("pass", "fail", "undecidable")
 
 
-class _MutableRecord(_Record):
-    """A _Record whose fields can be reassigned; like a plain @dataclass, it is unhashable."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-
-class CheckEntry(_MutableRecord):
+class CheckEntry(_Record):
     __slots__ = ("check_id", "reference", "expected", "actual", "provenance", "status")
+    __hash__ = None  # expected and actual may be unhashable lists or dicts
 
     def __init__(
         self,
@@ -43,19 +35,16 @@ class CheckEntry(_MutableRecord):
         provenance: str,
         status: str,
     ) -> None:
-        self.check_id = check_id
-        self.reference = reference
-        self.expected = expected
-        self.actual = actual
-        self.provenance = provenance
-        self.status = status
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {self.provenance!r}")
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+        if provenance not in PROVENANCE_TAGS:
+            raise ValueError(f"unknown provenance tag {provenance!r}")
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "status", status)
 
 
 def check(check_id: str, reference: str, expected, actual, provenance: str) -> CheckEntry:
@@ -101,14 +90,15 @@ def _plain(value):
     return repr(value)
 
 
-class VerificationReport(_MutableRecord):
+class VerificationReport(_Record):
     __slots__ = ("entries", "metadata")
+    __hash__ = None  # entries grows through extend
 
     def __init__(
         self, entries: Optional[List[CheckEntry]] = None, metadata: Optional[dict] = None
     ) -> None:
-        self.entries = [] if entries is None else entries
-        self.metadata = {} if metadata is None else metadata
+        object.__setattr__(self, "entries", [] if entries is None else entries)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
     def extend(self, fragment: Iterable[CheckEntry]) -> None:
         self.entries.extend(fragment)

@@ -21,22 +21,15 @@ class SurfaceInvariants(_Record):
     __slots__ = ("chi", "K2", "e", "q", "pg")
 
     def __init__(self, chi: int, K2: int, e: int, q: int = 0, pg: int = 0) -> None:
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "K2", K2)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "pg", pg)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for name in ("chi", "K2", "e", "q", "pg"):
-            _require_int(name, getattr(self, name))
-        if 12 * self.chi != self.K2 + self.e:
-            raise ValueError(
-                f"Noether identity fails: 12*{self.chi} != {self.K2} + {self.e}"
-            )
-        if self.chi != 1 - self.q + self.pg:
-            raise ValueError(f"chi = {self.chi} != 1 - q + pg = {1 - self.q + self.pg}")
+        fields = tuple(zip(self._fields, (chi, K2, e, q, pg)))
+        for name, value in fields:
+            _require_int(name, value)
+        if 12 * chi != K2 + e:
+            raise ValueError(f"Noether identity fails: 12*{chi} != {K2} + {e}")
+        if chi != 1 - q + pg:
+            raise ValueError(f"chi = {chi} != 1 - q + pg = {1 - q + pg}")
+        for name, value in fields:
+            object.__setattr__(self, name, value)
 
     @property
     def b2(self) -> int:
@@ -55,18 +48,14 @@ class NumericalDivisor(_Record):
     __slots__ = ("self_int", "dot_K")
 
     def __init__(self, self_int: int, dot_K: int) -> None:
+        _require_int("self_int", self_int)
+        _require_int("dot_K", dot_K)
+        if (dot_K - self_int) % 2 != 0:
+            raise ValueError(
+                f"parity violation: D.K = {dot_K} and D^2 = {self_int} must agree mod 2"
+            )
         object.__setattr__(self, "self_int", self_int)
         object.__setattr__(self, "dot_K", dot_K)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _require_int("self_int", self.self_int)
-        _require_int("dot_K", self.dot_K)
-        if (self.dot_K - self.self_int) % 2 != 0:
-            raise ValueError(
-                f"parity violation: D.K = {self.dot_K} and D^2 = {self.self_int} "
-                "must agree mod 2"
-            )
 
 
 def chi_divisor(s: SurfaceInvariants, D: NumericalDivisor) -> int:

@@ -9,6 +9,8 @@
 - fraction_elimination: rank and determinant by Fraction elimination, the
   oracle for the Bareiss routes.
 - trial_division_prime: the oracle for the Miller-Rabin is_prime.
+- scanned_fifth_root: the smallest g != 1 with g^5 = 1, found by trying
+  g = 2, 3, ... in turn, the oracle for primitive_fifth_root.
 """
 
 import functools
@@ -132,3 +134,10 @@ def trial_division_prime(n):
             return False
         f += 2
     return True
+
+
+def scanned_fifth_root(q):
+    for g in range(2, q):
+        if pow(g, 5, q) == 1:
+            return g
+    return None

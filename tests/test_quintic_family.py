@@ -93,6 +93,8 @@ def test_invariance_matches_epsilon_powers(q, a, weights):
 def test_group_element_reduces_weights_and_refuses_three():
     assert qf.GroupElement((6, 7, -2, 9)).weights == (1, 2, 3, 4)
     assert qf.GroupElement((10, 5, 0, 15)).weights == (0, 0, 0, 0)
+    # the argument is read once, so an iterator serves as well as a tuple
+    assert qf.GroupElement(iter([6, 7, -2, 9])).weights == (1, 2, 3, 4)
     with pytest.raises(ValueError, match="need 4 weights"):
         qf.GroupElement((1, 2, 3))
 
