@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import rr_engine
 from .exact_arith import _leading_minors_positive, _Record, _require_int, integer_determinant
@@ -182,11 +182,14 @@ def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _partition_orbits() -> Tuple[DivisorClassOrbit, ...]:
-    buckets: Dict[Tuple[int, ...], List[PicardClass]] = {}
-    for d in divisors():
-        c = d.e.c
-        buckets.setdefault(min(c, tuple(-x for x in c)), []).append(d)
-    return tuple(DivisorClassOrbit(tuple(v)) for _, v in sorted(buckets.items()))
+    # The roots are sorted and closed under negation, and negation reverses
+    # lexicographic order, so root r - 1 - i is -(root i): orbit i, i < r / 2,
+    # holds the five classes of root i, then the five of root r - 1 - i.
+    ds, n, r = divisors(), TORSION_ORDER, len(e8_roots())
+    return tuple(
+        DivisorClassOrbit(ds[n * i : n * (i + 1)] + ds[n * (r - 1 - i) : n * (r - i)])
+        for i in range(r // 2)
+    )
 
 
 # Per-orbit exclusion model: each orbit of 10 loses at most 1 class with a

@@ -1258,6 +1258,27 @@ def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
         assert made == want
 
 
+def test_a_suite_call_makes_46_kernel_calls(monkeypatch):
+    """Families whose factors share their budgets are one _product_rows call
+    each: the A1 grade pairs, the graded order's top pairs and their ht_2,
+    the commutators both ways.  38 one-pair op_mul calls remain."""
+    calls = {"op_mul": 0, "_product_rows": 0}
+
+    def counted(name):
+        real = getattr(pa, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pa, name, counted(name))
+    pa.run_property_suite(trials=5, seed=42, x_precision=T)
+    assert calls == {"op_mul": 38, "_product_rows": 46}
+
+
 _REAL_COMPONENT = pa.homogeneous_component
 _REAL_MUL = pa.op_mul
 # grades of the basis at T = 12
@@ -1456,6 +1477,18 @@ def _d2_on_x1_x2(P, Q, prod):
     return prod
 
 
+def _x1_on_d1_d1_squared(P, Q, prod):
+    """The product, except that d1 . d1^2 at the graded draws' d_bound 4 gains
+    x1.  That is the ht_2 product of each top pair (d1 d2^l, d1^2 d2^l'), so one
+    ht_2 product is wrong for l, l' in {1, 2}; the span's own d1 . d1^2 keeps
+    the d2-filtration, and the top products keep their graded orders."""
+    d1, d1_squared = {(0, 0, 1, 0): 1}, {(0, 0, 2, 0): 1}
+    if P.d_bound == 4 and (P.num, P.den, Q.num, Q.den) == (d1, 1, d1_squared, 1):
+        x1 = {(1, 0, 0, 0): 1}
+        return prod + pa.TruncatedOperator._trusted(x1, 1, prod.x_precision, prod.d_bound)
+    return prod
+
+
 _REAL_ORD_GAMMA = pa.ord_gamma
 
 
@@ -1472,8 +1505,10 @@ def _ord_gamma_off_above_two(P):
         ("_product_rows", _rows_with(_d2_on_x1_x2), [1, 1]),
         # top pairs with lp + lq > 2: 3 x 3 for each of (1, 2), (2, 1), (2, 2)
         ("ord_gamma", _ord_gamma_off_above_two, [27, 0]),
+        # one ht_2 product, shared by the 2 x 2 top pairs of tops d1 and d1^2
+        ("_product_rows", _rows_with(_x1_on_d1_d1_squared), [0, 4]),
     ],
-    ids=["filtration", "top-pairs"],
+    ids=["filtration", "top-pairs", "ht-product"],
 )
 def test_graded_certificate_catches_a_mutant(monkeypatch, name, mutant, want):
     monkeypatch.setattr(pa, name, mutant)
@@ -1689,33 +1724,31 @@ def _a1_grades(P):
     return {k1 + k2 - i1 - i2 for i1, i2, k1, k2 in P.num}
 
 
-def _mul_with_a_term_above(g, h):
-    """op_mul, except that the product of the A1 certificate's grade-g and
-    grade-h operators gains one term of grade g + h + 1."""
+def _a_term_above(g, h):
+    """The product, except that the product of the A1 certificate's grade-g
+    and grade-h operators gains one term of grade g + h + 1."""
     extra = g + h + 1
     key = (0, 0, extra, 0) if extra >= 0 else (-extra, 0, 0, 0)
 
-    def mul(P, Q):
-        prod = _REAL_MUL(P, Q)
+    def mutant(P, Q, prod):
         if (_a1_grades(P), _a1_grades(Q)) == ({g}, {h}):
             term = pa.TruncatedOperator._trusted({key: 1}, 1, prod.x_precision, prod.d_bound)
             return prod + term
         return prod
 
-    return mul
+    return mutant
 
 
 @pytest.mark.parametrize("g, h", [(0, 0), (2, -6), (-1, 2)])
 def test_a1_certificate_catches_one_term_above_its_grade(monkeypatch, g, h):
-    monkeypatch.setattr(pa, "op_mul", _mul_with_a_term_above(g, h))
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(_a_term_above(g, h)))
     for seed in range(3):
         assert _run_law(pa._law_a1, seed)["pdo.a1_closure"].actual == 1
 
 
-def _mul_with_an_antisymmetric_defect(P, Q):
-    """op_mul plus c d1, with c = P[x1 d1] Q[x2 d2] - P[x2 d2] Q[x1 d1]: bilinear,
-    above the grade of both grade-0 monomials, and zero whenever P is Q."""
-    prod = _REAL_MUL(P, Q)
+def _an_antisymmetric_defect(P, Q, prod):
+    """The product plus c d1, with c = P[x1 d1] Q[x2 d2] - P[x2 d2] Q[x1 d1]:
+    bilinear, above the grade of both grade-0 monomials, and zero whenever P is Q."""
     a, b = (1, 0, 1, 0), (0, 1, 0, 1)
     c = P.num.get(a, 0) * Q.num.get(b, 0) - P.num.get(b, 0) * Q.num.get(a, 0)
     if c:
@@ -1727,7 +1760,7 @@ def _mul_with_an_antisymmetric_defect(P, Q):
 def test_a1_certificate_catches_a_defect_that_cancels_in_a_square(monkeypatch):
     """The left and right grade operators are drawn apart: with one operator
     per grade, P_0 P_0 would hide this defect."""
-    monkeypatch.setattr(pa, "op_mul", _mul_with_an_antisymmetric_defect)
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(_an_antisymmetric_defect))
     for seed in range(3):
         assert _run_law(pa._law_a1, seed)["pdo.a1_closure"].actual == 1
 

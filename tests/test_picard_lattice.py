@@ -46,6 +46,12 @@ def test_roots_closed_under_negation():
     assert all(pl.E8Vector(tuple(-x for x in r.c)) in roots for r in roots)
 
 
+def test_negation_reverses_root_order():
+    """The fact the orbit build pairs roots by: root 239 - i is -(root i)."""
+    roots = pl.e8_roots()
+    assert all(roots[239 - i].c == tuple(-x for x in roots[i].c) for i in range(240))
+
+
 _vec = st.sampled_from(pl.e8_roots())
 
 
