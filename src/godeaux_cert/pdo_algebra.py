@@ -9,7 +9,7 @@ integer numerators over one positive denominator, reduced so that their gcd
 is 1; that form is canonical, so equality compares it directly, and every
 kernel works on plain ints.  Fraction appears only at the boundary: the
 public constructor and parse_operator take Fraction coefficients, and the
-coeffs view, to_string and spectral_module_action give them back.  On top
+coeffs dict, to_string and spectral_module_action give them back.  On top
 of the ring live two order functions (bold_ord and ord_gamma), the symbol
 calculus, the growth condition A1(m), quasi-ellipticity and normalization
 predicates, linear changes of variables, and the residue-module action.
@@ -43,31 +43,13 @@ class UndecidableOrderError(ArithmeticError):
     """Terms beyond the truncation frontier could change the answer."""
 
 
-class _FractionView(Mapping):
-    """Read-only Fraction view of integer numerators over one denominator."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num: Dict[Key, int], den: int):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, key: Key) -> Fraction:
-        return Fraction(self._num[key], self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-
 class TruncatedOperator:
     """Immutable operator: integer numerators over one denominator, x-precision, d-bound.
 
     num maps each key to a nonzero integer and den > 0 with
     gcd(den, *num.values()) == 1, so (num, den) is canonical: equal
-    operators have equal (num, den).  coeffs is the Fraction view of it.
+    operators have equal (num, den).  coeffs is a new Fraction dict of it on
+    each read.
     """
 
     __slots__ = ("num", "den", "x_precision", "d_bound")
@@ -140,8 +122,8 @@ class TruncatedOperator:
         return cls({key: Fraction(1)}, x_precision)
 
     @property
-    def coeffs(self) -> Mapping[Key, Fraction]:
-        return _FractionView(self.num, self.den)
+    def coeffs(self) -> Dict[Key, Fraction]:
+        return {key: Fraction(n, self.den) for key, n in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -248,8 +230,8 @@ def _product_rows(As, Bs):
     The factors on each side share their budgets (x_precision, d_bound), so
     t_res, the field width b and the packed terms of every B are worked out
     once per call, and the Leibniz rows once per (left k1, k2; right factor).
-    Each product then has its own accumulator; it is op_mul(A, B) in terms,
-    key order and budgets, since op_mul is the one-pair call.  Rows are
+    Each product then has its own accumulator; it is op_mul(A, B) in terms
+    and budgets, since op_mul is the one-pair call.  Rows are
     formed as they are asked for, and the kernel lets go of each one when
     it starts the next.
 
@@ -265,13 +247,6 @@ def _product_rows(As, Bs):
     such field of a kept term lies in [0, 2^b): the sum is the term's packed
     key, with no field carrying into or borrowing from its neighbour.  Only
     the surviving keys are unpacked.
-
-    A product's loop runs over P's terms, then Q's, then m1, then m2, and
-    the result keeps its keys in the order they were first met.  That order
-    is part of the contract.  Operators print through to_string, which
-    sorts, but the dict that spectral_module_action returns, and so the
-    report entry pdo.module_action_reduction, keeps the product's order, and
-    the Fraction-oracle tests compare it.
     """
     tp, dp, tq, dq = As[0].x_precision, As[0].d_bound, Bs[0].x_precision, Bs[0].d_bound
     for A in As:
@@ -507,7 +482,7 @@ def change_variables(
     D(k1, k2) is built once, the scaled D's of the terms that share (i1, i2)
     are summed, and X(i1, i2) multiplies that sum once: by distributivity the
     same integer sums as term by term.  The result's key order is
-    unspecified, unlike op_mul's; every caller reads it as a mapping.
+    unspecified, like op_mul's; every caller reads it as a mapping.
     """
     images = _substitution_images(a, b, c, d, e)
     powers = [
@@ -550,18 +525,20 @@ def spectral_module_action(
     """Right action of P on a residue class modulo x1 and x2.
 
     The class is the derivative monomial d1^p1 d2^p2; multiply on the right
-    by P, then kill every term with positive x-degree.
+    by P, then kill every term with positive x-degree.  The classes come
+    back sorted by key.
     """
     p1, p2 = monomial
     _require_int("p1", p1, 0)
     _require_int("p2", p2, 0)
     cls = TruncatedOperator._trusted({(0, 0, p1, p2): 1}, 1, P.x_precision, p1 + p2)
     prod = op_mul(cls, P)
-    return {
+    act = {
         (k1, k2): Fraction(n, prod.den)
         for (i1, i2, k1, k2), n in prod.num.items()
         if i1 == 0 and i2 == 0
     }
+    return dict(sorted(act.items()))
 
 
 # one token and the whitespace after it: a sign, a coefficient n or n/m, or a factor;
