@@ -43,7 +43,7 @@ class E8Vector(_Record):
             raise ValueError(f"mixed coordinate parity in {c}")
         if sum(c) % 4 != 0:
             raise ValueError(f"coordinate sum of {c} not divisible by 4")
-        object.__setattr__(self, "c", c)
+        super().__init__(c)
 
     def dot(self, other: "E8Vector") -> int:
         """Intersection pairing; negative definite on nonzero vectors.
@@ -118,9 +118,7 @@ class PicardClass(_Record):
     def __init__(self, k: int, e: E8Vector, t: int) -> None:
         _require_int("k", k)
         _require_int("t", t)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "t", t % TORSION_ORDER)
+        super().__init__(k, e, t % TORSION_ORDER)
 
     def pair(self, other: "PicardClass") -> int:
         return self.k * other.k + self.e.dot(other.e)
@@ -172,7 +170,7 @@ class DivisorClassOrbit(_Record):
     __slots__ = ("members",)
 
     def __init__(self, members: Tuple[PicardClass, ...]) -> None:
-        object.__setattr__(self, "members", members)
+        super().__init__(members)
 
 
 def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:

@@ -83,7 +83,7 @@ class GroupElement(_Record):
             _require_int("weight", x)
         if len(w) != 4:
             raise ValueError("need 4 weights")
-        object.__setattr__(self, "weights", tuple(x % 5 for x in w))
+        super().__init__(tuple(x % 5 for x in w))
 
     @classmethod
     def generator(cls) -> "GroupElement":

@@ -39,12 +39,7 @@ class CheckEntry(_Record):
             raise ValueError(f"unknown provenance tag {provenance!r}")
         if status not in STATUSES:
             raise ValueError(f"unknown status {status!r}")
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "status", status)
+        super().__init__(check_id, reference, expected, actual, provenance, status)
 
 
 def check(check_id: str, reference: str, expected, actual, provenance: str) -> CheckEntry:
@@ -97,8 +92,7 @@ class VerificationReport(_Record):
     def __init__(
         self, entries: Optional[List[CheckEntry]] = None, metadata: Optional[dict] = None
     ) -> None:
-        object.__setattr__(self, "entries", [] if entries is None else entries)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        super().__init__([] if entries is None else entries, {} if metadata is None else metadata)
 
     def extend(self, fragment: Iterable[CheckEntry]) -> None:
         self.entries.extend(fragment)

@@ -10,8 +10,6 @@ individual h^i is ever computed.
 
 from __future__ import annotations
 
-import functools
-
 from .exact_arith import _Record, _require_int
 
 
@@ -21,15 +19,14 @@ class SurfaceInvariants(_Record):
     __slots__ = ("chi", "K2", "e", "q", "pg")
 
     def __init__(self, chi: int, K2: int, e: int, q: int = 0, pg: int = 0) -> None:
-        fields = tuple(zip(self._fields, (chi, K2, e, q, pg)))
-        for name, value in fields:
+        values = (chi, K2, e, q, pg)
+        for name, value in zip(self._fields, values):
             _require_int(name, value)
         if 12 * chi != K2 + e:
             raise ValueError(f"Noether identity fails: 12*{chi} != {K2} + {e}")
         if chi != 1 - q + pg:
             raise ValueError(f"chi = {chi} != 1 - q + pg = {1 - q + pg}")
-        for name, value in fields:
-            object.__setattr__(self, name, value)
+        super().__init__(*values)
 
     @property
     def b2(self) -> int:
@@ -54,8 +51,7 @@ class NumericalDivisor(_Record):
             raise ValueError(
                 f"parity violation: D.K = {dot_K} and D^2 = {self_int} must agree mod 2"
             )
-        object.__setattr__(self, "self_int", self_int)
-        object.__setattr__(self, "dot_K", dot_K)
+        super().__init__(self_int, dot_K)
 
 
 def chi_divisor(s: SurfaceInvariants, D: NumericalDivisor) -> int:
@@ -89,6 +85,10 @@ def quotient_invariants(cover: SurfaceInvariants, deg: int) -> SurfaceInvariants
     return SurfaceInvariants(cover.chi // deg, cover.K2 // deg, cover.e // deg)
 
 
+# 2 chi(O) of the Godeaux surface, the constant term of the Hilbert condition
+_TWO_CHI = 2 * GODEAUX.chi
+
+
 def prespectral_hilbert_check(
     D: NumericalDivisor, C: NumericalDivisor, d_dot_c: int, n_max: int
 ) -> bool:
@@ -96,24 +96,21 @@ def prespectral_hilbert_check(
 
     The sheaf is modeled numerically as O(D + C) twisted by multiples of C
     on the Godeaux surface; it is smooth, so the Cartier multiplier is d = 1.
-    The verdict depends only on six integers, so it is worked out once per
-    distinct input.  For n_max >= 2 it holds for n = 0..n_max exactly when it
-    holds for every n >= 0.  n_max < 0 would check nothing, so it is refused.
+    With m = n + 1, 2 (chi(O(D + mC)) - m(m+1)/2) = a + b m + c m^2 exactly
+    (D^2 = D.K and m^2 C^2 = m C.K mod 2), where a = D^2 - D.K + 2 chi(O),
+    b = 2 D.C - C.K - 1 and c = C^2 - 1.  A quadratic with three zeros is
+    zero, so for n_max >= 2 the condition holds for n = 0..n_max exactly when
+    a = b = c = 0, that is, when it holds for every n >= 0.  n_max < 0 would
+    check nothing, so it is refused.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
-    return _hilbert_verdict(D.self_int, D.dot_K, C.self_int, C.dot_K, d_dot_c, n_max)
-
-
-@functools.lru_cache(maxsize=1024)
-def _hilbert_verdict(d_sq: int, d_k: int, c_sq: int, c_k: int, d_dot_c: int, n_max: int) -> bool:
-    # With m = n + 1, 2 (chi(O(D + mC)) - m(m+1)/2) = a + b m + c m^2 exactly
-    # (D^2 = D.K and m^2 C^2 = m C.K mod 2).  A quadratic with three zeros is
-    # zero, so m = 1..3 decides every n.
-    a = d_sq - d_k + 2 * GODEAUX.chi
-    b = 2 * d_dot_c - c_k - 1
-    c = c_sq - 1
-    return all(a + b * m + c * m * m == 0 for m in range(1, min(n_max, 2) + 2))
+    if n_max >= 2:
+        return D.dot_K - D.self_int == _TWO_CHI and 2 * d_dot_c - C.dot_K == 1 and C.self_int == 1
+    a = D.self_int - D.dot_K + _TWO_CHI
+    b = 2 * d_dot_c - C.dot_K - 1
+    c = C.self_int - 1
+    return all(a + b * m + c * m * m == 0 for m in range(1, n_max + 2))
 
 
 def growth_check(C: NumericalDivisor, m_max: int) -> bool:

@@ -165,6 +165,27 @@ def test_run_that_exits_two_leaves_no_report(tmp_path, monkeypatch):
     assert path.read_text() == "old report"
 
 
+def test_failing_report_write_exits_two(tmp_path, monkeypatch, capsys):
+    """A --json path that main could open to append but the report cannot be
+    written to exits 2 with the reason; a file main created there is removed,
+    and an older file keeps its bytes."""
+    path = tmp_path / "r.json"
+    real_open = open
+
+    def no_write(file, mode="r", *args, **kwargs):
+        if mode == "w":
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_write, raising=False)
+    assert run_cli(["monomials", "--json", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: Permission denied\n"
+    assert not path.exists()
+    path.write_bytes(b"old report")
+    assert run_cli(["monomials", "--json", str(path)]) == 2
+    assert path.read_bytes() == b"old report"
+
+
 def _refused_by_int(text):
     try:
         int(text)
@@ -312,6 +333,27 @@ def test_free_action_samples_replay_the_stream_and_reach_both_verdicts(monkeypat
             assert sum(v * q**i for i, v in enumerate(vec)) == n
         if q == 11:
             assert {verdict for _, verdict in calls[1:]} == {True, False}
+
+
+def test_routes_check_counts_each_disagreement(monkeypatch):
+    """A free-action table whose row at e1 also reads a2 disagrees with the
+    coefficient criterion on exactly the samples where a8 a9 a10 != 0 and
+    one of a1, a1 + a2 vanishes.  The member has a2 = 0, so it still agrees."""
+    real_rows = cli.quintic_family._monomial_values()
+    rows = [real_rows[0] + [(1, 1)]] + real_rows[1:]
+    monkeypatch.setattr(cli.quintic_family, "_monomial_values", lambda: rows)
+    cfg = cli.load_config(cli.build_parser().parse_args(["surface"]))
+    got = {e.check_id: e for e in cli.suite_surface(cfg)}
+    routes = []
+    for q in cfg["primes"]:
+        oracle = sum(
+            all(a[i] % q for i in (7, 8, 9)) and (a[0] % q == 0) != ((a[0] + a[1]) % q == 0)
+            for a in cli._sampled_vectors(cfg["seed"], q)
+        )
+        assert got[f"surface.free_action_routes.q{q}"].actual == oracle
+        assert got[f"surface.free_action.q{q}"].status == "pass"
+        routes.append(oracle)
+    assert routes == [125, 54, 53]
 
 
 def test_a_zero_draw_is_fixed_up_to_a_unit_vector(monkeypatch):

@@ -1522,6 +1522,22 @@ def _x1_on_d1_d1_squared(P, Q, prod):
     return prod
 
 
+def _class_one_on_d2_dies(P, Q, prod):
+    """The product, except that the class 1 times d2 is zero: of the 27
+    (class, d2^k) pairs of the torsion law, only that one dies."""
+    one, d2 = {(0, 0, 0, 0): 1}, {(0, 0, 0, 1): 1}
+    if (P.num, P.den, Q.num, Q.den) == (one, 1, d2, 1):
+        return pa.TruncatedOperator._trusted({}, 1, prod.x_precision, prod.d_bound)
+    return prod
+
+
+def test_torsion_check_counts_a_class_that_dies(monkeypatch):
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(_class_one_on_d2_dies))
+    got = _run_law(pa._law_module_action)
+    assert got["pdo.module_torsion_free"].actual == 1
+    assert got["pdo.module_action_reduction"].status == "pass"
+
+
 _REAL_ORD_GAMMA = pa.ord_gamma
 
 

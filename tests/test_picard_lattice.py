@@ -231,8 +231,9 @@ def test_orbits_match_validated_oracle():
 
 
 def test_orbit_build_hashes_no_picard_class(monkeypatch):
-    """The orbits bucket divisors by coordinate tuples and store them as
-    tuples, so building them never hashes a class."""
+    """The orbits slice divisors() by position, pairing the five classes of a
+    root with the five of its negation, and store them as tuples, so building
+    them never hashes a class."""
     pl.divisors()
 
     def refuse(self):
