@@ -162,6 +162,7 @@ def _class_runs(
 def suite_rr(cfg: dict) -> List[CheckEntry]:
     god = rr_engine.GODEAUX
     quotient = rr_engine.quotient_invariants(rr_engine.QUINTIC, 5)
+    stated_curve = rr_engine.NumericalDivisor(1, 1)
     entries = [
         check(
             "rr.quotient_invariants",
@@ -182,21 +183,21 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
             "rr.curve_genus",
             "adjunction on C^2 = C.K = 1",
             2,
-            rr_engine.adjunction_genus(rr_engine.NumericalDivisor(1, 1)),
+            rr_engine.adjunction_genus(stated_curve),
             "stated",
         ),
     ]
-    C = rr_engine.NumericalDivisor(1, 1)
     # pair, numerics and chi ignore the torsion tag, so each run of classes
     # with one (k, e) shares one of each; the Hilbert check still runs once
-    # per divisor x curve.
-    curve_runs = list(_class_runs(picard_lattice.canonical_curves()))
+    # per divisor x curve, on the numerics of the curve paired.
+    curves = picard_lattice.canonical_curves()
+    curve_runs = [(curve, curve.numerics, n) for curve, n in _class_runs(curves)]
     chi_bad = hilbert_bad = 0
     for D, n_divisors in _class_runs(picard_lattice.divisors()):
         numerics = D.numerics
         if rr_engine.chi_divisor(god, numerics) != 0:
             chi_bad += n_divisors
-        for curve, n_curves in curve_runs:
+        for curve, C, n_curves in curve_runs:
             d_dot_c = D.pair(curve)
             for _ in range(n_divisors * n_curves):
                 if not rr_engine.prespectral_hilbert_check(numerics, C, d_dot_c, n_max=10):
@@ -224,7 +225,7 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
             "rr.growth_leading_coefficient",
             "section growth is quadratic with leading coefficient 1/2",
             True,
-            rr_engine.growth_check(C, m_max=10),
+            rr_engine.growth_check(stated_curve, m_max=10),
             "derived",
         )
     )

@@ -66,6 +66,8 @@ def adjunction_genus(D: NumericalDivisor) -> int:
 
 def noether_euler(chi: int, K2: int) -> int:
     """Topological Euler characteristic 12*chi - K^2."""
+    _require_int("chi", chi)
+    _require_int("K2", K2)
     return 12 * chi - K2
 
 
@@ -99,18 +101,14 @@ def prespectral_hilbert_check(
     With m = n + 1, 2 (chi(O(D + mC)) - m(m+1)/2) = a + b m + c m^2 exactly
     (D^2 = D.K and m^2 C^2 = m C.K mod 2), where a = D^2 - D.K + 2 chi(O),
     b = 2 D.C - C.K - 1 and c = C^2 - 1.  A quadratic with three zeros is
-    zero, so for n_max >= 2 the condition holds for n = 0..n_max exactly when
-    a = b = c = 0, that is, when it holds for every n >= 0.  n_max < 0 would
-    check nothing, so it is refused.
+    zero, so the condition holds for n = 0..n_max exactly when a = b = c = 0,
+    that is, when it holds for every n >= 0.  Fewer than three values cannot
+    pin the quadratic, so an n_max below 2 is refused.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
-    if n_max >= 2:
-        return D.dot_K - D.self_int == _TWO_CHI and 2 * d_dot_c - C.dot_K == 1 and C.self_int == 1
-    a = D.self_int - D.dot_K + _TWO_CHI
-    b = 2 * d_dot_c - C.dot_K - 1
-    c = C.self_int - 1
-    return all(a + b * m + c * m * m == 0 for m in range(1, n_max + 2))
+    if type(n_max) is not int or type(d_dot_c) is not int or n_max < 2:
+        _require_int("n_max", n_max, 2)
+        _require_int("d_dot_c", d_dot_c)
+    return D.dot_K - D.self_int == _TWO_CHI and 2 * d_dot_c - C.dot_K == 1 and C.self_int == 1
 
 
 def growth_check(C: NumericalDivisor, m_max: int) -> bool:

@@ -418,10 +418,11 @@ def _rr_reading(check_id):
 
 
 def _hilbert_failures_oracle(curves):
-    """Oracle: the Hilbert condition on every divisor x curve pair, each paired on its own."""
-    C = cli.rr_engine.NumericalDivisor(1, 1)
+    """Oracle: the Hilbert condition on every divisor x curve pair, each paired
+    on its own and taken on the numerics of its own curve."""
+    check = cli.rr_engine.prespectral_hilbert_check
     return sum(
-        not cli.rr_engine.prespectral_hilbert_check(D.numerics, C, D.pair(curve), n_max=10)
+        not check(D.numerics, curve.numerics, D.pair(curve), n_max=10)
         for D in cli.picard_lattice.divisors()
         for curve in curves
     )
@@ -429,7 +430,8 @@ def _hilbert_failures_oracle(curves):
 
 def test_hilbert_condition_matches_per_curve_pairing(monkeypatch):
     """suite_rr pairs each divisor once per numerical class of curve; the count
-    must equal pairing every curve, also when the curves fall in two classes."""
+    must equal pairing every curve on its own numerics, also when the curves
+    fall in two classes."""
     pl = cli.picard_lattice
     real = _hilbert_failures_oracle(pl.canonical_curves())
     assert _rr_reading("rr.hilbert_condition") == real == 0
@@ -441,7 +443,10 @@ def test_hilbert_condition_matches_per_curve_pairing(monkeypatch):
     )
     monkeypatch.setattr(pl, "canonical_curves", lambda: curves)
     want = _hilbert_failures_oracle(curves)
-    assert 0 < want < 2400  # the root classes fail wherever D.E pairs nonzero with the root
+    # K + root has C^2 = -1, so every pair with a root curve fails and every
+    # pair with a K curve passes: checked against the class (1, 1), the root
+    # curves would pass wherever D.E pairs to zero with the root
+    assert want == 2400
     assert _rr_reading("rr.hilbert_condition") == want
 
 

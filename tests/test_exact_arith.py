@@ -89,6 +89,12 @@ def test_field_arithmetic_basics():
     assert a * -1 == 4
     assert 3 + a == a + 3 == 10 and 2 * a == 3
     assert a.value == 7 and FieldElement(-4, 11).value == 7
+    with pytest.raises(ValueError, match="mixed moduli"):
+        FieldElement(1, 11) + FieldElement(1, 31)
+    with pytest.raises(TypeError):
+        a + "x"
+    with pytest.raises(TypeError):
+        a * 1.5
 
 
 # (build one record, its fields as read back, its repr); the field values of
@@ -237,10 +243,25 @@ def test_sparse_polynomial_drops_zero_terms():
     assert p.terms == {(0, 1): 2}
 
 
+@pytest.mark.parametrize(
+    "terms, num_vars, message",
+    [
+        ({}, 0, "at least one variable"),
+        ({(1, 0, 0): 1}, 2, "wrong arity"),
+        ({(1, -1): 1}, 2, "negative exponent"),
+    ],
+)
+def test_sparse_polynomial_refuses_bad_shapes(terms, num_vars, message):
+    with pytest.raises(ValueError, match=message):
+        SparsePolynomial(terms, num_vars)
+
+
 def test_eval_over_field():
     q = 11
     p = SparsePolynomial({(5, 0): FieldElement(1, q), (0, 5): FieldElement(1, q)}, 2)
     assert p.eval((FieldElement(2, q), FieldElement(3, q))) == (2 ** 5 + 3 ** 5) % q
+    with pytest.raises(ValueError, match="point arity 3 != 2"):
+        p.eval((FieldElement(2, q),) * 3)
 
 
 def test_projective_enumeration_counts():

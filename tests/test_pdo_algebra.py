@@ -827,6 +827,11 @@ def test_every_build_is_canonical(P, Q, c, t):
     assert P.scale(c).coeffs == {k: c * v for k, v in P.coeffs.items() if c}
 
 
+def test_an_operator_is_not_equal_to_a_non_operator():
+    assert (pa.TruncatedOperator.one(12) == 1) is False
+    assert pa.TruncatedOperator.one(12) != "1"
+
+
 @settings(max_examples=150, deadline=None)
 @given(_operators(), _operators(), st.integers(2, 30))
 def test_equality_is_fraction_map_equality(P, Q, s):

@@ -66,6 +66,10 @@ def test_adjunction_genus():
 def test_noether_euler():
     assert rr.noether_euler(1, 1) == 11
     assert rr.noether_euler(5, 5) == 55
+    # (1.0, 1) read 11.0
+    for args in ((1.0, 1), (1, 1.0), (True, 1), (1, False)):
+        with pytest.raises(TypeError, match="must be an int"):
+            rr.noether_euler(*args)
 
 
 _divisors = st.builds(
@@ -98,13 +102,19 @@ def test_hilbert_condition_fails_off_pattern():
 
 
 def test_hilbert_condition_refuses_empty_range():
-    # D^2 = 3 fails at n = 0, so a negative n_max must not read as a pass
+    # D^2 = 3 fails at n = 0, so a negative n_max must not read as a pass,
+    # and fewer than three values cannot pin the quadratic
     D = rr.NumericalDivisor(3, 1)
     C = rr.NumericalDivisor(1, 1)
-    assert not rr.prespectral_hilbert_check(D, C, 1, 0)
-    for n_max in (-1, -5):
+    for n_max in (0, 1, -1, -5):
         with pytest.raises(ValueError, match="n_max"):
             rr.prespectral_hilbert_check(D, C, 1, n_max)
+    for d_dot_c, n_max in ((1, 10.0), (1, True), (1.0, 10)):
+        with pytest.raises(TypeError, match="must be an int"):
+            rr.prespectral_hilbert_check(D, C, d_dot_c, n_max)
+    # read True with float d_dot_c and n_max
+    with pytest.raises(TypeError, match="must be an int"):
+        rr.prespectral_hilbert_check(rr.NumericalDivisor(-1, 1), C, 1.0, 10.0)
 
 
 def _per_n_hilbert_check(D, C, d_dot_c, n_max):
@@ -145,7 +155,11 @@ def test_hilbert_check_matches_loop():
                 if slips == (0, 0, 0):
                     assert expected
                 seen_fail_after_zero |= _per_n_hilbert_check(D, C, dc, 0) and not expected
-                assert rr.prespectral_hilbert_check(D, C, dc, n_max) == expected
+                if n_max < 2:
+                    with pytest.raises(ValueError, match="n_max"):
+                        rr.prespectral_hilbert_check(D, C, dc, n_max)
+                else:
+                    assert rr.prespectral_hilbert_check(D, C, dc, n_max) == expected
     assert seen_fail_after_zero
 
 
