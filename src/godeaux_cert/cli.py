@@ -153,8 +153,8 @@ def suite_counts(cfg: dict) -> List[CheckEntry]:
 def _class_runs(
     classes: Iterable[picard_lattice.PicardClass],
 ) -> Iterator[Tuple[picard_lattice.PicardClass, int]]:
-    """(first member, length) of each run of adjacent classes with one (k, e)."""
-    for _, run in itertools.groupby(classes, operator.attrgetter("k", "e")):
+    """(first member, length) of each run of adjacent classes with one k and E's coordinates."""
+    for _, run in itertools.groupby(classes, operator.attrgetter("k", "e.c")):
         members = list(run)
         yield members[0], len(members)
 
@@ -200,7 +200,7 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
         for curve, C, n_curves in curve_runs:
             d_dot_c = D.pair(curve)
             for _ in range(n_divisors * n_curves):
-                if not rr_engine.prespectral_hilbert_check(numerics, C, d_dot_c, n_max=10):
+                if not rr_engine.prespectral_hilbert_check(numerics, C, d_dot_c, 10):
                     hilbert_bad += 1
     entries.append(
         check(

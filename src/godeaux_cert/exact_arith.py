@@ -13,7 +13,7 @@ and take non-negative powers; polynomials evaluate.  All values are
 immutable and all operations are pure functions.  _Record, the slotted base
 of the package's frozen value classes, stands in for dataclasses, which
 would import inspect at start-up: each record's __init__ checks its
-arguments, and _Record.__init__ sets the fields.
+arguments and stores each field through its own slot setter.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ class _Record:
     """Slotted base of the frozen value classes, with what @dataclass(frozen=True) gave.
 
     A subclass lists its fields in __slots__ ("__dict__" last if it keeps a
-    cached_property); its __init__ checks its arguments, then passes the field
-    values, in slot order, to _Record.__init__, which stores each one through
-    its slot's setter.  Only FieldElement's then calls a __post_init__ hook,
-    through which bench/tracer.py counts constructions.
+    cached_property); its __init__ checks its arguments, then stores each
+    field through its own slot setter, unpacked from _setters, in slot order.
+    Only FieldElement's then calls a __post_init__ hook, through which
+    bench/tracer.py counts constructions.
     A record equals only a record of its own class with equal fields, hashes
     as the tuple of its fields, reprs as Name(field=value, ...) and refuses
     assignment and deletion.
@@ -68,10 +68,6 @@ class _Record:
         cls._key = operator.attrgetter(*cls._fields)
         # each slot's own setter, which the __setattr__ below does not reach
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-
-    def __init__(self, *values) -> None:
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
 
     def _values(self) -> tuple:
         """The fields as a tuple; attrgetter of one name returns the bare value."""
@@ -135,7 +131,9 @@ class FieldElement(_Record):
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: int) -> None:
-        super().__init__(value, modulus)
+        set_value, set_modulus = self._setters
+        set_value(self, value)
+        set_modulus(self, modulus)
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -37,13 +37,15 @@ class E8Vector(_Record):
         if len(c) != 8:
             raise ValueError("need 8 coordinates")
         for x in c:
-            _require_int("coordinate", x)
+            if type(x) is not int:
+                _require_int("coordinate", x)
         parities = {x % 2 for x in c}
         if len(parities) != 1:
             raise ValueError(f"mixed coordinate parity in {c}")
         if sum(c) % 4 != 0:
             raise ValueError(f"coordinate sum of {c} not divisible by 4")
-        super().__init__(c)
+        (set_c,) = self._setters
+        set_c(self, c)
 
     def dot(self, other: "E8Vector") -> int:
         """Intersection pairing; negative definite on nonzero vectors.
@@ -117,8 +119,13 @@ class PicardClass(_Record):
 
     def __init__(self, k: int, e: E8Vector, t: int) -> None:
         _require_int("k", k)
+        if not isinstance(e, E8Vector):
+            raise TypeError(f"e must be an E8Vector, got {e!r}")
         _require_int("t", t)
-        super().__init__(k, e, t % TORSION_ORDER)
+        set_k, set_e, set_t = self._setters
+        set_k(self, k)
+        set_e(self, e)
+        set_t(self, t % TORSION_ORDER)
 
     def pair(self, other: "PicardClass") -> int:
         return self.k * other.k + self.e.dot(other.e)
@@ -170,7 +177,8 @@ class DivisorClassOrbit(_Record):
     __slots__ = ("members",)
 
     def __init__(self, members: Tuple[PicardClass, ...]) -> None:
-        super().__init__(members)
+        (set_members,) = self._setters
+        set_members(self, members)
 
 
 def partition_orbits() -> Tuple[DivisorClassOrbit, ...]:

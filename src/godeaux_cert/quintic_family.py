@@ -83,7 +83,8 @@ class GroupElement(_Record):
             _require_int("weight", x)
         if len(w) != 4:
             raise ValueError("need 4 weights")
-        super().__init__(tuple(x % 5 for x in w))
+        (set_weights,) = self._setters
+        set_weights(self, tuple(x % 5 for x in w))
 
     @classmethod
     def generator(cls) -> "GroupElement":

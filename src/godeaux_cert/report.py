@@ -39,7 +39,13 @@ class CheckEntry(_Record):
             raise ValueError(f"unknown provenance tag {provenance!r}")
         if status not in STATUSES:
             raise ValueError(f"unknown status {status!r}")
-        super().__init__(check_id, reference, expected, actual, provenance, status)
+        set_id, set_reference, set_expected, set_actual, set_provenance, set_status = self._setters
+        set_id(self, check_id)
+        set_reference(self, reference)
+        set_expected(self, expected)
+        set_actual(self, actual)
+        set_provenance(self, provenance)
+        set_status(self, status)
 
 
 def check(check_id: str, reference: str, expected, actual, provenance: str) -> CheckEntry:
@@ -92,7 +98,9 @@ class VerificationReport(_Record):
     def __init__(
         self, entries: Optional[List[CheckEntry]] = None, metadata: Optional[dict] = None
     ) -> None:
-        super().__init__([] if entries is None else entries, {} if metadata is None else metadata)
+        set_entries, set_metadata = self._setters
+        set_entries(self, [] if entries is None else entries)
+        set_metadata(self, {} if metadata is None else metadata)
 
     def extend(self, fragment: Iterable[CheckEntry]) -> None:
         self.entries.extend(fragment)

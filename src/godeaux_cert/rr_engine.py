@@ -19,14 +19,18 @@ class SurfaceInvariants(_Record):
     __slots__ = ("chi", "K2", "e", "q", "pg")
 
     def __init__(self, chi: int, K2: int, e: int, q: int = 0, pg: int = 0) -> None:
-        values = (chi, K2, e, q, pg)
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self._fields, (chi, K2, e, q, pg)):
             _require_int(name, value)
         if 12 * chi != K2 + e:
             raise ValueError(f"Noether identity fails: 12*{chi} != {K2} + {e}")
         if chi != 1 - q + pg:
             raise ValueError(f"chi = {chi} != 1 - q + pg = {1 - q + pg}")
-        super().__init__(*values)
+        set_chi, set_K2, set_e, set_q, set_pg = self._setters
+        set_chi(self, chi)
+        set_K2(self, K2)
+        set_e(self, e)
+        set_q(self, q)
+        set_pg(self, pg)
 
     @property
     def b2(self) -> int:
@@ -51,7 +55,9 @@ class NumericalDivisor(_Record):
             raise ValueError(
                 f"parity violation: D.K = {dot_K} and D^2 = {self_int} must agree mod 2"
             )
-        super().__init__(self_int, dot_K)
+        set_self_int, set_dot_K = self._setters
+        set_self_int(self, self_int)
+        set_dot_K(self, dot_K)
 
 
 def chi_divisor(s: SurfaceInvariants, D: NumericalDivisor) -> int:

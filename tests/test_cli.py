@@ -492,6 +492,17 @@ def test_divisor_runs_match_per_divisor_oracle(monkeypatch):
     assert calls["hilbert"] == len(divisors) * len(curves)
 
 
+def test_class_runs_key_on_k_and_coordinates():
+    """A run holds adjacent classes with one k and equal E8Vectors, also when
+    the vectors were built apart; a change of k alone starts a new run."""
+    pl = cli.picard_lattice
+    c = pl.e8_roots()[0].c
+    e, twin = pl.E8Vector(c), pl.E8Vector(list(c))
+    assert e is not twin and e == twin
+    classes = [pl.PicardClass(1, e, 0), pl.PicardClass(1, twin, 1), pl.PicardClass(2, twin, 2)]
+    assert list(cli._class_runs(classes)) == [(classes[0], 2), (classes[2], 1)]
+
+
 def test_warm_rr_suite_pairs_each_divisor_once(monkeypatch):
     """The five torsion tags of a root share one pairing, and the four curves
     are all numerically K, so a warm suite_rr makes one pairing per divisor

@@ -1,10 +1,13 @@
 """Field, polynomial and projective-enumeration substrate."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import godeaux_cert
 from godeaux_cert import exact_arith, picard_lattice as pl, quintic_family, rr_engine
 from godeaux_cert.exact_arith import (
     FieldElement,
@@ -151,6 +154,20 @@ RECORDS = {
         "VerificationReport(entries=[], metadata={})",
     ),
 }
+
+
+def test_records_name_every_record_class():
+    """RECORDS covers every _Record subclass in the package, so the test below
+    runs over all of them, and _Record has no __init__ of its own: each record
+    stores its fields in its own constructor, and one without it takes none."""
+    for module in pkgutil.iter_modules(godeaux_cert.__path__):
+        importlib.import_module(f"godeaux_cert.{module.name}")
+    classes = exact_arith._Record.__subclasses__()
+    found = {cls.__name__ for cls in classes if cls.__module__.startswith("godeaux_cert.")}
+    assert found == set(RECORDS)
+    assert "__init__" not in exact_arith._Record.__dict__
+    with pytest.raises(TypeError):
+        type("Bare", (exact_arith._Record,), {"__slots__": ("x",)})(1)
 
 
 @pytest.mark.parametrize("name", RECORDS)

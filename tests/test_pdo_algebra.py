@@ -1252,7 +1252,7 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
 def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
     """The order and precision laws share one pass over the 1,296 basis pairs.
 
-    A suite call makes 4,312 products, where a pass per law made 5,608, and a
+    A suite call makes 4,285 products, where a pass per law made 5,608, and a
     second call makes as many again: no count outlives its basis.  Every
     product, op_mul's included, comes out of _product_rows.
     """
@@ -1266,7 +1266,7 @@ def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
     for x_precision in (12, 16, 12, 12):
         calls.clear()
         pa.run_property_suite(trials=5, seed=42, x_precision=x_precision)
-        assert len(calls) == 4312
+        assert len(calls) == 4285
     # whichever law runs first makes the pass: 1,296 products at T and 1,296
     # at T + 6; the order law also forms the one product of its strict drop
     order, precision = pa._law_order_and_symbol, pa._law_precision

@@ -24,6 +24,10 @@ def test_vector_validation():
     for k, t in ((1.5, 0), (1, 2.5), (True, 0), (1, False)):
         with pytest.raises(TypeError, match="must be an int"):
             pl.PicardClass(k, pl.E8_ZERO, t)
+    # a bare coordinate tuple failed only later, in pair or numerics
+    for e in ((0,) * 8, [0] * 8, None):
+        with pytest.raises(TypeError, match="e must be an E8Vector"):
+            pl.PicardClass(1, e, 0)
 
 
 def test_root_count_and_norms():
