@@ -95,6 +95,8 @@ _MALFORMED_INPUTS = {
     # an empty item is refused, not skipped
     "primes_empty_item": ["surface", "--primes", "11,,31"],
     "primes_trailing_comma": ["surface", "--primes", "11,31,"],
+    # an empty --json= path is tried, and refused, like any unwritable path
+    "json_empty": ["monomials", "--json="],
 }
 
 
@@ -338,7 +340,8 @@ def test_free_action_samples_replay_the_stream_and_reach_both_verdicts(monkeypat
 def test_routes_check_counts_each_disagreement(monkeypatch):
     """A free-action table whose row at e1 also reads a2 disagrees with the
     coefficient criterion on exactly the samples where a8 a9 a10 != 0 and
-    one of a1, a1 + a2 vanishes.  The member has a2 = 0, so it still agrees."""
+    one of a1, a1 + a2 vanishes.  The member has a2 = 0, so its evaluation
+    verdict is still the right one."""
     real_rows = cli.quintic_family._monomial_values()
     rows = [real_rows[0] + [(1, 1)]] + real_rows[1:]
     monkeypatch.setattr(cli.quintic_family, "_monomial_values", lambda: rows)
@@ -354,6 +357,19 @@ def test_routes_check_counts_each_disagreement(monkeypatch):
         assert got[f"surface.free_action.q{q}"].status == "pass"
         routes.append(oracle)
     assert routes == [125, 54, 53]
+
+
+def test_route_fault_on_the_member_is_a_report(monkeypatch, capsys):
+    """With the row at e1 also reading a2, the member a1 = 1, a2 = 10 vanishes
+    there mod 11 by evaluation though a1 != 0: the verdict fails the member's
+    entry and counts in the routes entry, with no traceback."""
+    real_rows = cli.quintic_family._monomial_values()
+    rows = [real_rows[0] + [(1, 1)]] + real_rows[1:]
+    monkeypatch.setattr(cli.quintic_family, "_monomial_values", lambda: rows)
+    assert cli.main(["surface", "--primes", "11", "--coeffs", "1,10,0,0,0,0,0,1,1,1,0,0"]) == 1
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["[FAIL] surface.free_action.q11"].endswith("(expected True, got False)")
+    assert lines["[FAIL] surface.free_action_routes.q11"].endswith("(expected 0, got 125)")
 
 
 def test_a_zero_draw_is_fixed_up_to_a_unit_vector(monkeypatch):

@@ -141,8 +141,8 @@ def test_free_action_fails_without_pure_power():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 30), min_size=12, max_size=12).filter(lambda a: any(v % 31 for v in a)))
 def test_free_action_routes_agree(a):
-    # free_action_check raises AssertionError internally on disagreement
-    qf.free_action_check(a, 31)
+    """Evaluation at the fixed points matches the pure-power criterion."""
+    assert qf.free_action_check(a, 31) == all(a[i] % 31 for i in qf.PURE_POWER_INDICES)
 
 
 @settings(max_examples=100, deadline=None)
