@@ -242,11 +242,14 @@ def suite_rr(cfg: dict) -> List[CheckEntry]:
 
 
 def _digits(n: int, q: int) -> List[int]:
-    """The 12 base-q digits of 0 <= n < q^12, least significant first."""
-    vec = []
-    for _ in range(12):
-        n, v = divmod(n, q)
-        vec.append(v)
+    """The 12 base-q digits of 0 <= n < q^12, least significant first.
+
+    No digit table sized by q is kept: q may exceed 10^9.
+    """
+    vec = [0] * 12
+    for i in range(12):
+        vec[i] = n % q
+        n //= q
     return vec
 
 
@@ -256,12 +259,12 @@ def _sampled_vectors(seed: int, q: int) -> Iterator[List[int]]:
     One uniform integer below q^12 is one uniform vector of F_q^12; a draw
     of 0 becomes the unit vector at a drawn position.
     """
-    rng, size = Random(seed * 100003 + q), q**12
+    draw, size = Random(seed * 100003 + q).randrange, q**12
     for _ in range(1000):
-        n = rng.randrange(size)
+        n = draw(size)
         vec = _digits(n, q)
         if not n:
-            vec[rng.randrange(12)] = 1
+            vec[draw(12)] = 1
         yield vec
 
 
@@ -270,6 +273,7 @@ def suite_surface(cfg: dict) -> List[CheckEntry]:
     primes = cfg["primes"]
     seed = cfg["seed"]
     gen = quintic_family.GroupElement.generator()
+    pure = operator.itemgetter(*quintic_family.PURE_POWER_INDICES)
     entries: List[CheckEntry] = []
     for q in primes:
         entries.append(
@@ -312,9 +316,7 @@ def suite_surface(cfg: dict) -> List[CheckEntry]:
         # f(e_i) is the coefficient of z_i^5
         disagreements = 0
         for vec in _sampled_vectors(seed, q):
-            if quintic_family.free_action_check(vec, q) != all(
-                map(vec.__getitem__, quintic_family.PURE_POWER_INDICES)
-            ):
+            if quintic_family.free_action_check(vec, q) != all(pure(vec)):
                 disagreements += 1
         entries.append(
             check(

@@ -92,12 +92,20 @@ class GroupElement(_Record):
 
 
 def _reduce_coeffs(a: Sequence[int], q: int) -> List[int]:
+    """The 12 coefficients reduced to [0, q), in one pass over a.
+
+    Refuses, in this order, a length other than 12 (ValueError), a
+    coefficient that is not an int (TypeError, naming the first; int()
+    would truncate a Fraction or a float), and a vector that vanishes mod q
+    (ValueError).  The pass reduces only the ints, so a short result means
+    some coefficient is not one.
+    """
     if len(a) != 12:
         raise ValueError(f"need 12 coefficients, got {len(a)}")
-    for x in a:
-        if type(x) is not int:  # int() would truncate a Fraction or a float
-            raise TypeError(f"coefficient must be an int, got {x!r}")
-    coeffs = [x % q for x in a]
+    coeffs = [x % q for x in a if type(x) is int]
+    if len(coeffs) < 12:
+        bad = next(x for x in a if type(x) is not int)
+        raise TypeError(f"coefficient must be an int, got {bad!r}")
     if not any(coeffs):
         raise ValueError("all coefficients vanish mod the chosen prime")
     return coeffs
@@ -120,9 +128,14 @@ def free_action_check(a: Sequence[int], q: int) -> bool:
 
     Evaluates f at the four coordinate points, reading only the nonzero
     entries of the monomial-value table, and stops at the first point where
-    f vanishes.
+    f vanishes.  q = 5 is refused: 1 is the only fifth root of unity in
+    characteristic 5, so the symmetry is the identity and fixes every point.
     """
     _require_prime(q)
+    if q == 5:
+        raise ValueError(
+            "q = 5 has no primitive fifth root of unity: the symmetry fixes every point"
+        )
     coeffs = _reduce_coeffs(a, q)
     for row in _monomial_values():
         s = 0

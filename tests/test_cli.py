@@ -407,7 +407,7 @@ def test_a_zero_draw_is_fixed_up_to_a_unit_vector(monkeypatch):
     assert len(seen) == 1001
 
 
-@pytest.mark.parametrize("q", [11, 31, 41, 61])
+@pytest.mark.parametrize("q", [11, 31, 41, 61, 1000000021])
 def test_digits_round_trip(q):
     size = q**12
     rng = Random(q)

@@ -14,23 +14,36 @@ from oracles import epsilon_power_invariance, field_member, field_route_singular
 FERMAT = (1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0)
 
 
+def _surface_calls(a):
+    return (
+        lambda: qf.free_action_check(a, 11),
+        lambda: qf.smoothness_check(a, 11),
+        lambda: qf.transversality_check(a, 1, 11),
+    )
+
+
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 1.0, True])
 def test_surface_checks_refuse_non_int_coefficients(bad):
     """int() read 1/2 as 0 although it is 6 in F_11, and a float or a bool
-    is not an exact integer coefficient."""
-    a = [bad, *FERMAT[1:]]
-    for func in (qf.free_action_check, qf.smoothness_check):
-        with pytest.raises(TypeError, match="coefficient must be an int"):
-            func(a, 11)
-    with pytest.raises(TypeError, match="coefficient must be an int"):
-        qf.transversality_check(a, 1, 11)
+    is not an exact integer coefficient.  The refusal names the entry, also
+    when it is the last one: the one reducing pass leaves a non-int out."""
+    for a in ([bad, *FERMAT[1:]], [*FERMAT[:11], bad]):
+        for call in _surface_calls(a):
+            with pytest.raises(TypeError, match=re.escape(f"coefficient must be an int, got {bad!r}")):
+                call()
 
 
 def test_surface_checks_refuse_a_float_prime():
     assert qf.free_action_check(FERMAT, 11)
     for func in (qf.free_action_check, qf.smoothness_check):
-        with pytest.raises(TypeError, match="must be an int, got 11.0"):
+        with pytest.raises(TypeError, match="modulus must be an int, got 11.0"):
             func(FERMAT, 11.0)
+
+
+def test_the_length_is_refused_before_the_type():
+    for call in _surface_calls([*FERMAT, 1.0]):
+        with pytest.raises(ValueError, match="need 12 coefficients, got 13"):
+            call()
 
 
 def test_enumerate_monomials_is_canonical():
@@ -130,6 +143,24 @@ def test_free_action_refuses_vanishing_coefficients():
         qf.free_action_check([0] * 12, 11)
     with pytest.raises(ValueError, match="all coefficients vanish"):
         qf.free_action_check([11] * 12, 11)  # all zero after reduction
+
+
+def test_free_action_refuses_q5():
+    """In characteristic 5 the only fifth root of unity is 1, so the symmetry
+    is the identity and fixes every point: True would be a wrong verdict."""
+    with pytest.raises(ValueError, match="q = 5 has no primitive fifth root of unity"):
+        qf.free_action_check(FERMAT, 5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13])
+def test_free_action_keeps_its_verdict_at_q_not_1_mod_5(q):
+    """Over the algebraic closure of F_q, q != 5, the fixed points are still
+    the four coordinate points, so the pure powers decide."""
+    assert qf.free_action_check(FERMAT, q)
+    for i in qf.PURE_POWER_INDICES:
+        a = list(FERMAT)
+        a[i] = q
+        assert not qf.free_action_check(a, q)
 
 
 def test_free_action_fails_without_pure_power():
