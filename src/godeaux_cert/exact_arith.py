@@ -94,21 +94,15 @@ class _Record:
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime; n at or above psi_13 is refused with ValueError.
-
-    Up to 41 the answer is membership in _MR_BASES, which are exactly the
-    primes up to 41; above it, trial division by the bases, then
-    Miller-Rabin to each of them.
-    """
-    if type(n) is not int:
-        _require_int("n", n)
-    if n <= _MR_BASES[-1]:
-        return n in _MR_BASES
+    """Whether n is prime; n at or above psi_13 is refused with ValueError."""
+    _require_int("n", n)
     if n >= _MR_LIMIT:
         raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    if n < 2:
+        return False
     for p in _MR_BASES:
         if n % p == 0:
-            return False
+            return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
