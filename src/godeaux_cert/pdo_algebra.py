@@ -229,11 +229,12 @@ def _product_rows(As, Bs):
 
     The factors on each side share their budgets (x_precision, d_bound), so
     t_res, the field width b and the packed terms of every B are worked out
-    once per call, and the Leibniz rows once per (left k1, k2; right factor).
-    Each product then has its own accumulator; it is op_mul(A, B) in terms
-    and budgets, since op_mul is the one-pair call.  Rows are
-    formed as they are asked for, and the kernel lets go of each one when
-    it starts the next.
+    once per call, and one flat table per left derivative pair (k1, k2) that
+    occurs (below).  Each product then has its own accumulator; it is
+    op_mul(A, B) in terms and budgets, since op_mul is the one-pair call.
+    Rows are formed as they are asked for, and the kernel lets go of each
+    one when it starts the next.  An empty As yields no row; an empty Bs
+    yields one empty row per A, once the left budgets are checked.
 
     Below, P is any left factor and Q any right one.  Inside, a key
     (i1, i2, k1, k2) is packed into one int with four b-bit fields,
@@ -242,19 +243,36 @@ def _product_rows(As, Bs):
     T_P or T_Q, derivative degree at most d_P or d_Q) and every output
     exponent (x-degree below t_res, derivative degree at most d_P + d_Q) is
     below 2^b.  The Leibniz term (m1, m2) of a left key p and a right key q
-    has the key p + q - (m1, m2, m1, m2), all three packed.  Ints are exact,
-    so that is the sum over fields f of (p_f + q_f - m_f) 2^(f b), and each
-    such field of a kept term lies in [0, 2^b): the sum is the term's packed
-    key, with no field carrying into or borrowing from its neighbour.  Only
-    the surviving keys are unpacked.
+    has the key p + q - off, off = (m1, m2, m1, m2), all three packed.  Ints
+    are exact, so that is the sum over fields f of (p_f + q_f - m_f) 2^(f b),
+    and each such field of a kept term lies in [0, 2^b): the sum is the
+    term's packed key, with no field carrying into or borrowing from its
+    neighbour.
+
+    The table of (k1, k2) holds, per right factor, one entry per (right
+    term, Leibniz row): (s - x_q, q - off, c_q w), for a right term of
+    x-degree x_q and numerator c_q and a row with s = m1 + m2 and weight w.
+    The folded offset q - off is negative as an int when a d-field of q is
+    below its m, but p + (q - off) is the same integer as p + q - off, so
+    the argument above holds for it, and only the final key of a kept term
+    is unpacked.  The term's x-degree i1 + i2 + x_q - s is below t_res
+    exactly when s - x_q > i1 + i2 - t_res, so the precision cut reads the
+    entry alone, and each entry costs one product a c_q w.
     """
-    tp, dp, tq, dq = As[0].x_precision, As[0].d_bound, Bs[0].x_precision, Bs[0].d_bound
+    if not As:
+        return
+    tp, dp = As[0].x_precision, As[0].d_bound
     for A in As:
         if A.x_precision != tp or A.d_bound != dp:
             raise ValueError(
                 f"left factors do not share their budgets: ({tp}, {dp}) and "
                 f"({A.x_precision}, {A.d_bound})"
             )
+    if not Bs:
+        for _ in As:
+            yield []
+        return
+    tq, dq = Bs[0].x_precision, Bs[0].d_bound
     b = max(tp, tq, dp + dq + 1).bit_length()
     b2, b3, mask = 2 * b, 3 * b, (1 << b) - 1
     # per right factor: its packed terms, each with x-degree, numerator and j1, j2
@@ -276,7 +294,7 @@ def _product_rows(As, Bs):
             f"minus left derivative bound {dp} leaves {t_res}"
         )
     # by the packed derivative exponents k1, k2 of a left term: per right
-    # factor, its packed terms, each with x-degree, numerator and Leibniz rows
+    # factor, one entry (s - x_q, q - off, c_q w) per right term and Leibniz row
     tables: Dict[int, list] = {}
     trusted = TruncatedOperator._trusted
     for A in As:
@@ -285,27 +303,25 @@ def _product_rows(As, Bs):
             kk = k1 | k2 << b
             table = tables.get(kk)
             if table is None:
-                table = tables[kk] = []
-                for terms in q_terms:
-                    table.append(
-                        [
-                            (qk, qx, c, _leibniz_rows(k1, k2, j1, j2, b))
-                            for qk, qx, c, j1, j2 in terms
-                        ]
-                    )
-            # the term's x-degree is i1 + i2 + j1 + j2 - m1 - m2, kept below t_res
+                table = tables[kk] = [
+                    [
+                        (s - qx, qk - off, c * w)
+                        for qk, qx, c, j1, j2 in terms
+                        for s, off, w in _leibniz_rows(k1, k2, j1, j2, b)
+                    ]
+                    for terms in q_terms
+                ]
+            # the entry's term is kept when its s - x_q exceeds i1 + i2 - t_res
             p_terms.append((i1 | i2 << b | kk << b2, a, i1 + i2 - t_res, table))
         row = []
         for n, B in enumerate(Bs):
             acc: Dict[int, int] = {}
             get = acc.get
             for pk, a, over, table in p_terms:
-                for qk, qx, c, rows in table[n]:
-                    base, ac, drop = pk + qk, a * c, over + qx
-                    for s, off, w in rows:
-                        if s > drop:
-                            key = base - off
-                            acc[key] = get(key, 0) + ac * w
+                for lim, qo, cw in table[n]:
+                    if lim > over:
+                        key = pk + qo
+                        acc[key] = get(key, 0) + a * cw
             num: Dict[Key, int] = {}
             for key, v in acc.items():
                 if v:

@@ -776,6 +776,42 @@ def test_product_rows_match_fraction_oracle(family):
             _assert_trusted_invariants(AB)
 
 
+def test_product_rows_of_an_empty_side():
+    """No left factor yields no row; no right factor yields one empty row per
+    left factor, whose budgets are still checked and never debited."""
+    basis = pa._monomial_basis(T)
+    assert list(pa._product_rows([], basis)) == []
+    assert list(pa._product_rows(basis[:2], [])) == [[], []]
+    # T = 2 with d_bound 3 would exhaust the budget, but no product is formed
+    assert list(pa._product_rows([op("d1^3", 2)], [])) == [[]]
+    with pytest.raises(ValueError, match="left factors do not share their budgets"):
+        next(pa._product_rows([op("x1"), op("x1", T + 1)], []))
+
+
+@pytest.mark.parametrize(
+    "x_precision, want",
+    [
+        (5, "4 x1 d1 + 2 x2 d2 + 2"),
+        (7, "x1^2 x2 d1^2 d2 + x1^2 d1^2 + 4 x1 x2 d1 d2 + 4 x1 d1 + 2 x2 d2 + 2"),
+    ],
+)
+def test_product_rows_with_negative_folded_offsets(x_precision, want):
+    """d1^2 d2 x1^2 x2: the right term's d-fields are 0, below every m >= 1,
+    so the folded offset q - off is a negative int for five of its six rows.
+    At T = 5 (t_res 2) the frontier drops three rows and keeps three; at
+    T = 7 it keeps all six."""
+    P, Q = op("d1^2 d2", x_precision), op("x1^2 x2", x_precision)
+    b = max(x_precision, P.d_bound + Q.d_bound + 1).bit_length()
+    qk = 2 | 1 << b
+    assert sum(qk - off < 0 for _, off, _ in pa._leibniz_rows(2, 1, 2, 1, b)) == 5
+    [[got]] = pa._product_rows([P], [Q])
+    oracle = _fraction_op_mul(P, Q)
+    assert got.coeffs == oracle.coeffs == op(want, x_precision - 3).coeffs
+    budgets = (x_precision - 3, 3)
+    assert (got.x_precision, got.d_bound) == (oracle.x_precision, oracle.d_bound) == budgets
+    _assert_trusted_invariants(got)
+
+
 _params = st.fractions(-3, 3, max_denominator=4)
 
 
