@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, 
 # pdo_algebra, the largest module, loads in suite_pdo and argparse in
 # build_parser, so a command starts only what it runs.
 from . import __version__, diophantine, picard_lattice, quintic_family, rr_engine
-from .exact_arith import is_prime
+from .exact_arith import _require_int, is_prime
 from .report import CheckEntry, VerificationReport, check
 
 if TYPE_CHECKING:
@@ -415,9 +415,8 @@ def load_config(args: argparse.Namespace) -> dict:
         if not any(v % q for v in cfg["coefficients"]):
             raise ValueError(f"every coefficient vanishes mod the prime {q}")
     # Random(-s) draws what Random(s) draws, so the report would name a seed it did not use
-    for key, least in (("trials", 1), ("seed", 0)):
-        if cfg[key] < least:
-            raise ValueError(f"{key} must be at least {least}, got {cfg[key]}")
+    _require_int("trials", cfg["trials"], 1)
+    _require_int("seed", cfg["seed"], 0)
     return cfg
 
 

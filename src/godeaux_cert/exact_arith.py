@@ -63,8 +63,7 @@ class _Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-        # a C-level getter keeps __eq__ cheap: through cli._class_runs'
-        # groupby keys, a lattice, counts and rr run compares E8Vectors 479 times
+        # one C-level getter of every field, which __eq__ and _values share
         cls._key = operator.attrgetter(*cls._fields)
         # each slot's own setter, which the __setattr__ below does not reach
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)

@@ -1318,22 +1318,61 @@ def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
 def test_a_suite_call_makes_46_kernel_calls(monkeypatch):
     """Families whose factors share their budgets are one _product_rows call
     each: the A1 grade pairs, the graded order's top pairs and their ht_2,
-    the commutators both ways.  38 one-pair op_mul calls remain."""
-    calls = {"op_mul": 0, "_product_rows": 0}
+    the commutators both ways.  38 one-pair op_mul calls remain.
 
-    def counted(name):
-        real = getattr(pa, name)
+    Each law of _LAWS, in table order, reads its op_mul calls, its
+    _product_rows calls (op_mul's included), the products they form and
+    their term pairs, the sum of |A.num| |B.num| over those products.  The
+    precision law forms none: the order law makes the pass they share.
+    """
+    tallies = {}
+    law_now = None
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
+    def op_mul(P, Q):
+        tallies[law_now][0] += 1
+        return _REAL_MUL(P, Q)
 
-        return wrapper
+    def rows(As, Bs):
+        tally = tallies[law_now]
+        tally[1] += 1
+        right = sum(len(B.num) for B in Bs)
 
-    for name in calls:
-        monkeypatch.setattr(pa, name, counted(name))
+        def counted():
+            for A, row in zip(As, _REAL_ROWS(As, Bs)):
+                tally[2] += len(row)
+                tally[3] += len(A.num) * right
+                yield row
+
+        return counted()
+
+    def tallied(law):
+        def run(rng, x_precision, basis):
+            nonlocal law_now
+            law_now = law.__name__
+            tallies[law_now] = [0, 0, 0, 0]
+            return law(rng, x_precision, basis)
+
+        return run
+
+    monkeypatch.setattr(pa, "op_mul", op_mul)
+    monkeypatch.setattr(pa, "_product_rows", rows)
+    monkeypatch.setattr(pa, "_LAWS", tuple(map(tallied, pa._LAWS)))
     pa.run_property_suite(trials=5, seed=42, x_precision=T)
-    assert calls == {"op_mul": 38, "_product_rows": 46}
+    assert list(tallies.items()) == [
+        ("_law_relations", [3, 3, 3, 3]),
+        ("_law_associativity", [4, 4, 4, 18792]),
+        ("_law_order_and_symbol", [1, 3, 2593, 2593]),
+        ("_law_graded_order", [0, 3, 1566, 1566]),
+        ("_law_a1", [0, 1, 81, 8100]),
+        ("_law_ring_map", [2, 4, 10, 2622]),
+        ("_law_quasi_elliptic", [0, 0, 0, 0]),
+        ("_law_precision", [0, 0, 0, 0]),
+        ("_law_reassembly", [0, 0, 0, 0]),
+        ("_law_module_action", [28, 28, 28, 28]),
+        ("_law_normalized_examples", [0, 0, 0, 0]),
+    ]
+    muls, calls, products, pairs = map(sum, zip(*tallies.values()))
+    assert (muls, calls, products, pairs) == (38, 46, 4285, 33704)
 
 
 def test_report_bytes_do_not_depend_on_the_kernels_key_order(monkeypatch):
