@@ -654,11 +654,18 @@ def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
     """Failures of (subadditive order, additive order, symbol, precision) over basis pairs.
 
     One pass forms each product M N of the ordered pairs of basis once, at
-    budgets (T, 2), and reads all four counts off it; the precision count
-    compares it with the product of M and N at budgets (T + 6, 2), truncated
-    back.  The counts are kept on basis, so the two laws that read them share
-    the pass within one suite call; at most one row of products is alive at
-    once, besides the next while it is formed.
+    budgets (T, 2), and its twin at budgets (T + 6, 2), and reads each once,
+    making no operator of its own.  The orders come from one bold_ord of the
+    product.  A nonzero product is its own symbol exactly when its terms
+    share one k1 + k2 - i1 - i2, its order, so one grade; the zero product
+    is its own symbol, as symbol says.  A pair fails precision when the
+    twin's denominator or its terms below the product's x-precision differ
+    from the product's: that is twin.truncate(T') != product, since every
+    factor is a monomial over den 1 (_monomial_basis), so both have den 1
+    and truncating the twin never divides out a gcd.  The counts are kept
+    on basis, so the two laws that read them share the pass within one
+    suite call; at most one row of products is alive at once, besides the
+    next while it is formed.
     """
     counts = getattr(basis, "pair_counts", None)
     if counts is not None:
@@ -676,8 +683,13 @@ def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
             bo = bold_ord(prod)
             sub_fail += bo > om + on
             eq_fail += bo != om + on
-            sym_fail += not (m_own and n_own and symbol(prod) == prod)
-            prec_fail += hi.truncate(prod.x_precision) != prod
+            sym_fail += not (
+                m_own and n_own and len({k1 + k2 - i1 - i2 for i1, i2, k1, k2 in prod.num}) < 2
+            )
+            t = prod.x_precision
+            prec_fail += hi.den != prod.den or {
+                k: n for k, n in hi.num.items() if k[0] + k[1] < t
+            } != prod.num
     basis.pair_counts = (sub_fail, eq_fail, sym_fail, prec_fail)
     return basis.pair_counts
 

@@ -273,8 +273,14 @@ def lattice_checks() -> List[CheckEntry]:
 
 def verify_divisor_conditions(D: PicardClass, C: PicardClass) -> List[CheckEntry]:
     """Numeric conditions tying one divisor D = K + E to one ample curve C."""
+    for name, arg in (("D", D), ("C", C)):
+        if not isinstance(arg, PicardClass):
+            raise TypeError(f"{name} must be a PicardClass, got {arg!r}")
     if C.e != E8_ZERO or C.k != 1:
         raise ValueError("C must be numerically the canonical class")
+    # h^0(K) = p_g = 0, so only the four K + tau with tau != 0 are curves with h^0(O(C)) = 1
+    if C.t == 0:
+        raise ValueError("C must be K + tau with a nonzero torsion tag tau, not K itself")
     # E = D - K is a root exactly when its K-part D.k - 1 is 0 and E^2 = D.e^2 = -2
     if D.k != 1 or D.e.norm != -2:
         raise ValueError("D - K must be a root (self-intersection -2, K-part 0)")

@@ -11,11 +11,15 @@
 - trial_division_prime: the oracle for the Miller-Rabin is_prime.
 - scanned_fifth_root: the smallest g != 1 with g^5 = 1, found by trying
   g = 2, 3, ... in turn, the oracle for primitive_fifth_root.
+- operator_basis_pair_counts: the four basis-pair counts read through the
+  operators symbol and truncate, the oracle for the inline reads of
+  pdo_algebra._basis_pair_counts.
 """
 
 import functools
 from fractions import Fraction
 
+from godeaux_cert import pdo_algebra as pa
 from godeaux_cert import quintic_family as qf
 from godeaux_cert.exact_arith import (
     FieldElement,
@@ -141,3 +145,28 @@ def scanned_fifth_root(q):
         if pow(g, 5, q) == 1:
             return g
     return None
+
+
+def operator_basis_pair_counts(basis):
+    """(subadditive, additive, symbol, precision) failures over the ordered
+    pairs of basis, as _basis_pair_counts counts them, each product read by
+    the operator definitions: it is its own symbol when symbol(prod) == prod,
+    and its pair fails precision when the product at budgets (T + 6, 2),
+    truncated back, differs from it.  Products come from pa._product_rows
+    as the pass forms them, so a test's mutant of it reaches both."""
+    orders = [pa.bold_ord(M) for M in basis]
+    own = [pa._same_terms_and_budgets(pa.symbol(M), M) for M in basis]
+    high = [
+        pa.TruncatedOperator._trusted(B.num, B.den, B.x_precision + 6, B.d_bound) for B in basis
+    ]
+    sub_fail = eq_fail = sym_fail = prec_fail = 0
+    for om, m_own, row, high_row in zip(
+        orders, own, pa._product_rows(basis, basis), pa._product_rows(high, high)
+    ):
+        for on, n_own, prod, hi in zip(orders, own, row, high_row):
+            bo = pa.bold_ord(prod)
+            sub_fail += bo > om + on
+            eq_fail += bo != om + on
+            sym_fail += not (m_own and n_own and pa.symbol(prod) == prod)
+            prec_fail += hi.truncate(prod.x_precision) != prod
+    return sub_fail, eq_fail, sym_fail, prec_fail

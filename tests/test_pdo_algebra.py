@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from godeaux_cert import pdo_algebra as pa
 from godeaux_cert.report import VerificationReport
+from oracles import operator_basis_pair_counts
 
 T = 12
 
@@ -1283,6 +1284,75 @@ def test_precision_certificate_catches_one_bad_pair(monkeypatch):
     monkeypatch.setattr(pa, "_product_rows", _rows_with(corrupt))
     got = _run_law(pa._law_precision, x_precision=x_precision)
     assert got["pdo.precision_soundness"].actual == 1
+
+
+_D1, _X1 = {(0, 0, 1, 0): 1}, {(1, 0, 0, 0): 1}
+
+
+def _on_d1_x1(x_precision, replace):
+    """The product, except that d1 . x1 at budgets (x_precision, 2) is replace(prod)."""
+
+    def mutant(P, Q, prod):
+        pair = (P.x_precision, P.d_bound, P.num, P.den, Q.num, Q.den)
+        return replace(prod) if pair == (x_precision, 2, _D1, 1, _X1, 1) else prod
+
+    return mutant
+
+
+def _zero_like(prod):
+    """The zero operator at prod's budgets."""
+    return pa.TruncatedOperator._trusted({}, 1, prod.x_precision, prod.d_bound)
+
+
+def _with_x1_power(i):
+    """prod + x1^i at prod's budgets."""
+    return lambda prod: prod + pa.TruncatedOperator._trusted(
+        {(i, 0, 0, 0): 1}, 1, prod.x_precision, prod.d_bound
+    )
+
+
+def test_a_zero_basis_product_keeps_its_counts(monkeypatch):
+    """d1 . x1 at (T, 2) read as 0: the zero operator is its own symbol, its
+    order -inf stays below ord d1 + ord x1 = 0 but is not equal to it, and the
+    product at (T + 6, 2), truncated back, is x1 d1 + 1, not 0."""
+    monkeypatch.setattr(pa, "_product_rows", _rows_with(_on_d1_x1(T, _zero_like)))
+    assert pa._basis_pair_counts(pa._monomial_basis(T)) == (0, 1, 0, 1)
+
+
+def test_precision_window_edge(monkeypatch):
+    """An extra term on d1 . x1 at (T + 6, 2) counts only below the product's
+    x-precision T - 2: x1^(T - 2) is outside the compared window, x1^(T - 3)
+    inside it."""
+    for i, want in ((T - 2, 0), (T - 3, 1)):
+        monkeypatch.setattr(pa, "_product_rows", _rows_with(_on_d1_x1(T + 6, _with_x1_power(i))))
+        assert pa._basis_pair_counts(pa._monomial_basis(T)) == (0, 0, 0, want)
+
+
+def _one_on_a_high_pair(P, Q, prod):
+    """The product, except that x1^2 d2^2 . x2^2 d1^2 at budgets (T + 6, 2) gains 1."""
+    if (
+        P.x_precision == Q.x_precision == T + 6
+        and (P.num, P.den, Q.num, Q.den) == ({(2, 0, 0, 2): 1}, 1, {(0, 2, 2, 0): 1}, 1)
+    ):
+        return prod + pa.TruncatedOperator.one(prod.x_precision)
+    return prod
+
+
+def test_basis_pair_counts_match_the_operator_reading(monkeypatch):
+    """The inline reads of each product give the counts that symbol and
+    truncate give, at three precisions and under three mutants: an
+    inhomogeneous product, a wrong product at (T + 6, 2) and a zero one."""
+    for x_precision in (10, 12, 16):
+        got = pa._basis_pair_counts(pa._monomial_basis(x_precision))
+        assert got == operator_basis_pair_counts(pa._monomial_basis(x_precision)) == (0, 0, 0, 0)
+    for mutant, want in (
+        (_x1_on_d1_x1, (0, 0, 1, 0)),
+        (_one_on_a_high_pair, (0, 0, 0, 1)),
+        (_on_d1_x1(T, _zero_like), (0, 1, 0, 1)),
+    ):
+        monkeypatch.setattr(pa, "_product_rows", _rows_with(mutant))
+        got = pa._basis_pair_counts(pa._monomial_basis(T))
+        assert got == operator_basis_pair_counts(pa._monomial_basis(T)) == want
 
 
 def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):

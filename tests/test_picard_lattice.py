@@ -218,6 +218,17 @@ def test_verify_divisor_conditions_rejects_bad_inputs():
         pl.verify_divisor_conditions(pl.PicardClass(2, root, t), C)  # K-part 1
     with pytest.raises(ValueError, match="canonical class"):
         pl.verify_divisor_conditions(pl.divisors()[0], pl.divisors()[0])
+    # K itself has h^0 = p_g = 0, so it is not one of the curves C
+    assert rr_engine.GODEAUX.pg == 0
+    with pytest.raises(ValueError, match="nonzero torsion tag"):
+        pl.verify_divisor_conditions(pl.divisors()[0], pl.CANONICAL)
+    for d, c, name in (
+        ((1, root, t), C, "D"),
+        (pl.divisors()[0], (1, pl.E8_ZERO, 1), "C"),
+        (pl.divisors()[0], None, "C"),
+    ):
+        with pytest.raises(TypeError, match=f"{name} must be a PicardClass"):
+            pl.verify_divisor_conditions(d, c)
 
 
 def _orbits_oracle():
