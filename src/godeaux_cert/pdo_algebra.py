@@ -8,11 +8,12 @@ precision debit, so every emitted term is reliable.  An operator stores
 integer numerators over one positive denominator, reduced so that their gcd
 is 1; that form is canonical, so equality compares it directly, and every
 kernel works on plain ints.  Fraction appears only at the boundary: the
-public constructor and parse_operator take Fraction coefficients, and the
-coeffs dict, to_string and spectral_module_action give them back.  On top
-of the ring live two order functions (bold_ord and ord_gamma), the symbol
-calculus, the growth condition A1(m), quasi-ellipticity and normalization
-predicates, linear changes of variables, and the residue-module action.
+public constructor takes int or Fraction coefficients (an int is kept as an
+int), parse_operator takes Fraction ones, and the coeffs dict, to_string
+and spectral_module_action give Fractions back.  On top of the ring live
+two order functions (bold_ord and ord_gamma), the symbol calculus, the
+growth condition A1(m), quasi-ellipticity and normalization predicates,
+linear changes of variables, and the residue-module action.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TruncatedOperator:
         _require_int("x_precision", x_precision, 1)
         if d_bound is not None:
             _require_int("d_bound", d_bound)
-        clean: Dict[Key, Fraction] = {}
+        clean: Dict[Key, int | Fraction] = {}
         for key, val in coeffs.items():
             i1, i2, k1, k2 = key
             if any(type(e) is not int for e in key):
@@ -71,7 +72,6 @@ class TruncatedOperator:
             if min(i1, i2, k1, k2) < 0:
                 raise ValueError(f"negative exponent in {key}")
             _require_rational("coefficient", val)
-            val = Fraction(val)
             if val == 0:
                 continue
             if i1 + i2 >= x_precision:
@@ -115,11 +115,11 @@ class TruncatedOperator:
 
     @classmethod
     def one(cls, x_precision: int) -> "TruncatedOperator":
-        return cls({(0, 0, 0, 0): Fraction(1)}, x_precision)
+        return cls({(0, 0, 0, 0): 1}, x_precision)
 
     @classmethod
     def monomial(cls, key: Key, x_precision: int) -> "TruncatedOperator":
-        return cls({key: Fraction(1)}, x_precision)
+        return cls({key: 1}, x_precision)
 
     @property
     def coeffs(self) -> Dict[Key, Fraction]:
@@ -207,7 +207,11 @@ def _leibniz_rows(k1: int, k2: int, j1: int, j2: int, b: int) -> Tuple[Tuple[int
 
 
 def _integer_form(form: Mapping) -> Tuple[dict, int]:
-    """(same keys with integer numerators, their common denominator) of a Fraction map."""
+    """(same keys with integer numerators, their common denominator) of an int or Fraction map.
+
+    Only .numerator and .denominator are read, so an int coefficient is
+    taken as it is, over denominator 1, with no Fraction made of it.
+    """
     den = math.lcm(*(v.denominator for v in form.values()))
     return {k: v.numerator * (den // v.denominator) for k, v in form.items()}, den
 
@@ -339,7 +343,11 @@ def bold_ord(P: TruncatedOperator):
     """
     if not P.num:
         return NEG_INF
-    sup = max(k1 + k2 - i1 - i2 for (i1, i2, k1, k2) in P.num)
+    sup = NEG_INF
+    for i1, i2, k1, k2 in P.num:
+        grade = k1 + k2 - i1 - i2
+        if grade > sup:
+            sup = grade
     if sup < P.d_bound - P.x_precision:
         raise UndecidableOrderError(
             f"stored supremum {sup} is below the truncation frontier "
@@ -658,14 +666,18 @@ def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
     making no operator of its own.  The orders come from one bold_ord of the
     product.  A nonzero product is its own symbol exactly when its terms
     share one k1 + k2 - i1 - i2, its order, so one grade; the zero product
-    is its own symbol, as symbol says.  A pair fails precision when the
-    twin's denominator or its terms below the product's x-precision differ
-    from the product's: that is twin.truncate(T') != product, since every
-    factor is a monomial over den 1 (_monomial_basis), so both have den 1
-    and truncating the twin never divides out a gcd.  The counts are kept
-    on basis, so the two laws that read them share the pass within one
-    suite call; at most one row of products is alive at once, besides the
-    next while it is formed.
+    is its own symbol, as symbol says.  A plain loop reads that: it takes
+    the first term's grade and stops at the first term of another, each
+    grade computed from the key, not from bold_ord.  A pair fails precision
+    when the twin's denominator or its terms below the product's
+    x-precision differ from the product's: that is twin.truncate(T') !=
+    product, since every factor is a monomial over den 1 (_monomial_basis),
+    so both have den 1 and truncating the twin never divides out a gcd.
+    Every key of the product lies below its x-precision, so a twin with the
+    product's very terms passes, and the filtered copy of the twin is built
+    only when the two differ.  The counts are kept on basis, so the two laws
+    that read them share the pass within one suite call; at most one row of
+    products is alive at once, besides the next while it is formed.
     """
     counts = getattr(basis, "pair_counts", None)
     if counts is not None:
@@ -683,13 +695,21 @@ def _basis_pair_counts(basis: _Basis) -> Tuple[int, int, int, int]:
             bo = bold_ord(prod)
             sub_fail += bo > om + on
             eq_fail += bo != om + on
-            sym_fail += not (
-                m_own and n_own and len({k1 + k2 - i1 - i2 for i1, i2, k1, k2 in prod.num}) < 2
-            )
+            own_symbol = m_own and n_own
+            if own_symbol and prod.num:
+                terms = iter(prod.num)
+                i1, i2, k1, k2 = next(terms)
+                grade = k1 + k2 - i1 - i2
+                for i1, i2, k1, k2 in terms:
+                    if k1 + k2 - i1 - i2 != grade:
+                        own_symbol = False
+                        break
+            sym_fail += not own_symbol
             t = prod.x_precision
-            prec_fail += hi.den != prod.den or {
-                k: n for k, n in hi.num.items() if k[0] + k[1] < t
-            } != prod.num
+            prec_fail += hi.den != prod.den or (
+                hi.num != prod.num
+                and {k: n for k, n in hi.num.items() if k[0] + k[1] < t} != prod.num
+            )
     basis.pair_counts = (sub_fail, eq_fail, sym_fail, prec_fail)
     return basis.pair_counts
 
@@ -881,11 +901,14 @@ def _law_graded_order(rng: Random, T: int, basis) -> List[CheckEntry]:
     # times that of top top', and the 36 top pairs decide both laws.
     span, tops = _graded_monic_span(T)
     d2 = [next(iter(A.num))[3] for A in span]
-    filt_fail = sum(
-        any(key[3] > da + db for key in AB.num)
-        for da, row in zip(d2, _product_rows(span, span))
-        for db, AB in zip(d2, row)
-    )
+    filt_fail = 0
+    for da, row in zip(d2, _product_rows(span, span)):
+        for db, AB in zip(d2, row):
+            top = da + db
+            for key in AB.num:
+                if key[3] > top:
+                    filt_fail += 1
+                    break
     # the tops and their ht_2 all sit at budgets (T, 4): one row call each.
     # ht_2(d1^k d2^l) is d1^k for either l: the 9 products d1^k d1^k' are all that differ
     gammas = [ord_gamma(P) for P in tops]

@@ -43,6 +43,63 @@ def test_constructor_refuses_non_int_exponents():
             pa.TruncatedOperator({(e, 0, 0, 0): 1}, T)
 
 
+def _fields(P):
+    return P.num, P.den, P.x_precision, P.d_bound
+
+
+def test_int_and_fraction_coefficients_give_one_operator():
+    """An int coefficient is kept as an int, with no Fraction made of it, and
+    builds the operator its Fraction builds: the same canonical (num, den),
+    budgets and Fraction coeffs."""
+    keys = [(0, 0, 0, 0), (1, 0, 2, 0), (0, 2, 1, 1), (T, 0, 0, 0)]
+    ints = dict(zip(keys, (1, -6, 4, 5)))
+    fractions = {k: Fraction(v) for k, v in ints.items()}
+    mixed = {k: (Fraction(v) if n % 2 else v) for n, (k, v) in enumerate(ints.items())}
+    built = [pa.TruncatedOperator(m, T, 4) for m in (ints, fractions, mixed)]
+    want = ({(0, 0, 0, 0): 1, (1, 0, 2, 0): -6, (0, 2, 1, 1): 4}, 1, T, 4)
+    assert [_fields(P) for P in built] == [want] * 3
+    for P in built:
+        assert all(type(v) is Fraction for v in P.coeffs.values())
+    # over a shared denominator an int numerator is scaled as a Fraction's is
+    halves = [
+        pa.TruncatedOperator({(0, 0, 1, 0): a, (1, 0, 0, 0): Fraction(3, 4)}, T)
+        for a in (2, Fraction(2))
+    ]
+    assert [_fields(P) for P in halves] == [({(0, 0, 1, 0): 8, (1, 0, 0, 0): 3}, 4, T, 1)] * 2
+    assert halves[0].coeffs == {(0, 0, 1, 0): Fraction(2), (1, 0, 0, 0): Fraction(3, 4)}
+
+
+def test_one_zero_and_monomial_keep_their_operators():
+    """Each is the operator built from Fraction(1), as before; a monomial at
+    x-degree T or above is the zero operator at d_bound 0."""
+    cls = pa.TruncatedOperator
+    assert _fields(cls.one(T)) == ({(0, 0, 0, 0): 1}, 1, T, 0)
+    assert _fields(cls.zero(T)) == ({}, 1, T, 0)
+    for key, want in (
+        ((1, 0, 2, 1), ({(1, 0, 2, 1): 1}, 1, T, 3)),
+        ((0, 0, 0, 0), ({(0, 0, 0, 0): 1}, 1, T, 0)),
+        ((T - 1, 0, 0, 2), ({(T - 1, 0, 0, 2): 1}, 1, T, 2)),
+        ((T, 0, 1, 0), ({}, 1, T, 0)),
+        ((1, T, 0, 0), ({}, 1, T, 0)),
+    ):
+        assert _fields(cls.monomial(key, T)) == want
+        assert _fields(cls({key: Fraction(1)}, T)) == want
+
+
+def test_constructor_refusals_keep_their_types_and_messages():
+    refused = "coefficient must be an int or Fraction, got"
+    cases = (
+        ({(0, 0, 0, 0): True}, None, TypeError, f"{refused} bool True"),
+        ({(0, 0, 0, 0): 0.5}, None, TypeError, f"{refused} float 0.5"),
+        ({(0, 0, -1, 0): 1}, None, ValueError, "negative exponent in (0, 0, -1, 0)"),
+        ({(0, 0, 3, 0): 1}, 2, ValueError, "derivative degree 3 exceeds d_bound 2"),
+    )
+    for coeffs, d_bound, kind, message in cases:
+        with pytest.raises(kind) as err:
+            pa.TruncatedOperator(coeffs, T, d_bound)
+        assert type(err.value) is kind and str(err.value) == message
+
+
 def test_budgets_refuse_float_or_bool():
     """A float budget rides into products: 12.0 would multiply to x_precision 11.0."""
     for x_precision in (12.0, True):
@@ -159,6 +216,22 @@ def test_bold_ord_examples():
     assert pa.bold_ord(op("x1 d1")) == 0
     assert pa.bold_ord(op("x1^2 d1 d2")) == 0
     assert pa.bold_ord(pa.TruncatedOperator.zero(T)) == pa.NEG_INF
+
+
+def test_bold_ord_is_an_int_on_every_basis_product():
+    """A nonzero operator's order is an int, never the float -inf it starts
+    from; only the zero operator's is NEG_INF itself."""
+    basis = pa._monomial_basis(T)
+    high = [pa.TruncatedOperator._trusted(B.num, 1, T + 6, 2) for B in basis]
+    products = [
+        P
+        for rows in (pa._product_rows(basis, basis), pa._product_rows(high, high))
+        for row in rows
+        for P in row
+    ]
+    assert len(products) == 2 * 36**2 and all(P.num for P in products)
+    assert all(type(pa.bold_ord(P)) is int for P in products)
+    assert pa.bold_ord(pa.TruncatedOperator.zero(T)) is pa.NEG_INF
 
 
 def test_bold_ord_undecidable_at_tight_budget():
@@ -1338,10 +1411,22 @@ def _one_on_a_high_pair(P, Q, prod):
     return prod
 
 
+def _x1_power_on_every_high_product(P, Q, prod):
+    """The product, except that every one at budgets (T + 6, 2) gains
+    x1^(T - 2): a term at the x-precision T - 2 of the product at (T, 2), so
+    each twin differs from its product only outside the compared window."""
+    if P.x_precision == T + 6:
+        return _with_x1_power(T - 2)(prod)
+    return prod
+
+
 def test_basis_pair_counts_match_the_operator_reading(monkeypatch):
     """The inline reads of each product give the counts that symbol and
-    truncate give, at three precisions and under three mutants: an
-    inhomogeneous product, a wrong product at (T + 6, 2) and a zero one."""
+    truncate give, at three precisions and under five mutants: an
+    inhomogeneous product, a wrong product at (T + 6, 2), a zero one, an
+    order one too high on every operator (the symbols still at the true
+    grade, so a homogeneity read that compared grades with bold_ord would
+    fail every product) and a term at the window's edge on every twin."""
     for x_precision in (10, 12, 16):
         got = pa._basis_pair_counts(pa._monomial_basis(x_precision))
         assert got == operator_basis_pair_counts(pa._monomial_basis(x_precision)) == (0, 0, 0, 0)
@@ -1349,10 +1434,17 @@ def test_basis_pair_counts_match_the_operator_reading(monkeypatch):
         (_x1_on_d1_x1, (0, 0, 1, 0)),
         (_one_on_a_high_pair, (0, 0, 0, 1)),
         (_on_d1_x1(T, _zero_like), (0, 1, 0, 1)),
+        (_x1_power_on_every_high_product, (0, 0, 0, 0)),
     ):
         monkeypatch.setattr(pa, "_product_rows", _rows_with(mutant))
         got = pa._basis_pair_counts(pa._monomial_basis(T))
         assert got == operator_basis_pair_counts(pa._monomial_basis(T)) == want
+    monkeypatch.setattr(pa, "_product_rows", _REAL_ROWS)
+    real_bold_ord = pa.bold_ord
+    monkeypatch.setattr(pa, "symbol", lambda P: _REAL_COMPONENT(P, -real_bold_ord(P)))
+    monkeypatch.setattr(pa, "bold_ord", lambda P: real_bold_ord(P) + 1)
+    got = pa._basis_pair_counts(pa._monomial_basis(T))
+    assert got == operator_basis_pair_counts(pa._monomial_basis(T)) == (0, 36**2, 0, 0)
 
 
 def test_basis_pair_products_are_formed_once_per_suite_call(monkeypatch):
