@@ -4,9 +4,9 @@ Primality, fifth roots of unity, projective-space enumeration over a prime
 field, and exact integer and rational linear algebra, all read off one
 fraction-free elimination.  A modulus, a number tested for primality or a
 matrix entry that is not an int is refused with TypeError.  The prime-field
-checks run on plain ints mod q, with one exception: the invariance check
-takes its fifth root of unity as a FieldElement from primitive_fifth_root.
-Otherwise FieldElement and SparsePolynomial are a second, independent
+checks run on plain ints mod q.  The invariance check calls
+primitive_fifth_root only to refuse a q with no order-5 symmetry, and decides
+on weights mod 5.  FieldElement and SparsePolynomial are a second, independent
 representation of F_q and its polynomials, kept for the tests' reference
 scans.  They carry only what those scans use: field elements add, multiply
 and take non-negative powers; polynomials evaluate.  All values are

@@ -610,6 +610,19 @@ def test_report_bytes_match_golden(tmp_path):
     assert report.encode() == _golden("golden_pdo_seed7_trials200_T16.json")
 
 
+def test_report_does_not_depend_on_trials_or_seed(tmp_path):
+    """No pdo law samples, so --trials is only validated and recorded in the
+    metadata, and each generic point and each free-action sample decides its
+    check at any seed: the entries and the summary of `all` at --trials 1
+    --seed 0 are those of the golden run at --trials 40 --seed 42."""
+    out = tmp_path / "all.json"
+    flags = ["--trials", "1", "--seed", "0", "--no-timestamp", "--json", str(out)]
+    assert run_cli(["all", "--primes", "11", *flags]) == 0
+    got, recorded = json.loads(out.read_bytes()), json.loads(_golden(GOLDEN_RUNS[0][0]))
+    for key in ("entries", "summary"):
+        assert got[key] == recorded[key], key
+
+
 def test_report_bytes_do_not_depend_on_the_bytecode_cache():
     """cli compiled fresh and cli as its .pyc holds it (a marshal round trip)
     print the same report. A frozenset constant reloaded from a .pyc can
@@ -661,20 +674,15 @@ print(json.dumps([m for m in lazy if m in sys.modules]))
 """
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        ([], []),
-        (["lattice"], ["argparse"]),
-        (["pdo"], ["godeaux_cert.pdo_algebra", "argparse"]),
-    ],
-    ids=["import", "lattice", "pdo"],
-)
-def test_a_command_loads_only_what_it_runs(argv, loaded):
+@pytest.mark.parametrize("command", ["import", *cli.SUITES, "all"])
+def test_a_command_loads_only_what_it_runs(command):
     """Importing cli loads neither pdo_algebra, argparse nor datetime; only
-    pdo (and all) load pdo_algebra, and an untimestamped run no datetime.
+    pdo and all load pdo_algebra, and an untimestamped run no datetime.
     No command loads dataclasses or inspect, which cost a fresh process
     about 11 ms of imports."""
+    argv = [] if command == "import" else [command]
+    loaded = ["godeaux_cert.pdo_algebra"] if command in ("pdo", "all") else []
+    loaded += ["argparse"] if argv else []
     proc = _fresh_interpreter(["-c", _LOADED_AFTER], *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
@@ -692,3 +700,13 @@ def test_huge_prime_exits_two_promptly(prime, message):
     proc = _fresh_interpreter(["-m", "godeaux_cert.cli", "lattice", "--primes", prime], timeout=10)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {prime} {message}")
+
+
+def test_surface_passes_at_a_prime_near_a_billion():
+    """The default member passes at q = 1000000021 within 60 s: a fifth root
+    of unity found by scanning g = 2, 3, ... took 14-17 s there."""
+    proc = _fresh_interpreter(
+        ["-m", "godeaux_cert.cli", "surface", "--primes", "1000000021", "--no-timestamp"],
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
