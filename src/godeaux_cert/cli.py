@@ -350,7 +350,7 @@ def suite_surface(cfg: dict) -> List[CheckEntry]:
             "surface.invariant_planes",
             "exactly the four coordinate planes are preserved",
             4,
-            len(quintic_family.invariant_hyperplanes()),
+            len(quintic_family.invariant_hyperplanes(gen)),
             "stated",
         )
     )

@@ -3,13 +3,13 @@
 Primality, fifth roots of unity, projective-space enumeration over a prime
 field, and exact integer and rational linear algebra, all read off one
 fraction-free elimination.  A modulus, a number tested for primality or a
-matrix entry that is not an int is refused with TypeError.  The prime-field
-checks run on plain ints mod q.  The invariance check calls
-primitive_fifth_root only to refuse a q with no order-5 symmetry, and decides
-on weights mod 5.  FieldElement and SparsePolynomial are a second, independent
-representation of F_q and its polynomials, kept for the tests' reference
-scans.  They carry only what those scans use: field elements add, multiply
-and take non-negative powers; polynomials evaluate.  All values are
+matrix entry that is not an int is refused with TypeError.  Prime-field
+work has one representation, plain ints mod q: the checks and the tests'
+reference scans compute on them alike.  FieldElement is a plain record of
+a value and its prime modulus, which primitive_fifth_root returns; the
+invariance check calls primitive_fifth_root only to refuse a q with no
+order-5 symmetry, and decides on weights mod 5.  SparsePolynomial, which
+only evaluates, serves the tests' reference scans.  All values are
 immutable and all operations are pure functions.  _Record, the slotted base
 of the package's frozen value classes, stands in for dataclasses, which
 would import inspect at start-up: each record's __init__ checks its
@@ -19,6 +19,7 @@ arguments and stores each field through its own slot setter.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -126,11 +127,18 @@ def _require_prime(q: int) -> None:
 
 
 class FieldElement(_Record):
-    """Element of the prime field F_q, stored reduced to [0, q)."""
+    """An element of the prime field F_modulus, as its value reduced to [0, modulus).
+
+    A plain record with no arithmetic: whoever computes with the element
+    reads value and works on ints mod modulus.  A value that is not an int
+    is refused with TypeError, a modulus that is not a prime with TypeError
+    or ValueError.
+    """
 
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: int) -> None:
+        _require_int("value", value)
         set_value, set_modulus = self._setters
         set_value(self, value)
         set_modulus(self, modulus)
@@ -139,50 +147,6 @@ class FieldElement(_Record):
     def __post_init__(self) -> None:
         _require_prime(self.modulus)
         self._setters[0](self, self.value % self.modulus)  # the reduced value
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return FieldElement(pow(self.value, n, self.modulus), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if isinstance(other, FieldElement):
-            return self.modulus == other.modulus and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
 
 
 def primitive_fifth_root(q: int) -> FieldElement:
@@ -202,14 +166,12 @@ def primitive_fifth_root(q: int) -> FieldElement:
 
 
 class SparsePolynomial:
-    """Map from exponent tuples to nonzero coefficients, evaluated at a point.
+    """Map from exponent tuples to nonzero int or Fraction coefficients, evaluated at a point.
 
-    The coefficient domain is pluggable: ints, Fractions, or FieldElements,
-    anything supporting +, * and a unary truth test.  Terms are kept with
-    no zero coefficients.  No check path builds one: the tests evaluate a
-    member and its partials at FieldElement points as an independent
-    oracle for the plain-int mod-q checks, and evaluation is all this
-    class offers.
+    Terms are kept with no zero coefficients.  No check path builds one:
+    the tests evaluate a member and its partials at int points, reducing
+    mod q, as an independent oracle for the mod-q scans, and evaluation is
+    all this class offers.
     """
 
     __slots__ = ("terms", "num_vars")
@@ -232,17 +194,7 @@ class SparsePolynomial:
     def eval(self, point: Sequence) -> object:
         if len(point) != self.num_vars:
             raise ValueError(f"point arity {len(point)} != {self.num_vars}")
-        acc = None
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val = val * x ** e
-            acc = val if acc is None else acc + val
-        if acc is None:
-            # zero polynomial: produce the domain zero from the point
-            return point[0] * 0
-        return acc
+        return sum(c * math.prod(map(pow, point, exps)) for exps, c in self.terms.items())
 
 
 def iter_projective_coords(q: int, dim: int) -> Iterator[Tuple[int, ...]]:

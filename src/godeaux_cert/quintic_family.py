@@ -50,8 +50,7 @@ _MONOMIAL_ORDER: Tuple[Tuple[int, int, int, int], ...] = (
 # Coefficient positions (0-based) of the pure powers z1^5, z2^5, z3^5, z4^5.
 PURE_POWER_INDICES = (0, 7, 8, 9)
 
-# The 4 coordinate points of P^3: the fixed locus of the symmetry, and the
-# defining forms of the 4 invariant coordinate planes.
+# The 4 coordinate points of P^3: the fixed locus of the symmetry.
 _COORDINATE_POINTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -252,11 +251,15 @@ def family_dimension() -> int:
     return 11 - weight_difference_rank()
 
 
-def invariant_hyperplanes() -> Tuple[Tuple[int, int, int, int], ...]:
-    """The hyperplanes fixed by the dual action: the 4 coordinate planes.
+def invariant_hyperplanes(g: GroupElement) -> Tuple[Tuple[int, ...], ...]:
+    """The hyperplanes fixed by g's dual action, one family per weight of g.
 
-    Represented as unit exponent tuples for the defining linear forms.  The
-    generator's weights (1, 2, 3, 4) are pairwise distinct, so no other
-    hyperplane is fixed.
+    g scales the form c of sum(c_j z_j) = 0 to (eps^{w_j} c_j), so the plane
+    is fixed exactly when the j with c_j != 0 share one weight.  The planes
+    of one weight, carried by k coordinates, form a P^{k-1}: each family is
+    given by the form that is 1 on its coordinates.  With pairwise distinct
+    weights, as the generator's (1, 2, 3, 4), every family is a single
+    coordinate plane; a repeated weight leaves fewer families, and
+    infinitely many fixed planes.
     """
-    return _COORDINATE_POINTS
+    return tuple(tuple(int(v == w) for v in g.weights) for w in dict.fromkeys(g.weights))

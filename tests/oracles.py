@@ -1,9 +1,10 @@
 """Independent reference routes the tests compare the exact checks against.
 
-- field_route_singular: FieldElement evaluation of a member and of its
-  partials at every point, the oracle for the plain-int singular scans.
-- epsilon_power_invariance: FieldElement powers of a fifth root of unity,
-  the oracle for the weight route of invariance_check.
+- field_route_singular: evaluation of a member and of its naive partials
+  at every point, in ints reduced mod q, the oracle for the partials-only
+  singular scans with their power tables and diagonal closed form.
+- epsilon_power_invariance: powers of a fifth root of unity mod q, the
+  oracle for the weight route of invariance_check.
 - fixed_points: a plain-int scan of P^3(F_q) for the fixed points of a
   symmetry, the oracle for the coordinate-point table.
 - fraction_elimination: rank and determinant by Fraction elimination, the
@@ -21,17 +22,13 @@ from fractions import Fraction
 
 from godeaux_cert import pdo_algebra as pa
 from godeaux_cert import quintic_family as qf
-from godeaux_cert.exact_arith import (
-    FieldElement,
-    SparsePolynomial,
-    iter_projective_coords,
-    primitive_fifth_root,
-)
+from godeaux_cert.exact_arith import SparsePolynomial, iter_projective_coords, primitive_fifth_root
 
 
 def field_member(a, q, plane=None):
-    """The member sum(a_i z^{n_i}) mod q, or with a 1-based plane index its
-    restriction to that coordinate plane, as a SparsePolynomial."""
+    """The member sum(a_i z^{n_i}) with coefficients reduced mod q, or with a
+    1-based plane index its restriction to that coordinate plane, as a
+    SparsePolynomial; its values are read mod q."""
     terms = {exps: c % q for c, exps in zip(a, qf._MONOMIAL_ORDER)}
     if plane is None:
         return SparsePolynomial(terms, 4)
@@ -56,13 +53,12 @@ def field_route_singular(a, q, plane=None):
     With plane=None the member is scanned over P^3; with a 1-based plane
     index, its restriction to that coordinate plane is scanned over P^2.
     Each tuple of iter_projective_coords is the one normalized
-    representative of its point, so its coordinates are wrapped as they are.
+    representative of its point, and each value is reduced mod q.
     """
     f = field_member(a, q, plane)
     partials = [_naive_partial(f, v) for v in range(f.num_vars)]
-    for raw in iter_projective_coords(q, f.num_vars - 1):
-        pt = tuple(FieldElement(v, q) for v in raw)
-        if not f.eval(pt) and not any(d.eval(pt) for d in partials):
+    for pt in iter_projective_coords(q, f.num_vars - 1):
+        if not f.eval(pt) % q and not any(d.eval(pt) % q for d in partials):
             return True
     return False
 
@@ -73,9 +69,9 @@ def epsilon_power_invariance(a, g, q):
     Each term with a_i != 0 mod q picks up the scalar eps^{sum w_j n_j} in
     F_q; the member is invariant up to scale when one scalar serves them all.
     """
-    eps = primitive_fifth_root(q)
+    eps = primitive_fifth_root(q).value
     scalars = {
-        eps ** (sum(w * n for w, n in zip(g.weights, exps)) % 5)
+        pow(eps, sum(w * n for w, n in zip(g.weights, exps)), q)
         for c, exps in zip(a, qf._MONOMIAL_ORDER)
         if c % q
     }

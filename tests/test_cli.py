@@ -359,6 +359,22 @@ def test_routes_check_counts_each_disagreement(monkeypatch):
     assert routes == [125, 54, 53]
 
 
+def test_invariant_planes_entry_reads_the_generator_weights(monkeypatch):
+    """Under a generator whose z1 and z2 share a weight, every plane
+    c1 z1 + c2 z2 = 0 is fixed, and the entry fails."""
+    cfg = cli.load_config(cli.build_parser().parse_args(["surface", "--primes", "11"]))
+
+    def entry():
+        got = {e.check_id: e for e in cli.suite_surface(cfg)}
+        return got["surface.invariant_planes"]
+
+    got = entry()
+    assert (got.actual, got.status, got.provenance) == (4, "pass", "stated")
+    repeated = classmethod(lambda cls: cls((1, 1, 3, 4)))
+    monkeypatch.setattr(cli.quintic_family.GroupElement, "generator", repeated)
+    assert (entry().actual, entry().status) == (3, "fail")
+
+
 def test_route_fault_on_the_member_is_a_report(monkeypatch, capsys):
     """With the row at e1 also reading a2, the member a1 = 1, a2 = 10 vanishes
     there mod 11 by evaluation though a1 != 0: the verdict fails the member's

@@ -83,22 +83,27 @@ def test_a_float_or_bool_modulus_misses_the_cache_entry_of_its_int():
             FieldElement(1, q)
 
 
-def test_field_arithmetic_basics():
-    a = FieldElement(7, 11)
-    b = FieldElement(8, 11)
-    assert a + b == 4
-    assert a * b == 1
-    assert a + b * -1 == 10
-    assert a ** 5 == pow(7, 5, 11)
-    assert a * -1 == 4
-    assert 3 + a == a + 3 == 10 and 2 * a == 3
-    assert a.value == 7 and FieldElement(-4, 11).value == 7
-    with pytest.raises(ValueError, match="mixed moduli"):
-        FieldElement(1, 11) + FieldElement(1, 31)
+def test_field_element_is_a_record_with_no_arithmetic():
+    """The value is reduced mod the prime and read back as an int; every
+    computation with it is done on ints mod q, so the class defines none."""
+    a = FieldElement(-4, 11)
+    assert a.value == 7 and a.modulus == 11
+    assert a != 7 and a == FieldElement(18, 11) != FieldElement(7, 31)
+    for name in (
+        "_coerce", "__add__", "__radd__", "__mul__", "__rmul__",
+        "__pow__", "__bool__", "__eq__", "__hash__", "__repr__",
+    ):
+        assert name not in FieldElement.__dict__
     with pytest.raises(TypeError):
-        a + "x"
+        a + 1
     with pytest.raises(TypeError):
-        a * 1.5
+        a * a
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, True])
+def test_field_element_refuses_a_non_int_value(value):
+    with pytest.raises(TypeError, match=re.escape(f"value must be an int, got {value!r}")):
+        FieldElement(value, 11)
 
 
 # (build one record, its fields as read back, its repr); the field values of
@@ -135,7 +140,11 @@ RECORDS = {
         {"self_int": 1, "dot_K": 11},
         "NumericalDivisor(self_int=1, dot_K=11)",
     ),
-    "FieldElement": (lambda: FieldElement(12, 11), {"value": 1, "modulus": 11}, "1 (mod 11)"),
+    "FieldElement": (
+        lambda: FieldElement(12, 11),
+        {"value": 1, "modulus": 11},
+        "FieldElement(value=1, modulus=11)",
+    ),
     "CheckEntry": (
         lambda: CheckEntry("x.id", "ref", 1, 2, "derived", "fail"),
         {
@@ -216,8 +225,8 @@ def test_field_rejects_composite_modulus():
 
 
 def test_primitive_fifth_root_known_values():
-    assert primitive_fifth_root(11) == 3
-    assert primitive_fifth_root(31) == 2
+    assert primitive_fifth_root(11) == FieldElement(3, 11)
+    assert primitive_fifth_root(31) == FieldElement(2, 31)
 
 
 def test_primitive_fifth_root_matches_the_scan():
@@ -241,14 +250,15 @@ def test_primitive_fifth_root_does_not_scan_a_large_field(monkeypatch):
     monkeypatch.setattr(exact_arith, "pow", counted, raising=False)
     root = primitive_fifth_root(q)
     monkeypatch.undo()
-    assert root != 1 and root ** 5 == 1
+    assert root.modulus == q and root.value != 1 and pow(root.value, 5, q) == 1
 
 
 def test_primitive_fifth_root_has_order_five():
     for q in (11, 31, 41, 61, 71, 101):
         g = primitive_fifth_root(q)
-        assert g ** 5 == 1
-        assert g != 1
+        assert g.modulus == q
+        assert pow(g.value, 5, q) == 1
+        assert g.value != 1
 
 
 def test_primitive_fifth_root_rejects_bad_residue():
@@ -275,11 +285,16 @@ def test_sparse_polynomial_refuses_bad_shapes(terms, num_vars, message):
 
 
 def test_eval_over_field():
+    """Evaluated at int points and reduced mod q, as the reference scans read
+    it: 2^5 + 3^5 = 275 = 25 * 11, so (2 : 3) lies on x^5 + y^5 over F_11."""
     q = 11
-    p = SparsePolynomial({(5, 0): FieldElement(1, q), (0, 5): FieldElement(1, q)}, 2)
-    assert p.eval((FieldElement(2, q), FieldElement(3, q))) == (2 ** 5 + 3 ** 5) % q
+    p = SparsePolynomial({(5, 0): 1, (0, 5): 1}, 2)
+    assert p.eval((2, 3)) == 275 and p.eval((2, 3)) % q == 0
+    assert p.eval((3, 4)) == 1267 and p.eval((3, 4)) % q == 2
+    assert p.eval((Fraction(1, 2), 1)) == Fraction(33, 32)
+    assert SparsePolynomial({(1, 0): 0}, 2).eval((2, 3)) == 0
     with pytest.raises(ValueError, match="point arity 3 != 2"):
-        p.eval((FieldElement(2, q),) * 3)
+        p.eval((2,) * 3)
 
 
 def test_projective_enumeration_counts():

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from godeaux_cert.exact_arith import FieldElement
 from godeaux_cert import quintic_family as qf
 from oracles import epsilon_power_invariance, field_member, field_route_singular, fixed_points
 
@@ -178,14 +177,11 @@ def test_free_action_routes_agree(a):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((11, 31)), st.lists(st.integers(0, 30), min_size=12, max_size=12))
-def test_free_action_matches_field_element_route(q, a):
+def test_free_action_matches_mod_q_evaluation_route(q, a):
     assume(any(v % q for v in a))
     f = field_member(a, q)
-    points = [
-        tuple(FieldElement(v, q) for v in pt)
-        for pt in fixed_points(qf.GroupElement.generator(), q)
-    ]
-    assert qf.free_action_check(a, q) == all(f.eval(p) for p in points)
+    points = fixed_points(qf.GroupElement.generator(), q)
+    assert qf.free_action_check(a, q) == all(f.eval(p) % q for p in points)
 
 
 def _prod_route_free_action(a, q):
@@ -217,6 +213,16 @@ def test_smoothness_rejects_degenerate_member():
     a = [0] * 12
     a[0] = 1  # z1^5 = 0 is non-reduced
     assert not qf.smoothness_check(a, 11)
+
+
+def test_field_route_calls_the_golden_members():
+    """The int oracle is not vacuous: the golden singular member, singular at
+    (1:1:1:1) by construction, is singular at q = 11 and 31, and the Fermat
+    member is smooth at both."""
+    singular0 = (-1, 2, -1, 5, 4, -5, -8, -1, 6, 7, -3, -5)
+    for q in (11, 31):
+        assert field_route_singular(singular0, q)
+        assert not field_route_singular(FERMAT, q)
 
 
 def test_smoothness_agrees_with_field_route():
@@ -360,7 +366,7 @@ def test_family_dimension():
 
 
 def test_invariant_hyperplanes_are_coordinate_planes():
-    planes = qf.invariant_hyperplanes()
+    planes = qf.invariant_hyperplanes(qf.GroupElement.generator())
     assert planes == (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
@@ -375,4 +381,15 @@ def test_invariant_hyperplane_count_matches_brute_force():
     # point c to be fixed by g: so the invariant hyperplanes of P^3(F_q)
     # are counted by the fixed points.
     g = qf.GroupElement.generator()
-    assert len(fixed_points(g, 11)) == len(qf.invariant_hyperplanes()) == 4
+    assert len(fixed_points(g, 11)) == len(qf.invariant_hyperplanes(g)) == 4
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 3, 4), (2, 4, 2, 2), (0, 0, 0, 0)])
+def test_invariant_hyperplane_families_match_brute_force(weights):
+    """A family whose form has k ones is a P^{k-1} of fixed planes, with
+    (q^k - 1)/(q - 1) points over F_q; the brute-force scan counts them all."""
+    q, g = 11, qf.GroupElement(weights)
+    families = qf.invariant_hyperplanes(g)
+    assert sorted(map(sum, families)) == sorted(weights.count(w) for w in set(weights))
+    assert all(len({w for w, c in zip(weights, form) if c}) == 1 for form in families)
+    assert len(fixed_points(g, q)) == sum((q ** sum(form) - 1) // (q - 1) for form in families)
