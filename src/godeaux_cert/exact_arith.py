@@ -255,12 +255,6 @@ def rational_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return _echelon(rows)[0]
 
 
-def _leading_minors_positive(matrix: Sequence[Sequence[int]]) -> bool:
-    """Whether every leading principal minor of a square integer matrix is positive."""
-    rank, exchanges, a = _echelon(matrix)
-    return rank == len(a) and not exchanges and all(a[k][k] > 0 for k in range(rank))
-
-
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix (Bareiss elimination); 1 for 0 x 0."""
     n = len(matrix)

@@ -66,6 +66,10 @@ class TruncatedOperator:
             _require_int("d_bound", d_bound)
         clean: Dict[Key, int | Fraction] = {}
         for key, val in coeffs.items():
+            if not isinstance(key, tuple):
+                raise TypeError(f"operator key must be a tuple of 4 exponents, got {key!r}")
+            if len(key) != 4:
+                raise ValueError(f"need 4 exponents, got {key!r}")
             i1, i2, k1, k2 = key
             if any(type(e) is not int for e in key):
                 raise TypeError(f"exponents must be ints, got {key!r}")
@@ -191,15 +195,15 @@ class TruncatedOperator:
 # one table per (left derivative exponents, right x-exponents, field width) met,
 # so as small as the operators
 @functools.lru_cache(maxsize=None)
-def _leibniz_rows(k1: int, k2: int, j1: int, j2: int, b: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(m1 + m2, (m1, m2, m1, m2) packed at width b, weight) for m1, then m2, from 0.
+def _leibniz_rows(k1: int, k2: int, j1: int, j2: int, b: int) -> Tuple[Tuple[int, int], ...]:
+    """((m1, m2, m1, m2) packed at width b, weight) for m1, then m2, from 0.
 
     d1^k1 d2^k2 x1^j1 x2^j2 is the sum over m1 <= min(k1, j1), m2 <= min(k2, j2)
     of comb(k1, m1) perm(j1, m1) comb(k2, m2) perm(j2, m2) times
     x1^(j1-m1) x2^(j2-m2) d1^(k1-m1) d2^(k2-m2).
     """
     return tuple(
-        (m1 + m2, (m1 | m2 << b) * (1 | 1 << 2 * b), c1 * math.comb(k2, m2) * math.perm(j2, m2))
+        ((m1 | m2 << b) * (1 | 1 << 2 * b), c1 * math.comb(k2, m2) * math.perm(j2, m2))
         for m1 in range(min(k1, j1) + 1)
         for c1 in (math.comb(k1, m1) * math.perm(j1, m1),)
         for m2 in range(min(k2, j2) + 1)
@@ -253,15 +257,19 @@ def _product_rows(As, Bs):
     term's packed key, with no field carrying into or borrowing from its
     neighbour.
 
-    The table of (k1, k2) holds, per right factor, one entry per (right
-    term, Leibniz row): (s - x_q, q - off, c_q w), for a right term of
-    x-degree x_q and numerator c_q and a row with s = m1 + m2 and weight w.
-    The folded offset q - off is negative as an int when a d-field of q is
-    below its m, but p + (q - off) is the same integer as p + q - off, so
+    The table of (k1, k2) holds, per right factor, one entry per distinct
+    folded offset q - off over its (right term, Leibniz row) pairs: (lim,
+    q - off, the sum of c_q w), for right terms of numerator c_q and rows of
+    weight w.  The folded offset is negative as an int when a d-field of q
+    is below its m, but p + (q - off) is the same integer as p + q - off, so
     the argument above holds for it, and only the final key of a kept term
-    is unpacked.  The term's x-degree i1 + i2 + x_q - s is below t_res
-    exactly when s - x_q > i1 + i2 - t_res, so the precision cut reads the
-    entry alone, and each entry costs one product a c_q w.
+    is unpacked.  Its two x-fields are nonnegative, so they are its low 2b
+    bits, and lim is minus their sum, the folded key's x-degree.  The term's
+    x-degree i1 + i2 - lim is below t_res exactly when lim > i1 + i2 -
+    t_res; the pairs merged into one entry land on one key p + (q - off) for
+    every p, so they share that x-degree and the precision cut still reads
+    the entry alone.  An entry whose sum is 0 contributes nothing to any
+    product and is dropped.  Each entry costs one product a times its sum.
     """
     if not As:
         return
@@ -279,7 +287,7 @@ def _product_rows(As, Bs):
     tq, dq = Bs[0].x_precision, Bs[0].d_bound
     b = max(tp, tq, dp + dq + 1).bit_length()
     b2, b3, mask = 2 * b, 3 * b, (1 << b) - 1
-    # per right factor: its packed terms, each with x-degree, numerator and j1, j2
+    # per right factor: its packed terms, each with numerator and j1, j2
     q_terms: List[list] = []
     for B in Bs:
         if B.x_precision != tq or B.d_bound != dq:
@@ -289,7 +297,7 @@ def _product_rows(As, Bs):
             )
         terms = []
         for (j1, j2, l1, l2), c in B.num.items():
-            terms.append((j1 | j2 << b | l1 << b2 | l2 << b3, j1 + j2, c, j1, j2))
+            terms.append((j1 | j2 << b | l1 << b2 | l2 << b3, c, j1, j2))
         q_terms.append(terms)
     t_res = min(tp, tq) - dp
     if t_res < 1:
@@ -298,7 +306,7 @@ def _product_rows(As, Bs):
             f"minus left derivative bound {dp} leaves {t_res}"
         )
     # by the packed derivative exponents k1, k2 of a left term: per right
-    # factor, one entry (s - x_q, q - off, c_q w) per right term and Leibniz row
+    # factor, one entry (lim, q - off, sum of c_q w) per distinct folded offset
     tables: Dict[int, list] = {}
     trusted = TruncatedOperator._trusted
     for A in As:
@@ -307,15 +315,21 @@ def _product_rows(As, Bs):
             kk = k1 | k2 << b
             table = tables.get(kk)
             if table is None:
-                table = tables[kk] = [
-                    [
-                        (s - qx, qk - off, c * w)
-                        for qk, qx, c, j1, j2 in terms
-                        for s, off, w in _leibniz_rows(k1, k2, j1, j2, b)
-                    ]
-                    for terms in q_terms
-                ]
-            # the entry's term is kept when its s - x_q exceeds i1 + i2 - t_res
+                table = tables[kk] = []
+                for terms in q_terms:
+                    merged: Dict[int, int] = {}
+                    for qk, c, j1, j2 in terms:
+                        for off, w in _leibniz_rows(k1, k2, j1, j2, b):
+                            qo = qk - off
+                            merged[qo] = merged.get(qo, 0) + c * w
+                    table.append(
+                        [
+                            (-(qo & mask) - (qo >> b & mask), qo, cw)
+                            for qo, cw in merged.items()
+                            if cw
+                        ]
+                    )
+            # the entry's term is kept when its lim exceeds i1 + i2 - t_res
             p_terms.append((i1 | i2 << b | kk << b2, a, i1 + i2 - t_res, table))
         row = []
         for n, B in enumerate(Bs):

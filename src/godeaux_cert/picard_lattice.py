@@ -17,7 +17,7 @@ import operator
 from typing import List, Sequence, Tuple
 
 from . import rr_engine
-from .exact_arith import _leading_minors_positive, _Record, _require_int, integer_determinant
+from .exact_arith import _echelon, _Record, _require_int, integer_determinant
 from .report import CheckEntry, check
 
 TORSION_ORDER = 5
@@ -237,6 +237,9 @@ def lattice_checks() -> List[CheckEntry]:
     ]
     gram = gram_matrix(SIMPLE_ROOTS)
     det = integer_determinant(gram)
+    # one elimination of -Gram gives the rank and, by _echelon's reading of
+    # its pivots, whether every leading minor is positive
+    rank, exchanges, a = _echelon([list(map(operator.neg, row)) for row in gram])
     entries.append(
         check("lattice.gram_det", "unimodularity of a simple-root basis", 1, abs(det), "derived")
     )
@@ -245,7 +248,7 @@ def lattice_checks() -> List[CheckEntry]:
             "lattice.even_diagonal",
             "even lattice: diagonal Gram entries even",
             True,
-            all(gram[i][i] % 2 == 0 for i in range(8)),
+            all(row[i] % 2 == 0 for i, row in enumerate(gram)),
             "derived",
         )
     )
@@ -254,17 +257,17 @@ def lattice_checks() -> List[CheckEntry]:
             "lattice.negative_definite",
             "leading principal minors of negated Gram all positive",
             True,
-            _leading_minors_positive([list(map(operator.neg, row)) for row in gram]),
+            rank == len(gram) and not exchanges and all(a[k][k] > 0 for k in range(rank)),
             "derived",
         )
     )
-    entries.append(check("lattice.rank", "rank of the K-orthogonal part", 8, len(gram), "stated"))
+    entries.append(check("lattice.rank", "rank of the K-orthogonal part", 8, rank, "stated"))
     entries.append(
         check(
             "lattice.picard_rank",
             "total Picard rank 1 + 8",
             9,
-            1 + len(gram),
+            1 + rank,
             "stated",
         )
     )

@@ -5,7 +5,9 @@ each parent/change pair with its seed, the medians, the quartiles and the
 pairs won per metric; and the host it ran on.  Every end-to-end median,
 inclusive quartile and pairs_won count is recomputed from the pairs, with
 the direction BENCHMARK.json gives, and so are the claim block's medians,
-gap, parent IQR and met flag.
+gap, parent IQR and met flag.  No end-to-end change median may be worse
+than its parent median by more than the metric's bound in BENCHMARK.json,
+a share of the parent median.
 """
 
 import json
@@ -19,14 +21,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
-def _better():
-    """The direction of each end-to-end metric of BENCHMARK.json, by name."""
+def _end_to_end():
+    """Each end-to-end metric of BENCHMARK.json, with its direction and bound, by name."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
-def check_record(path, better):
+def check_record(path, spec):
     """Raise AssertionError, naming path and the fault, unless the record holds."""
+    better = {name: m["better"] for name, m in spec.items()}
 
     def fail(why):
         raise AssertionError(f"{path.name}: {why}")
@@ -86,6 +89,12 @@ def check_record(path, better):
                     )
             if won[m] != sum(gain(m, p["parent"][m], p["change"][m]) > 0 for p in pairs):
                 fail(f"{name}: pairs_won of {m} is not the number of pairs the change won")
+            parent, bound = w["medians"]["parent"][m], spec[m]["bound"]
+            if gain(m, parent, w["medians"]["change"][m]) < -bound * parent:
+                fail(
+                    f"{name}: the change median of {m} is worse than the parent's by more "
+                    f"than {bound} of it"
+                )
     claim = rec.get("claim") or fail("no claim block")
     w = rec["workloads"].get(claim.get("workload")) or fail("the claim names no recorded workload")
     m = claim.get("metric")
@@ -111,7 +120,7 @@ def check_record(path, better):
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_every_bench_record_has_the_shape_of_a_speed_claim(path):
-    check_record(path, _better())
+    check_record(path, _end_to_end())
 
 
 def _pairs_won_off_by_one(rec):
@@ -136,10 +145,34 @@ def test_a_record_with_a_wrong_count_fails(tmp_path, mutate, why):
     """One pairs_won count off by one, or a flipped met flag, in a copy of a
     committed record fails the check, which the record itself passes."""
     source = RECORDS[-1]
-    check_record(source, _better())
+    check_record(source, _end_to_end())
     rec = json.loads(source.read_text(encoding="utf-8"))
     mutate(rec)
     path = tmp_path / source.name
     path.write_text(json.dumps(rec), encoding="utf-8")
     with pytest.raises(AssertionError, match=why):
-        check_record(path, _better())
+        check_record(path, _end_to_end())
+
+
+def test_a_record_that_breaks_a_bound_fails(tmp_path):
+    """Every change peak_rss_mb of a committed record made a fifth higher,
+    with its medians, quartiles and pairs_won recomputed to match, is past
+    the metric's bound of a tenth and fails on that bound."""
+    source = RECORDS[-1]
+    spec = _end_to_end()
+    assert spec["peak_rss_mb"]["bound"] < 0.2
+    rec = json.loads(source.read_text(encoding="utf-8"))
+    for w in rec["workloads"].values():
+        for p in w["pairs"]:
+            p["change"]["peak_rss_mb"] *= 1.2
+        w["medians"]["change"]["peak_rss_mb"] *= 1.2
+        w["quartiles"]["change"]["peak_rss_mb"] = [
+            q * 1.2 for q in w["quartiles"]["change"]["peak_rss_mb"]
+        ]
+        w["pairs_won"]["peak_rss_mb"] = sum(
+            p["change"]["peak_rss_mb"] < p["parent"]["peak_rss_mb"] for p in w["pairs"]
+        )
+    path = tmp_path / source.name
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    with pytest.raises(AssertionError, match="of peak_rss_mb is worse than the parent's by more than 0.1"):
+        check_record(path, spec)

@@ -13,7 +13,7 @@ from godeaux_cert import exact_arith, picard_lattice as pl, quintic_family, rr_e
 from godeaux_cert.exact_arith import (
     FieldElement,
     SparsePolynomial,
-    _leading_minors_positive,
+    _echelon,
     _require_prime,
     integer_determinant,
     is_prime,
@@ -366,7 +366,7 @@ def test_integer_determinant_needs_square():
         ),
         (rational_matrix_rank, [[0.5, 0.3], [0.2, 0.7]]),
         (integer_determinant, [[Fraction(1, 2)]]),
-        (_leading_minors_positive, [[Fraction(1, 2), 0], [0, 1]]),
+        (_echelon, [[Fraction(1, 2), 0], [0, 1]]),
         (rational_matrix_rank, [[True, 0], [0, 1]]),
     ],
 )
@@ -415,8 +415,15 @@ def _square_matrices(draw):
 # both leading minors are 1, but the larger first-column entry is the second
 @example([[1, 0], [2, 1]])
 def test_leading_minors_match_determinants_up_to_the_first_zero(m):
-    """The reading of one elimination agrees with the determinant of every
-    leading block, taken separately."""
+    """lattice_checks reads the rank and the definiteness off one elimination
+    of -Gram.  With m as -Gram, negative_definite agrees with the determinant
+    of every leading block of m, taken separately, and rank and picard_rank
+    with the rank of m by elimination over Q."""
     blocks = ([row[:k] for row in m[:k]] for k in range(1, len(m) + 1))
     want = all(fraction_elimination(block)[1] > 0 for block in blocks)
-    assert _leading_minors_positive(m) is want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "gram_matrix", lambda basis: [[-x for x in row] for row in m])
+        actual = {e.check_id: e.actual for e in pl.lattice_checks()}
+    rank = fraction_elimination(m)[0]
+    assert actual["lattice.negative_definite"] is want
+    assert (actual["lattice.rank"], actual["lattice.picard_rank"]) == (rank, 1 + rank)

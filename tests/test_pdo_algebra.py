@@ -43,6 +43,23 @@ def test_constructor_refuses_non_int_exponents():
             pa.TruncatedOperator({(e, 0, 0, 0): 1}, T)
 
 
+# each died unpacking, with a message that named neither the key nor the rule
+@pytest.mark.parametrize(
+    "key, kind, message",
+    [
+        ((0, 0, 1), ValueError, "need 4 exponents, got (0, 0, 1)"),
+        ((0, 0, 0, 0, 0), ValueError, "need 4 exponents, got (0, 0, 0, 0, 0)"),
+        (5, TypeError, "operator key must be a tuple of 4 exponents, got 5"),
+        ("ab", TypeError, "operator key must be a tuple of 4 exponents, got 'ab'"),
+    ],
+    ids=("three", "five", "int", "str"),
+)
+def test_constructor_refuses_a_malformed_key(key, kind, message):
+    with pytest.raises(kind) as err:
+        pa.TruncatedOperator({key: 1}, 4)
+    assert type(err.value) is kind and str(err.value) == message
+
+
 def _fields(P):
     return P.num, P.den, P.x_precision, P.d_bound
 
@@ -877,13 +894,85 @@ def test_product_rows_with_negative_folded_offsets(x_precision, want):
     P, Q = op("d1^2 d2", x_precision), op("x1^2 x2", x_precision)
     b = max(x_precision, P.d_bound + Q.d_bound + 1).bit_length()
     qk = 2 | 1 << b
-    assert sum(qk - off < 0 for _, off, _ in pa._leibniz_rows(2, 1, 2, 1, b)) == 5
+    assert sum(qk - off < 0 for off, _ in pa._leibniz_rows(2, 1, 2, 1, b)) == 5
     [[got]] = pa._product_rows([P], [Q])
     oracle = _fraction_op_mul(P, Q)
     assert got.coeffs == oracle.coeffs == op(want, x_precision - 3).coeffs
     budgets = (x_precision - 3, 3)
     assert (got.x_precision, got.d_bound) == (oracle.x_precision, oracle.d_bound) == budgets
     _assert_trusted_invariants(got)
+
+
+def test_product_rows_drop_a_folded_sum_of_zero():
+    """d1 (x1 d1 - 1) = x1 d1^2: the Leibniz term of x1 d1 with m1 = 1 and
+    the term of -1 both fold to offset 0, where their weights sum to 0, so
+    the table keeps one entry, and the product takes one multiply-add."""
+
+    class Counted(int):
+        products = 0
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return int(self) * other
+
+    P = pa.TruncatedOperator._trusted({(0, 0, 1, 0): Counted(1)}, 1, T, 1)
+    [[got]] = pa._product_rows([P], [op("x1 d1 - 1")])
+    assert got == op("x1 d1^2") and len(got.num) == 1
+    assert Counted.products == 1
+
+
+@st.composite
+def _colliding_families(draw):
+    """(As, Bs): 1-3 operators a side, each side at one budget.  Each right
+    term x^j d^l comes with x^(j+e) d^(l+e), e nonzero, whose Leibniz row
+    m + e folds onto the offset of row m of the first; left derivatives
+    reach past l, so some folded offsets are negative ints.  The precisions
+    are small or at the field-width edges; the second coefficient is often
+    minus the first, so that some folded sums cancel."""
+    d_p, d_q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    precision = st.one_of(st.integers(d_p + 1, d_p + 6), st.sampled_from(_EDGE_PRECISIONS))
+    coeff = st.sampled_from((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3)))
+
+    def edge(top):
+        return draw(st.one_of(st.just(top), st.just(0), st.integers(0, top)))
+
+    def left(x_precision):
+        coeffs = {}
+        for _ in range(draw(st.integers(1, 3))):
+            i1, k1 = edge(x_precision - 1), edge(d_p)
+            coeffs[(i1, edge(x_precision - 1 - i1), k1, edge(d_p - k1))] = draw(coeff)
+        return pa.TruncatedOperator(coeffs, x_precision, d_p)
+
+    def right(x_precision):
+        coeffs = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e1 = draw(st.integers(0, d_q))
+            e2 = draw(st.integers(0 if e1 else 1, d_q - e1))
+            j1, l1 = edge(x_precision - 1), draw(st.integers(0, d_q - e1 - e2))
+            j2, l2 = edge(x_precision - 1 - j1), draw(st.integers(0, d_q - e1 - e2 - l1))
+            c = coeffs[(j1, j2, l1, l2)] = draw(coeff)
+            coeffs[(j1 + e1, j2 + e2, l1 + e1, l2 + e2)] = draw(st.one_of(coeff, st.just(-c)))
+        return pa.TruncatedOperator(coeffs, x_precision, d_q)
+
+    tp, tq = draw(precision), draw(precision)
+    As = [left(tp) for _ in range(draw(st.integers(1, 3)))]
+    return As, [right(tq) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_colliding_families())
+def test_product_rows_with_colliding_right_terms_match_fraction_oracle(family):
+    """Terms that fold onto one offset are summed in one table entry; each
+    product is still op_mul(A, B) by the Fraction oracle."""
+    As, Bs = family
+    rows = list(pa._product_rows(As, Bs))
+    assert [len(row) for row in rows] == [len(Bs)] * len(As)
+    for A, row in zip(As, rows):
+        for B, AB in zip(Bs, row):
+            oracle = _fraction_op_mul(A, B)
+            assert AB.coeffs == oracle.coeffs
+            assert (AB.x_precision, AB.d_bound) == (oracle.x_precision, oracle.d_bound)
+            _assert_trusted_invariants(AB)
 
 
 _params = st.fractions(-3, 3, max_denominator=4)

@@ -131,6 +131,23 @@ def test_lattice_checks_read_a_zero_leading_minor_as_indefinite(monkeypatch):
     assert actual["lattice.gram_det"] == 1
 
 
+def test_a_dependent_simple_root_fails_exactly_the_rank_entries(monkeypatch):
+    """With root 1 + root 2 in place of root 7 the Gram matrix has rank 7:
+    the determinant, definiteness, rank and Picard rank entries fail, each
+    reading the dependence, and every other entry still passes."""
+    roots = list(pl.SIMPLE_ROOTS)
+    roots[7] = pl.E8Vector((0, 4, 0, 0, 0, 0, 0, 0))
+    assert roots[7].c == tuple(map(operator.add, roots[1].c, roots[2].c))
+    monkeypatch.setattr(pl, "SIMPLE_ROOTS", tuple(roots))
+    failed = {e.check_id: e.actual for e in pl.lattice_checks() if e.status != "pass"}
+    assert failed == {
+        "lattice.gram_det": 0,
+        "lattice.negative_definite": False,
+        "lattice.rank": 7,
+        "lattice.picard_rank": 8,
+    }
+
+
 def test_divisor_candidates_count_and_numerics():
     cands = pl.divisor_candidates()
     assert len(cands) == 1200
